@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import operator
 import re
 
 
@@ -42,6 +43,21 @@ def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     if len(p) != len(q):
         raise ValueError(f"cannot compose permutations of sizes {len(p)} and {len(q)}")
     return tuple(q[x - 1] for x in p)
+
+
+def composer(p: tuple[int, ...]):
+    """The map ``q -> compose(p, q)``, built once to apply to many ``q``.
+
+    Sizes are not checked, which is what makes it cheaper than
+    :func:`compose` in inner loops.
+
+    >>> composer((2, 1, 3))((1, 3, 2))
+    (3, 1, 2)
+    """
+    if len(p) == 1:
+        (x,) = p
+        return lambda q: (q[x - 1],)
+    return operator.itemgetter(*(x - 1 for x in p))
 
 
 def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -342,9 +358,6 @@ def uses_top_throw(seq: CardSequence) -> bool:
 
 # ---------------------------------------------------------------------------
 # siteswaps
-
-_SITESWAP_SEARCH_CAP_FACTOR = 1  # bail out after b*n hops; a ball must return by then
-
 
 def siteswap_of(seq: CardSequence) -> tuple[int, ...]:
     """Throw heights obtained by cycling the row.

@@ -523,7 +523,9 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--thrown", type=int, help="exact count of distinct balls")
     cen.add_argument("--collect", action="store_true", help="list instead of count")
     cen.add_argument(
-        "--jobs", type=int, help=f"worker processes (default ${JOBS_ENV} or 1)"
+        "--jobs",
+        type=int,
+        help=f"worker processes for --collect (default ${JOBS_ENV} or 1)",
     )
     cen.add_argument("--human", action="store_true")
     cen.set_defaults(run=cmd_census)

@@ -1,16 +1,25 @@
-"""Exhaustive enumeration and census of small card sequences.
+"""Enumeration and census of card sequences.
 
-Everything here is deliberately brute force.  The closed-form counts in
+Counts come from one exact state-transfer engine, :func:`transfer`,
+which pushes weights over states one card at a time.  A census walks
+states (arrangement, crossings so far, top seen, bottom seen, balls
+thrown), so its cost grows with the reachable states per layer instead
+of the ``b^n`` rows; collecting runs the same layers, marks the states
+that can still reach an accepted row, and walks only into those.  The
+per-permutation and cycle tallies use the same layers, and
+:mod:`jugglecards.stochastic` runs its exact walk on :func:`transfer`.
+
+:func:`_census_from` is the brute-force oracle: a plain tree walk over
+every row, which the tests pin the engine to.  The closed forms in
 :mod:`jugglecards.counting` and the maps in :mod:`jugglecards.bijections`
-are checked against these enumerations over small ranges, so this module
-avoids clever shortcuts beyond safe pruning.
+are checked against both over small ranges.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import os
 
 from jugglecards.bijections import CoverMatrix, LabeledDigraph, is_noncrossing
 from jugglecards.cards import (
@@ -18,11 +27,26 @@ from jugglecards.cards import (
     CardSequence,
     card_crossings,
     card_permutation,
-    compose,
+    composer,
     cycle_count,
     identity_perm,
     inverse,
 )
+
+
+def transfer(layer: dict, moves) -> dict:
+    """One card of the exact state-transfer engine.
+
+    Maps ``{state: weight}`` to ``{state: weight}``: each ``(child,
+    factor)`` pair in ``moves(state)`` adds ``weight * factor`` to
+    ``child``.  Weights may be ints or fractions.
+    """
+    nxt: dict = {}
+    get = nxt.get
+    for state, weight in layer.items():
+        for child, factor in moves(state):
+            nxt[child] = get(child, 0) + weight * factor
+    return nxt
 
 
 def throw_cards(b: int, m: int = 1, ordered: bool = True) -> tuple[Card, ...]:
@@ -54,7 +78,7 @@ class CensusQuery:
     ``m`` and ``ordered`` pick the card family.  The remaining fields are
     optional filters: ``perm`` the exact one-line permutation the
     sequence must realize, ``crossings`` / ``max_crossings`` an exact or
-    upper crossing count, ``primitive`` whether ``C_1`` is banned (True)
+    upper crossing count (both apply when both are set), ``primitive`` whether ``C_1`` is banned (True)
     or required (False), ``uses_top`` likewise for ``C_b``, and
     ``thrown`` the exact number of distinct balls thrown.
     """
@@ -70,6 +94,26 @@ class CensusQuery:
     uses_top: bool | None = None
     thrown: int | None = None
 
+    def __post_init__(self):
+        if self.b < 1:
+            raise ValueError(f"need at least one ball, got b={self.b}")
+        if self.n < 0:
+            raise ValueError(f"card count must be nonnegative, got n={self.n}")
+        if not 1 <= self.m <= self.b:
+            raise ValueError(f"cards throw m={self.m} balls, must be between 1 and b={self.b}")
+        if self.perm is not None and sorted(self.perm) != list(range(1, self.b + 1)):
+            raise ValueError(f"perm {self.perm} is not a permutation of 1..{self.b}")
+        for name in ("crossings", "max_crossings", "thrown"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
+
+
+def _budget(query: CensusQuery) -> int | None:
+    """The crossing count no row may exceed, from both crossing filters."""
+    limits = [c for c in (query.crossings, query.max_crossings) if c is not None]
+    return min(limits) if limits else None
+
 
 def _census_from(query: CensusQuery, first: int | None, collect: bool):
     cards = throw_cards(query.b, query.m, query.ordered)
@@ -77,7 +121,7 @@ def _census_from(query: CensusQuery, first: int | None, collect: bool):
     deltas = [card_crossings(c) for c in cards]
     is_bottom = [c.targets == (1,) for c in cards]
     is_top = [c.targets == (query.b,) for c in cards]
-    budget = query.crossings if query.crossings is not None else query.max_crossings
+    budget = _budget(query)
     target_arr = inverse(query.perm) if query.perm is not None else None
     found: list[CardSequence] = []
     count = 0
@@ -140,25 +184,139 @@ def _apply(arr, perm):
     return tuple(out)
 
 
-def _census_worker(args):
-    query, first, collect = args
-    return _census_from(query, first, collect)
+class _Census:
+    """The census of ``query`` as states and moves for :func:`transfer`.
+
+    A state is (arrangement, crossings so far, top seen, bottom seen,
+    bitmask of the balls thrown).  Parts that no filter reads stay
+    constant, so they never split a state.  ``track_thrown`` keeps the
+    bitmask even without a ``thrown`` filter.
+    """
+
+    def __init__(self, query: CensusQuery, track_thrown: bool = False):
+        self.query = query
+        self.cards = throw_cards(query.b, query.m, query.ordered)
+        self.start = (identity_perm(query.b), 0, False, False, 0)
+        self.budget = _budget(query)
+        self.track_top = query.uses_top is True
+        self.track_bottom = query.primitive is False
+        self.track_thrown = track_thrown or query.thrown is not None
+        self.target = inverse(query.perm) if query.perm is not None else None
+        self.steps = []
+        for i, card in enumerate(self.cards):
+            is_bottom = card.targets == (1,)
+            is_top = card.targets == (query.b,)
+            if (query.primitive is True and is_bottom) or (query.uses_top is False and is_top):
+                continue
+            # the ball at level l moves to level perm[l-1]
+            move = composer(inverse(card_permutation(card)))
+            delta = card_crossings(card) if self.budget is not None else 0
+            self.steps.append(
+                (i, move, delta, self.track_top and is_top, self.track_bottom and is_bottom)
+            )
+
+    def children(self, state, left: int) -> list:
+        """``(card index, child)`` for every card allowed from ``state``.
+
+        Cards come in family order; children over the crossing budget, or
+        whose thrown count can no longer end at ``thrown`` with ``left``
+        more balls thrown, are pruned.
+        """
+        arr, cr, top, bottom, mask = state
+        if self.track_thrown:
+            for ball in arr[: self.query.m]:
+                mask |= 1 << ball
+            thrown = self.query.thrown
+            if thrown is not None:
+                k = mask.bit_count()
+                if k > thrown or k + left < thrown:
+                    return []
+        budget = self.budget
+        return [
+            (i, (move(arr), cr + delta, top or is_top, bottom or is_bottom, mask))
+            for i, move, delta, is_top, is_bottom in self.steps
+            if budget is None or cr + delta <= budget
+        ]
+
+    def left(self, depth: int) -> int:
+        """Balls the cards after the one at ``depth`` can still throw."""
+        return (self.query.n - depth - 1) * self.query.m
+
+    def accepts(self, state) -> bool:
+        arr, cr, top, bottom, mask = state
+        q = self.query
+        return (
+            (self.target is None or arr == self.target)
+            and (q.crossings is None or cr == q.crossings)
+            and (top or not self.track_top)
+            and (bottom or not self.track_bottom)
+            and (q.thrown is None or mask.bit_count() == q.thrown)
+        )
+
+    def final_layer(self) -> dict:
+        """Rows reaching each state after all ``n`` cards."""
+        layer = {self.start: 1}
+        for depth in range(self.query.n):
+            left = self.left(depth)
+            layer = transfer(layer, lambda s: [(c, 1) for _, c in self.children(s, left)])
+        return layer
+
+    def count(self) -> int:
+        return sum(ways for state, ways in self.final_layer().items() if self.accepts(state))
+
+    def collect(self, first: int | None = None) -> tuple[CardSequence, ...]:
+        """Accepted rows in tree-walk order, optionally only those starting
+        with card index ``first``."""
+        graph = []  # per depth: state -> its (card index, child) moves
+        frontier = {self.start}
+        for depth in range(self.query.n):
+            left = self.left(depth)
+            edges = {}
+            for state in frontier:
+                kids = self.children(state, left)
+                if depth == 0 and first is not None:
+                    kids = [(i, c) for i, c in kids if i == first]
+                edges[state] = kids
+            graph.append(edges)
+            frontier = {c for kids in edges.values() for _, c in kids}
+        live = {s for s in frontier if self.accepts(s)}
+        for edges in reversed(graph):
+            for state, kids in edges.items():
+                kids[:] = [(i, c) for i, c in kids if c in live]
+            live = {s for s, kids in edges.items() if kids}
+        rows = [((), self.start)] if self.start in live else []
+        for edges in graph:
+            rows = [
+                (prefix + (self.cards[i],), c)
+                for prefix, state in rows
+                for i, c in edges[state]
+            ]
+        return tuple(CardSequence(self.query.b, prefix) for prefix, _ in rows)
+
+
+def _collect(query: CensusQuery, first: int | None = None):
+    return _Census(query).collect(first)
 
 
 def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):
     """Count (or collect) all sequences matching ``query``.
 
-    ``jobs`` splits the search by first card across processes; results
-    are identical to the serial order.
+    Counts run the state-transfer engine in this process.  When
+    collecting, ``jobs`` splits the rows by first card across worker
+    processes, no more than there are first cards or CPUs; the rows come
+    back in the serial order.
     """
-    if jobs is not None and jobs > 1 and query.n > 1:
-        firsts = range(len(throw_cards(query.b, query.m, query.ordered)))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_census_worker, [(query, f, collect) for f in firsts]))
-        if collect:
-            return tuple(seq for part in parts for seq in part)
-        return sum(parts)
-    return _census_from(query, None, collect)
+    if not collect:
+        return _Census(query).count()
+    firsts = range(len(throw_cards(query.b, query.m, query.ordered)))
+    workers = min(jobs or 1, len(firsts), os.cpu_count() or 1)
+    if workers > 1 and query.n > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_collect, itertools.repeat(query), firsts))
+        return tuple(seq for part in parts for seq in part)
+    return _collect(query)
 
 
 def count_by_permutation(
@@ -166,30 +324,19 @@ def count_by_permutation(
 ) -> dict:
     """Sequence counts keyed by realized permutation.
 
-    Dynamic program over composed permutations, so it stays cheap for
-    ``n`` far beyond exhaustive reach.  With ``by_thrown`` the keys are
-    ``(perm, k)`` with ``k`` the number of distinct balls thrown.
+    Runs the census engine with no filters and reads each final
+    arrangement as a permutation, so it stays cheap for ``n`` far beyond
+    exhaustive reach.  With ``by_thrown`` the keys are ``(perm, k)`` with
+    ``k`` the number of distinct balls thrown.  Tests pin the engine to
+    :func:`_census_from`, the brute-force oracle, and this table to a
+    tally over :func:`all_sequences`.
     """
-    cards = throw_cards(b, m, ordered)
-    perms = [card_permutation(c) for c in cards]
-    start = (identity_perm(b), frozenset()) if by_thrown else identity_perm(b)
-    states = {start: 1}
-    for _ in range(n):
-        nxt: dict = {}
-        for state, ways in states.items():
-            perm = state[0] if by_thrown else state
-            arr = inverse(perm)
-            for cp in perms:
-                new_perm = compose(perm, cp)
-                if by_thrown:
-                    key = (new_perm, state[1] | frozenset(arr[:m]))
-                else:
-                    key = new_perm
-                nxt[key] = nxt.get(key, 0) + ways
-        states = nxt
-    if by_thrown:
-        return {(perm, len(thrown)): ways for (perm, thrown), ways in states.items()}
-    return states
+    layer = _Census(CensusQuery(b=b, n=n, m=m, ordered=ordered), by_thrown).final_layer()
+    out: dict = {}
+    for (arr, _, _, _, mask), ways in layer.items():
+        key = (inverse(arr), mask.bit_count()) if by_thrown else inverse(arr)
+        out[key] = out.get(key, 0) + ways
+    return out
 
 
 def brute_js(sigma: tuple[int, ...], n: int, b: int, m: int = 1) -> int:
@@ -198,7 +345,7 @@ def brute_js(sigma: tuple[int, ...], n: int, b: int, m: int = 1) -> int:
     Oracle for the closed-form :func:`jugglecards.counting.js_count`;
     ``m > 1`` searches over ordered ``m``-subset cards.
     """
-    return census(CensusQuery(b=b, n=n, m=m, perm=tuple(sigma)))
+    return _census_from(CensusQuery(b=b, n=n, m=m, perm=tuple(sigma)), None, False)
 
 
 def enumerate_plus(
@@ -239,21 +386,13 @@ def enumerate_plus_two(b: int, n: int) -> tuple[CardSequence, ...]:
 def cycle_census(b: int, n: int) -> dict[int, int]:
     """How many of the ``b^n`` single-throw sequences have each cycle count.
 
-    Walks the full tree of card choices, composing permutations on the
-    way down and tallying the cycle count of the result.
+    Tallies the cycle counts of :func:`count_by_permutation`, which runs
+    the census engine; tests pin it to a tally over :func:`all_sequences`.
     """
-    perms = [card_permutation(c) for c in throw_cards(b)]
     tally: dict[int, int] = {}
-
-    def walk(depth, perm):
-        if depth == n:
-            l = cycle_count(perm)
-            tally[l] = tally.get(l, 0) + 1
-            return
-        for cp in perms:
-            walk(depth + 1, compose(perm, cp))
-
-    walk(0, identity_perm(b))
+    for perm, ways in count_by_permutation(b, n).items():
+        l = cycle_count(perm)
+        tally[l] = tally.get(l, 0) + ways
     return tally
 
 

@@ -19,11 +19,12 @@ from jugglecards.cards import (
     CardSequence,
     card_permutation,
     compose,
+    composer,
     cycle_count,
     identity_perm,
 )
 from jugglecards.counting import stirling1
-from jugglecards.enumeration import throw_cards
+from jugglecards.enumeration import throw_cards, transfer
 from jugglecards.rng import RandomStream
 
 
@@ -120,6 +121,18 @@ def uniform_distribution(b: int) -> GroupDistribution:
     )
 
 
+def _walk_moves(gd: GeneratorDistribution, weights):
+    """Moves for :func:`jugglecards.enumeration.transfer`: the current
+    element goes to ``compose(current, g)`` with the weight of ``g``."""
+    pairs = list(zip(gd.generators, weights))
+
+    def moves(current):
+        then = composer(current)
+        return [(then(g), w) for g, w in pairs]
+
+    return moves
+
+
 def step_distribution(d: GroupDistribution, gd: GeneratorDistribution) -> GroupDistribution:
     """One walk step: right-multiply by a random generator.
 
@@ -128,22 +141,24 @@ def step_distribution(d: GroupDistribution, gd: GeneratorDistribution) -> GroupD
     """
     if d.degree != gd.degree:
         raise ValueError(f"distribution on {d.degree} points, generators on {gd.degree}")
-    nxt: dict = {}
-    for current, mass in d.prob.items():
-        for g, p in zip(gd.generators, gd.probs):
-            new = compose(current, g)
-            nxt[new] = nxt.get(new, Fraction(0)) + mass * p
-    return GroupDistribution(nxt)
+    return GroupDistribution(transfer(d.prob, _walk_moves(gd, gd.probs)))
 
 
 def exact_step_distribution(gd: GeneratorDistribution, n: int) -> GroupDistribution:
-    """Distribution of the walk after ``n`` steps from the identity."""
+    """Distribution of the walk after ``n`` steps from the identity.
+
+    The walk runs on integer weights over the common denominator of the
+    probabilities and divides once at the end.
+    """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    dist = point_distribution(gd.degree)
+    ints = _integer_weights(gd.generators, gd.probs)
+    moves = _walk_moves(gd, ints)
+    layer = {identity_perm(gd.degree): 1}
     for _ in range(n):
-        dist = step_distribution(dist, gd)
-    return dist
+        layer = transfer(layer, moves)
+    total = sum(ints) ** n
+    return GroupDistribution({g: Fraction(ways, total) for g, ways in layer.items()})
 
 
 def cycle_count_distribution(d: GroupDistribution) -> dict[int, Fraction]:

@@ -126,6 +126,15 @@ def test_c03_minimal_enumeration_matches_narayana():
     assert time.perf_counter() - start < 30.0
 
 
+def test_c03b_engine_counts_sixty_card_rows_in_closed_form():
+    # 5**60 rows: out of reach of the tree walk, exact for the engine
+    for d, closed in ((0, narayana(5, 60)), (2, plus_two_count(5, 60))):
+        start = time.perf_counter()
+        q = CensusQuery(b=5, n=60, perm=identity_perm(5), crossings=20 + d, uses_top=True)
+        assert census(q) == closed, d
+        assert time.perf_counter() - start < 1.0, d
+
+
 def test_c04_dyck_bijection_roundtrips_both_ways():
     for b in range(1, 5):
         for n in range(b, 9):

@@ -222,6 +222,22 @@ def test_census_counts_and_collects(capsys, monkeypatch):
     assert out2 == "15\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--b", "0", "--n", "4"],
+        ["--b", "3", "--n", "-1"],
+        ["--b", "3", "--n", "4", "--m", "5"],
+        ["--b", "3", "--n", "4", "--thrown", "-1"],
+        ["--b", "3", "--n", "4", "--max-crossings", "-1"],
+    ],
+)
+def test_census_rejects_bad_queries_with_one_line(capsys, argv):
+    code, out, err = run(capsys, "census", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_sample_is_reproducible(capsys):
     code, out, _ = run(capsys, "sample", "--b", "4", "--n", "10", "--seed", "7")
     assert code == 0

@@ -2,8 +2,15 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jugglecards.cards import cycle_count, identity_perm, sequence_permutation
+from jugglecards.cards import (
+    card_permutation,
+    cycle_count,
+    identity_perm,
+    inversions,
+    sequence_permutation,
+)
 from jugglecards.counting import (
     binomial,
     js_count,
@@ -13,6 +20,8 @@ from jugglecards.counting import (
 )
 from jugglecards.enumeration import (
     CensusQuery,
+    _Census,
+    _census_from,
     all_sequences,
     brute_js,
     census,
@@ -48,6 +57,86 @@ def test_census_spot_values():
         for p in itertools.permutations((1, 2, 3))
     )
     assert total == 3**3
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"b": 0, "n": 3},
+        {"b": 3, "n": -1},
+        {"b": 3, "n": 4, "m": 0},
+        {"b": 3, "n": 4, "m": 5},
+        {"b": 3, "n": 4, "perm": (1, 2)},
+        {"b": 3, "n": 4, "perm": (5, 5, 5)},
+        {"b": 3, "n": 4, "perm": (1, 1, 2)},
+        {"b": 3, "n": 4, "thrown": -1},
+        {"b": 3, "n": 4, "crossings": -1},
+        {"b": 3, "n": 4, "max_crossings": -2},
+    ],
+)
+def test_census_query_rejects_bad_fields(fields):
+    with pytest.raises(ValueError):
+        CensusQuery(**fields)
+
+
+def test_census_budget_is_the_tighter_crossing_filter():
+    for collect in (False, True):
+        tight = CensusQuery(b=3, n=4, crossings=6, max_crossings=2)
+        assert census(tight, collect) == _census_from(tight, None, collect) == (
+            () if collect else 0
+        )
+        loose = CensusQuery(b=3, n=4, crossings=2, max_crossings=6)
+        only = CensusQuery(b=3, n=4, crossings=2)
+        assert census(loose, collect) == census(only, collect)
+        assert _census_from(loose, None, collect) == _census_from(only, None, collect)
+
+
+def filter_values(b, n, m, ordered):
+    """Every value of each census filter that can matter at this size."""
+    top = n * max(inversions(card_permutation(c)) for c in throw_cards(b, m, ordered))
+    return {
+        "perm": list(itertools.permutations(range(1, b + 1))),
+        "crossings": range(top + 2),
+        "max_crossings": range(top + 2),
+        "primitive": (True, False),
+        "uses_top": (True, False),
+        "thrown": range(b + 2),
+    }
+
+
+@st.composite
+def census_queries(draw):
+    """Queries with a few filters, whose whole tree the brute-force walk
+    can visit quickly."""
+    b = draw(st.integers(1, 4))
+    m = draw(st.integers(1, min(2, b)))
+    ordered = draw(st.booleans())
+    family = len(throw_cards(b, m, ordered))
+    n = draw(st.integers(0, max(k for k in range(6) if family**k <= 2000)))
+    values = filter_values(b, n, m, ordered)
+    names = draw(st.sets(st.sampled_from(sorted(values)), max_size=3))
+    filters = {name: draw(st.sampled_from(values[name])) for name in sorted(names)}
+    return CensusQuery(b=b, n=n, m=m, ordered=ordered, **filters)
+
+
+def test_census_engine_matches_tree_walk_on_each_filter():
+    for b, n, m, ordered in ((4, 5, 1, True), (4, 3, 2, True), (4, 4, 2, False)):
+        for name, values in filter_values(b, n, m, ordered).items():
+            for value in values:
+                q = CensusQuery(b=b, n=n, m=m, ordered=ordered, **{name: value})
+                assert census(q) == _census_from(q, None, False), q
+                assert census(q, collect=True) == _census_from(q, None, True), q
+
+
+@settings(max_examples=300, deadline=None)
+@given(census_queries(), st.data())
+def test_census_engine_matches_tree_walk(query, data):
+    assert census(query) == _census_from(query, None, False)
+    if query.n == 0:
+        return
+    assert census(query, collect=True) == _census_from(query, None, True)
+    first = data.draw(st.integers(0, len(throw_cards(query.b, query.m, query.ordered)) - 1))
+    assert _Census(query).collect(first) == _census_from(query, first, True)
 
 
 def test_census_parallel_matches_serial():
@@ -144,14 +233,13 @@ def test_cycle_census_examples():
     assert sum(cycle_census(4, 5).values()) == 4**5
 
 
-def test_cycle_census_matches_permutation_table():
-    for b in range(2, 5):
-        for n in range(1, 5):
-            table = count_by_permutation(b, n)
+def test_cycle_census_matches_exhaustive_tally():
+    for b in range(1, 5):
+        for n in range(1, 7):
             tally = {}
-            for perm, ways in table.items():
-                l = cycle_count(perm)
-                tally[l] = tally.get(l, 0) + ways
+            for seq in all_sequences(b, n):
+                l = cycle_count(sequence_permutation(seq))
+                tally[l] = tally.get(l, 0) + 1
             assert tally == cycle_census(b, n), (b, n)
 
 

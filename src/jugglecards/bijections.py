@@ -20,18 +20,15 @@ import itertools
 from jugglecards.cards import (
     Card,
     CardSequence,
-    apply_card,
     arrangement_history,
     backward_step,
     backward_step_order_preserving,
     crossings,
-    final_arrangement,
     identity_perm,
     increasing_suffix_length,
     inverse,
     is_identity,
     sequence_permutation,
-    single_throw,
     single_throws,
     throw_pattern,
     uses_top_throw,
@@ -467,7 +464,7 @@ def multigraph_to_cover(k: int, edges: tuple[tuple[int, int], ...]) -> CoverMatr
 
 
 # ---------------------------------------------------------------------------
-# fewest-crossing sequences, their recursion, and Dyck paths
+# fewest-crossing sequences and Dyck paths
 
 
 def is_minimal(seq: CardSequence) -> bool:
@@ -480,94 +477,65 @@ def is_minimal(seq: CardSequence) -> bool:
     )
 
 
-def _restrict(seq: CardSequence, span: range, keep: list[int]) -> CardSequence | None:
-    """Standalone subsequence seen by the balls in ``keep`` over ``span``.
-
-    ``keep`` is in current bottom-to-top order at the start of the span;
-    the card at each position must throw one of the kept balls, whose
-    target becomes its rank among kept balls afterwards.
-    """
-    if not span:
-        return None
-    history = arrangement_history(seq)
-    pattern = single_throws(throw_pattern(seq))
-    relabel = {ball: i + 1 for i, ball in enumerate(keep)}
-    cards = []
-    for pos in span:  # 1-based card positions
-        ball = pattern[pos - 1]
-        assert ball in relabel, f"card {pos} throws {ball}, outside the split part"
-        after = history[pos]
-        target = sum(1 for x in after[: after.index(ball) + 1] if x in relabel)
-        cards.append(single_throw(len(keep), target))
-    return CardSequence(len(keep), tuple(cards))
-
-
-def split_minimal(seq: CardSequence) -> tuple[CardSequence | None, CardSequence | None]:
-    """Cut a fewest-crossing sequence at the second throw of ball 1.
-
-    The first card throws ball 1 to level ``k+1``.  Between its first two
-    throws only balls ``2..k+1`` are thrown, forming a fewest-crossing
-    sequence ``B`` over ``k`` balls; from the second throw on, only ball
-    1 and balls ``k+2..b`` are thrown, forming ``C``.  Either part can be
-    empty (returned as None).  :func:`join_minimal` inverts this.
-    """
-    if not is_minimal(seq):
-        raise ValueError("can only split a fewest-crossing sequence")
-    pattern = single_throws(throw_pattern(seq))
-    k = seq.cards[0].targets[0] - 1
-    later = [j for j in range(2, seq.n + 1) if pattern[j - 1] == 1]
-    p = later[0] if later else seq.n + 1
-    B = _restrict(seq, range(2, p), list(range(2, k + 2)))
-    C = _restrict(seq, range(p, seq.n + 1), [1] + list(range(k + 2, seq.b + 1)))
-    return B, C
-
-
-def join_minimal(
-    B: CardSequence | None, C: CardSequence | None
-) -> CardSequence:
-    """Opposite of :func:`split_minimal`.
-
-    Over ``b = k + b_C`` balls (``k`` from ``B``, one ball standing in
-    for ``C`` when it is empty), the first card throws ball 1 over all of
-    ``B``'s balls; ``B`` runs with each ball's last throw lifted over the
-    ``C`` part, which then runs with each ball's last throw except ball
-    1's lifted over the ``B`` part.
-    """
-    for part in (B, C):
-        if part is not None and not is_minimal(part):
-            raise ValueError("can only join fewest-crossing sequences")
-    k = B.b if B else 0
-    b = k + (C.b if C else 1)
-    cards = [single_throw(b, k + 1)]
-    if B is not None:
-        pattern = single_throws(throw_pattern(B))
-        last = {ball: max(j for j in range(B.n) if pattern[j] == ball)
-                for ball in set(pattern)}
-        for j, card in enumerate(B.cards):
-            lift = b - k if last[pattern[j]] == j else 0
-            cards.append(single_throw(b, card.targets[0] + lift))
-    if C is not None:
-        pattern = single_throws(throw_pattern(C))
-        last = {ball: max(j for j in range(C.n) if pattern[j] == ball)
-                for ball in set(pattern)}
-        for j, card in enumerate(C.cards):
-            lift = k if pattern[j] != 1 and last[pattern[j]] == j else 0
-            cards.append(single_throw(b, card.targets[0] + lift))
-    out = CardSequence(b, tuple(cards))
-    assert is_minimal(out), "joined parts must form a fewest-crossing sequence"
-    return out
-
-
 def minimal_to_dyck(seq: CardSequence) -> str:
     """Balanced parentheses for a fewest-crossing sequence.
 
-    Recursively ``(B)C`` for the split parts, with the empty part giving
-    the empty string; the single card ``C_1`` maps to ``()``.
+    Every card opens a ``(``.  A card throwing a ball thrown before first
+    closes the open cards down to that ball's previous throw; cards still
+    open at the end close last.  This is the recursive ``(B)C`` cut at
+    ball 1's second throw, ``B`` the cards in between and ``C`` the rest,
+    unrolled with a stack; the single card ``C_1`` maps to ``()``.
     """
-    B, C = split_minimal(seq)
-    left = minimal_to_dyck(B) if B else ""
-    right = minimal_to_dyck(C) if C else ""
-    return "(" + left + ")" + right
+    if not is_minimal(seq):
+        raise ValueError("can only encode a fewest-crossing sequence")
+    seen: set[int] = set()
+    stack: list[int] = []  # balls of the open cards, each at most once
+    out: list[str] = []
+    for ball in single_throws(throw_pattern(seq)):
+        if ball in seen:
+            closed = None
+            while closed != ball:
+                closed = stack.pop()
+                out.append(")")
+        seen.add(ball)
+        stack.append(ball)
+        out.append("(")
+    out.append(")" * len(stack))
+    return "".join(out)
+
+
+def dyck_to_pattern(word: str) -> tuple[int, ...]:
+    """Throw pattern of the fewest-crossing sequence behind a Dyck word.
+
+    Every ``(`` is a card.  Right after a ``)`` it throws the ball of the
+    card that ``)`` closed; anywhere else it throws a new ball.  A word
+    that is not balanced parentheses raises ValueError naming its first
+    fault.
+
+    >>> dyck_to_pattern("(()())()")
+    (1, 2, 2, 1)
+    """
+    pattern: list[int] = []
+    stack: list[int] = []  # balls of the open cards
+    balls = 0
+    closed = None  # the ball a ``)`` just closed
+    for i, ch in enumerate(word, start=1):
+        if ch == "(":
+            if closed is None:
+                balls += 1
+                closed = balls
+            pattern.append(closed)
+            stack.append(closed)
+            closed = None
+        elif ch == ")":
+            if not stack:
+                raise ValueError(f"unmatched ')' at position {i}")
+            closed = stack.pop()
+        else:
+            raise ValueError(f"unexpected character {ch!r} at position {i}")
+    if stack:
+        raise ValueError(f"{len(stack)} unclosed '('")
+    return tuple(pattern)
 
 
 def dyck_to_minimal(word: str) -> CardSequence | None:
@@ -576,22 +544,8 @@ def dyck_to_minimal(word: str) -> CardSequence | None:
     The empty word gives None (the empty sequence); anything unbalanced
     raises.
     """
-    if word == "":
-        return None
-    depth = 0
-    for i, ch in enumerate(word):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                inner, rest = word[1:i], word[i + 1:]
-                return join_minimal(dyck_to_minimal(inner), dyck_to_minimal(rest))
-            if depth < 0:
-                break
-        else:
-            raise ValueError(f"unexpected character {ch!r} in word")
-    raise ValueError(f"unbalanced word {word!r}")
+    pattern = dyck_to_pattern(word)
+    return sequence_from_pattern(pattern, max(pattern)) if pattern else None
 
 
 def dyck_peaks(word: str) -> int:

@@ -212,8 +212,18 @@ def card_permutation(card: Card) -> tuple[int, ...]:
 
 
 def card_crossings(card: Card) -> int:
-    """Track crossings inside one card, drawn with no wasted crossings."""
-    return inversions(card_permutation(card))
+    """Track crossings inside one card, drawn with no wasted crossings.
+
+    These are the inversions of :func:`card_permutation`: those among
+    the thrown balls, plus, for each thrown ball, the unthrown balls
+    that land below its target.
+
+    >>> card_crossings(Card(5, (2, 5)))
+    4
+    """
+    t = card.targets
+    m = card.m
+    return sum(t) - m - m * (m - 1) // 2 + inversions(t)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from jugglecards.bijections import (
     CoverMatrix,
@@ -22,6 +21,7 @@ from jugglecards.bijections import (
     digraph_to_family,
     dyck_peaks,
     dyck_to_minimal,
+    dyck_to_pattern,
     family_to_digraph,
     family_to_sequence,
     is_minimal,
@@ -182,8 +182,13 @@ def _load_sequence(data: dict) -> CardSequence:
     return parse_sequence(_need(data, "cards"), _need(data, "b"))
 
 
-def _load_blocks(data: dict) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(block) for block in _need(data, "blocks"))
+def _load_int_lists(data: dict, key: str) -> tuple[tuple[int, ...], ...]:
+    value = _need(data, key)
+    if not isinstance(value, list) or not all(
+        isinstance(row, list) and all(type(x) is int for x in row) for row in value
+    ):
+        raise ValueError(f"{key!r} must be a list of lists of integers")
+    return tuple(map(tuple, value))
 
 
 def _load_target(data: dict) -> tuple[int, ...]:
@@ -194,7 +199,7 @@ def _convert(kind: tuple[str, str], data: dict):
     if kind == ("partition", "sequence"):
         target = _load_target(data)
         b = data.get("b", len(target))
-        seq = partition_to_sequence(_load_blocks(data), target, b)
+        seq = partition_to_sequence(_load_int_lists(data, "blocks"), target, b)
         return _seq_json(seq), str(seq)
     if kind == ("sequence", "partition"):
         seq = _load_sequence(data)
@@ -214,7 +219,7 @@ def _convert(kind: tuple[str, str], data: dict):
         word = minimal_to_dyck(_load_sequence(data))
         return {"dyck": word}, word
     if kind == ("digraph", "sequence"):
-        g = LabeledDigraph(_need(data, "k"), tuple(map(tuple, _need(data, "arcs"))))
+        g = LabeledDigraph(_need(data, "k"), _load_int_lists(data, "arcs"))
         target = _load_target(data)
         seq = family_to_sequence(digraph_to_family(g), target, len(target))
         return _seq_json(seq), str(seq)
@@ -229,7 +234,7 @@ def _convert(kind: tuple[str, str], data: dict):
         human = " ".join(f"{t}->{h}" for t, h in g.arcs)
         return out, human
     if kind == ("cover", "sequence"):
-        M = CoverMatrix(tuple(map(tuple, _need(data, "rows"))))
+        M = CoverMatrix(_load_int_lists(data, "rows"))
         initial = data.get("initial")
         seq, start = cover_to_sequence(
             M, _load_target({"target": _need(data, "terminal")}),
@@ -246,14 +251,12 @@ def _convert(kind: tuple[str, str], data: dict):
         human = "\n".join("".join(map(str, row)) for row in M.rows)
         return out, human
     if kind == ("cover", "multigraph"):
-        M = CoverMatrix(tuple(map(tuple, _need(data, "rows"))))
+        M = CoverMatrix(_load_int_lists(data, "rows"))
         edges = cover_to_multigraph(M)
         out = {"k": M.k, "edges": [list(e) for e in edges]}
         return out, " ".join(f"{u}-{v}" for u, v in edges)
     if kind == ("multigraph", "cover"):
-        M = multigraph_to_cover(
-            _need(data, "k"), tuple(map(tuple, _need(data, "edges")))
-        )
+        M = multigraph_to_cover(_need(data, "k"), _load_int_lists(data, "edges"))
         out = {"rows": [list(row) for row in M.rows]}
         return out, "\n".join("".join(map(str, row)) for row in M.rows)
     raise ValueError(f"no converter from {kind[0]} to {kind[1]}")
@@ -287,18 +290,10 @@ def _siteswap_report(text: str) -> tuple[bool, str | None, dict]:
 
 
 def _dyck_report(word: str) -> tuple[bool, str | None, dict]:
-    depth = 0
-    for i, ch in enumerate(word):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False, f"unmatched ')' at position {i + 1}", {}
-        else:
-            return False, f"unexpected character {ch!r} at position {i + 1}", {}
-    if depth != 0:
-        return False, f"{depth} unclosed '('", {}
+    try:
+        dyck_to_pattern(word)
+    except ValueError as exc:
+        return False, str(exc), {}
     return True, None, {"semilength": len(word) // 2, "peaks": dyck_peaks(word)}
 
 
@@ -325,9 +320,9 @@ def cmd_verify(args, parser) -> int:
         valid, reason, info = _siteswap_report(text)
     elif args.kind == "cover":
         data = json.loads(text)
-        rows = _need(data if isinstance(data, dict) else {}, "rows")
+        rows = _load_int_lists(data if isinstance(data, dict) else {}, "rows")
         try:
-            M = CoverMatrix(tuple(map(tuple, rows)))
+            M = CoverMatrix(rows)
             valid, reason, info = True, None, {"k": M.k, "n": M.n, "m": M.m}
         except ValueError as exc:
             valid, reason, info = False, str(exc), {}
@@ -400,19 +395,14 @@ def cmd_sample(args, parser) -> int:
 
 
 def cmd_walk(args, parser) -> int:
-    gd = card_distribution(
-        args.b,
-        m=args.m,
-        ordered=not args.unordered,
-        weights=_ints(args.weights) if args.weights else None,
-    )
+    weights = _ints(args.weights) if args.weights else None
     if args.trials is not None:
         estimate = estimate_single_cycle_probability(
             args.b,
             args.steps,
             m=args.m,
             ordered=not args.unordered,
-            weights=_ints(args.weights) if args.weights else None,
+            weights=weights,
             trials=args.trials,
             seed=args.seed,
         )
@@ -425,6 +415,9 @@ def cmd_walk(args, parser) -> int:
         }
         _emit(args, out, f"single-cycle mass ~ {estimate}")
         return 0
+    gd = card_distribution(
+        args.b, m=args.m, ordered=not args.unordered, weights=weights
+    )
     dist = exact_step_distribution(gd, args.steps)
     mass = single_cycle_mass(dist)
     out = {
@@ -546,9 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     walk.add_argument("--m", type=int, default=1)
     walk.add_argument("--unordered", action="store_true")
     walk.add_argument("--weights", help="comma-separated card weights")
-    walk.add_argument(
-        "--exact", action="store_true", help="exact convolution (the default)"
-    )
     walk.add_argument("--trials", type=int, help="Monte Carlo instead of exact")
     walk.add_argument("--seed", type=int, default=0)
     walk.add_argument("--human", action="store_true")
@@ -562,7 +552,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.run(args, parser)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

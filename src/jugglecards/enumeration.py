@@ -97,8 +97,8 @@ class CensusQuery:
     def __post_init__(self):
         if self.b < 1:
             raise ValueError(f"need at least one ball, got b={self.b}")
-        if self.n < 0:
-            raise ValueError(f"card count must be nonnegative, got n={self.n}")
+        if self.n < 1:
+            raise ValueError(f"need at least one card, got n={self.n}")
         if not 1 <= self.m <= self.b:
             raise ValueError(f"cards throw m={self.m} balls, must be between 1 and b={self.b}")
         if self.perm is not None and sorted(self.perm) != list(range(1, self.b + 1)):

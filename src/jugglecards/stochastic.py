@@ -68,17 +68,11 @@ def card_distribution(
     order of :func:`jugglecards.enumeration.throw_cards`.
     """
     cards = throw_cards(b, m, ordered)
-    if weights is None:
-        weights = [1] * len(cards)
-    if len(weights) != len(cards):
-        raise ValueError(f"need {len(cards)} weights, got {len(weights)}")
-    fracs = [Fraction(w) for w in weights]
-    total = sum(fracs)
-    if any(f <= 0 for f in fracs):
-        raise ValueError("weights must be positive")
+    ints = _integer_weights(cards, weights)
+    total = sum(ints)
     return GeneratorDistribution(
         tuple(card_permutation(c) for c in cards),
-        tuple(f / total for f in fracs),
+        tuple(Fraction(w, total) for w in ints),
     )
 
 

@@ -17,11 +17,11 @@ from jugglecards.bijections import (
     digraph_to_family,
     dyck_peaks,
     dyck_to_minimal,
+    dyck_to_pattern,
     family_to_digraph,
     family_to_sequence,
     is_minimal,
     is_noncrossing,
-    join_minimal,
     minimal_to_dyck,
     multigraph_to_cover,
     partition_to_sequence,
@@ -29,7 +29,6 @@ from jugglecards.bijections import (
     sequence_to_cover,
     sequence_to_family,
     sequence_to_partition,
-    split_minimal,
 )
 from jugglecards.cards import (
     crossings,
@@ -357,7 +356,7 @@ def test_multigraph_validation():
 
 
 # ---------------------------------------------------------------------------
-# fewest-crossing sequences, split/join, Dyck words
+# fewest-crossing sequences and Dyck words
 
 
 def test_is_minimal():
@@ -366,40 +365,26 @@ def test_is_minimal():
     assert is_minimal(parse_sequence("C1", 1))
 
 
-def test_split_examples():
-    B, C = split_minimal(NESTED)
-    assert str(B) == "C2 C1 C2"
-    assert str(C) == "C2 C3 C2 C3"
-    assert join_minimal(B, C) == NESTED
-    cases = {
-        "C2 C2 C1": ("C1", "C1"),
-        "C2 C1 C2": ("C1 C1", None),
-        "C1 C2 C2": (None, "C2 C2"),
-    }
-    for text, (left, right) in cases.items():
-        seq = parse_sequence(text, 2)
-        B, C = split_minimal(seq)
-        assert (str(B) if B else None, str(C) if C else None) == (left, right)
-        assert join_minimal(B, C) == seq
-    assert split_minimal(parse_sequence("C1", 1)) == (None, None)
+def _reference_dyck(pattern):
+    """The paper's ``(B)C`` recursion on throw patterns: ``B`` runs between
+    the first two throws of ball 1, ``C`` from the second one on."""
+    if not pattern:
+        return ""
+    s = next((j for j in range(1, len(pattern)) if pattern[j] == 1), len(pattern))
+    inner = _reference_dyck(canonical_pattern(pattern[1:s]))
+    return "(" + inner + ")" + _reference_dyck(canonical_pattern(pattern[s:]))
 
 
-def test_split_join_round_trip():
-    for b in range(1, 5):
-        for n in range(b, 7):
+def test_minimal_to_dyck_is_the_recursive_split():
+    assert _reference_dyck(single_throws(throw_pattern(NESTED))) == "((()()))(())(())"
+    for b in range(1, 6):
+        for n in range(b, 10):
             for seq in enumerate_minimal(b, n):
-                B, C = split_minimal(seq)
-                for part in (B, C):
-                    if part is not None:
-                        assert is_minimal(part)
-                assert join_minimal(B, C) == seq
-
-
-def test_split_rejects_other_sequences():
+                assert minimal_to_dyck(seq) == _reference_dyck(
+                    single_throws(throw_pattern(seq))
+                )
     with pytest.raises(ValueError):
-        split_minimal(RUNNING)
-    with pytest.raises(ValueError):
-        join_minimal(RUNNING, None)
+        minimal_to_dyck(RUNNING)
 
 
 def test_nested_example_dyck_word():
@@ -432,6 +417,21 @@ def test_dyck_rejects_bad_words():
     for bad in ("(", ")(", "(()", "(x)"):
         with pytest.raises(ValueError):
             dyck_to_minimal(bad)
+
+
+def test_dyck_to_pattern_names_the_first_fault():
+    assert dyck_to_pattern("") == ()
+    assert dyck_to_pattern("((()()))(())(())") == single_throws(throw_pattern(NESTED))
+    cases = {
+        "())(": "unmatched ')' at position 3",
+        "(x)": "unexpected character 'x' at position 2",
+        "(()": "1 unclosed '('",
+        "((": "2 unclosed '('",
+    }
+    for word, message in cases.items():
+        with pytest.raises(ValueError) as err:
+            dyck_to_pattern(word)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

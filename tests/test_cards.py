@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -121,6 +123,14 @@ def test_card_crossings_single():
     for b in range(1, 6):
         for i in range(1, b + 1):
             assert card_crossings(single_throw(b, i)) == i - 1
+
+
+def test_card_crossings_count_level_map_inversions():
+    for b in range(1, 8):
+        for m in range(1, b + 1):
+            for targets in itertools.permutations(range(1, b + 1), m):
+                card = Card(b, targets)
+                assert card_crossings(card) == inversions(card_permutation(card))
 
 
 def test_card_validation():

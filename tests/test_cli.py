@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from jugglecards.bijections import dyck_to_minimal, minimal_to_dyck
 from jugglecards.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -140,6 +141,36 @@ def test_convert_reads_stdin_and_rejects_unknown_pairs(capsys, monkeypatch):
     assert code == 2 and "no converter" in err
 
 
+def test_convert_decodes_a_deeply_nested_dyck_word(capsys):
+    word = "(" * 1200 + ")" * 1200
+    code, out, _ = run(capsys, "convert", "dyck", "sequence", "--payload",
+                       json.dumps({"dyck": word}))
+    assert code == 0
+    parsed = json.loads(out)
+    assert parsed["b"] == 1200
+    seq = dyck_to_minimal(word)
+    assert str(seq) == parsed["cards"]
+    assert minimal_to_dyck(seq) == word
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "cover", '{"rows": 5}'],
+        ["verify", "cover", '{"rows": [[1, "1"]]}'],
+        ["convert", "partition", "sequence", "--payload", '{"blocks": 3, "target": [1,2]}'],
+        ["convert", "cover", "multigraph", "--payload", '{"rows": [1, 0]}'],
+        ["convert", "digraph", "sequence", "--payload",
+         '{"k": 2, "arcs": [[1, null]], "target": [1, 2]}'],
+        ["convert", "multigraph", "cover", "--payload", '{"k": 2, "edges": {"a": 1}}'],
+    ],
+)
+def test_malformed_payloads_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_convert_names_the_violated_precondition(capsys):
     payload = json.dumps({"blocks": [[1, 2]], "target": [3, 2, 1]})
     code, _, err = run(capsys, "convert", "partition", "sequence", "--payload", payload)
@@ -230,6 +261,7 @@ def test_census_counts_and_collects(capsys, monkeypatch):
         ["--b", "3", "--n", "4", "--m", "5"],
         ["--b", "3", "--n", "4", "--thrown", "-1"],
         ["--b", "3", "--n", "4", "--max-crossings", "-1"],
+        ["--b", "3", "--n", "0"],
     ],
 )
 def test_census_rejects_bad_queries_with_one_line(capsys, argv):
@@ -253,7 +285,7 @@ def test_sample_is_reproducible(capsys):
 
 
 def test_walk_exact_reports_the_one_over_b_mass(capsys):
-    code, out, _ = run(capsys, "walk", "--b", "3", "--steps", "5", "--exact")
+    code, out, _ = run(capsys, "walk", "--b", "3", "--steps", "5")
     assert code == 0
     parsed = json.loads(out)
     assert parsed["single_cycle_mass"] == "1/3"

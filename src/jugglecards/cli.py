@@ -179,26 +179,45 @@ def _seq_json(seq: CardSequence) -> dict:
 
 
 def _load_sequence(data: dict) -> CardSequence:
-    return parse_sequence(_need(data, "cards"), _need(data, "b"))
+    return parse_sequence(_load_text(data, "cards"), _load_int(data, "b"))
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(x) is int for x in value)
+
+
+def _load_text(data: dict, key: str) -> str:
+    value = _need(data, key)
+    if not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string")
+    return value
+
+
+def _load_int(data: dict, key: str) -> int:
+    value = _need(data, key)
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be an integer")
+    return value
+
+
+def _load_ints(data: dict, key: str) -> tuple[int, ...]:
+    value = _need(data, key)
+    if not _is_int_list(value):
+        raise ValueError(f"{key!r} must be a list of integers")
+    return tuple(value)
 
 
 def _load_int_lists(data: dict, key: str) -> tuple[tuple[int, ...], ...]:
     value = _need(data, key)
-    if not isinstance(value, list) or not all(
-        isinstance(row, list) and all(type(x) is int for x in row) for row in value
-    ):
+    if not isinstance(value, list) or not all(map(_is_int_list, value)):
         raise ValueError(f"{key!r} must be a list of lists of integers")
     return tuple(map(tuple, value))
 
 
-def _load_target(data: dict) -> tuple[int, ...]:
-    return tuple(_need(data, "target"))
-
-
 def _convert(kind: tuple[str, str], data: dict):
     if kind == ("partition", "sequence"):
-        target = _load_target(data)
-        b = data.get("b", len(target))
+        target = _load_ints(data, "target")
+        b = _load_int(data, "b") if "b" in data else len(target)
         seq = partition_to_sequence(_load_int_lists(data, "blocks"), target, b)
         return _seq_json(seq), str(seq)
     if kind == ("sequence", "partition"):
@@ -211,7 +230,7 @@ def _convert(kind: tuple[str, str], data: dict):
         human = "/".join("{" + ",".join(map(str, block)) + "}" for block in blocks)
         return out, human
     if kind == ("dyck", "sequence"):
-        seq = dyck_to_minimal(_need(data, "dyck"))
+        seq = dyck_to_minimal(_load_text(data, "dyck"))
         if seq is None:
             raise ValueError("the empty word has no cards")
         return _seq_json(seq), str(seq)
@@ -219,8 +238,8 @@ def _convert(kind: tuple[str, str], data: dict):
         word = minimal_to_dyck(_load_sequence(data))
         return {"dyck": word}, word
     if kind == ("digraph", "sequence"):
-        g = LabeledDigraph(_need(data, "k"), _load_int_lists(data, "arcs"))
-        target = _load_target(data)
+        g = LabeledDigraph(_load_int(data, "k"), _load_int_lists(data, "arcs"))
+        target = _load_ints(data, "target")
         seq = family_to_sequence(digraph_to_family(g), target, len(target))
         return _seq_json(seq), str(seq)
     if kind == ("sequence", "digraph"):
@@ -235,11 +254,8 @@ def _convert(kind: tuple[str, str], data: dict):
         return out, human
     if kind == ("cover", "sequence"):
         M = CoverMatrix(_load_int_lists(data, "rows"))
-        initial = data.get("initial")
-        seq, start = cover_to_sequence(
-            M, _load_target({"target": _need(data, "terminal")}),
-            tuple(initial) if initial is not None else None,
-        )
+        initial = _load_ints(data, "initial") if data.get("initial") is not None else None
+        seq, start = cover_to_sequence(M, _load_ints(data, "terminal"), initial)
         return {**_seq_json(seq), "start": list(start)}, str(seq)
     if kind == ("sequence", "cover"):
         seq = _load_sequence(data)
@@ -256,7 +272,7 @@ def _convert(kind: tuple[str, str], data: dict):
         out = {"k": M.k, "edges": [list(e) for e in edges]}
         return out, " ".join(f"{u}-{v}" for u, v in edges)
     if kind == ("multigraph", "cover"):
-        M = multigraph_to_cover(_need(data, "k"), _load_int_lists(data, "edges"))
+        M = multigraph_to_cover(_load_int(data, "k"), _load_int_lists(data, "edges"))
         out = {"rows": [list(row) for row in M.rows]}
         return out, "\n".join("".join(map(str, row)) for row in M.rows)
     raise ValueError(f"no converter from {kind[0]} to {kind[1]}")

@@ -8,7 +8,9 @@ other on overlapping ranges.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import cache
 
@@ -42,6 +44,35 @@ def falling_factorial(x, m: int):
 # Stirling numbers, classical and throw-m generalization
 
 
+def _band(weights, s: int, n: int, k: int) -> int:
+    """``T(n, k)``, ``0 <= k <= s n``, of a recurrence
+    ``T(i, c) = sum_j w_j(i, c) T(i-1, c-s+j)`` over ``j = 0..s`` with
+    ``T(0, c) = [c == 0]``.
+
+    ``weights(i, lo, hi)`` gives the ``s + 1`` weight sequences for
+    columns ``lo..hi-1`` of row ``i``.  ``T(n, k)`` needs only columns
+    ``k - s(n-i) .. min(k, s i)`` of row ``i``, so that band is built
+    bottom up, one row at a time, keeping only the row before.  Nothing
+    recurses, so ``n`` is not bounded by the recursion limit.
+    """
+    first, row = 0, [1]  # the band of the row before, from column first
+    for i in range(1, n + 1):
+        lo, hi = max(0, k - s * (n - i)), min(k, s * i) + 1
+        # columns lo-s .. hi-1 of the row before; zero outside its band
+        start = max(lo - s, 0)
+        prev = [0] * (start - lo + s) + row[start - first:hi - first]
+        prev += [0] * (hi - lo + s - len(prev))
+        total = [0] * (hi - lo)
+        for j, w in enumerate(weights(i, lo, hi)):
+            total = list(map(operator.add, total, map(operator.mul, w, prev[j:])))
+        first, row = lo, total
+    return row[k - first]
+
+
+def _stirling2_weights(i, lo, hi):
+    return itertools.repeat(1), range(lo, hi)
+
+
 @cache
 def stirling2(n: int, k: int) -> int:
     """Partitions of an ``n``-set into ``k`` nonempty blocks.
@@ -49,11 +80,25 @@ def stirling2(n: int, k: int) -> int:
     >>> stirling2(4, 2)
     7
     """
-    if n < 0 or k < 0:
+    if n < 0 or k < 0 or k > n:
         return 0
-    if n == 0 or k == 0:
-        return 1 if n == k == 0 else 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    return _band(_stirling2_weights, 1, n, k)
+
+
+@cache
+def _gen_stirling_weights(m: int):
+    # columns[j][c] = C(c+j-m, j) m_(j), the weight of T(n-1, c+j-m) in T(n, c)
+    columns: list[list[int]] = [[] for _ in range(m + 1)]
+
+    def weights(i, lo, hi):
+        for j, column in enumerate(columns):
+            column += [
+                binomial(c + j - m, j) * falling_factorial(m, j)
+                for c in range(len(column), hi)
+            ]
+        return [column[lo:hi] for column in columns]
+
+    return weights
 
 
 @cache
@@ -76,12 +121,7 @@ def gen_stirling(n: int, k: int, m: int) -> int:
         raise ValueError(f"need at least one card, got n={n}")
     if k < m or k > m * n:
         return 0
-    if n == 1:
-        return 1 if k == m else 0
-    return sum(
-        binomial(k + i - m, i) * falling_factorial(m, i) * gen_stirling(n - 1, k + i - m, m)
-        for i in range(m + 1)
-    )
+    return _band(_gen_stirling_weights(m), m, n, k)
 
 
 def gen_stirling_explicit(n: int, k: int, m: int) -> int:
@@ -117,6 +157,10 @@ def falling_factorial_identity(n: int, m: int, x: int) -> tuple[int, int]:
     return lhs, rhs
 
 
+def _stirling1_weights(i, lo, hi):
+    return itertools.repeat(1), itertools.repeat(i - 1)
+
+
 @cache
 def stirling1(b: int, l: int) -> int:
     """Permutations of ``b`` points with exactly ``l`` cycles (unsigned).
@@ -124,11 +168,9 @@ def stirling1(b: int, l: int) -> int:
     >>> [stirling1(4, l) for l in (1, 2, 3, 4)]
     [6, 11, 6, 1]
     """
-    if b < 0 or l < 0:
+    if b < 0 or l < 0 or l > b:
         return 0
-    if b == 0 or l == 0:
-        return 1 if b == l == 0 else 0
-    return (b - 1) * stirling1(b - 1, l) + stirling1(b - 1, l - 1)
+    return _band(_stirling1_weights, 1, b, l)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ def throw_cards(b: int, m: int = 1, ordered: bool = True) -> tuple[Card, ...]:
     from just the ascending ones (which preserve the thrown balls'
     relative order).
     """
+    if b < 1:
+        raise ValueError(f"need at least one ball, got b={b}")
+    if not 1 <= m <= b:
+        raise ValueError(f"cards throw m={m} balls, must be between 1 and b={b}")
     if ordered:
         picks = itertools.permutations(range(1, b + 1), m)
     else:
@@ -306,6 +310,8 @@ def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):
     processes, no more than there are first cards or CPUs; the rows come
     back in the serial order.
     """
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be nonnegative, got {jobs}")
     if not collect:
         return _Census(query).count()
     firsts = range(len(throw_cards(query.b, query.m, query.ordered)))

@@ -13,19 +13,23 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 
 from jugglecards.cards import (
     CardSequence,
     card_permutation,
-    compose,
     composer,
     cycle_count,
     identity_perm,
+    inverse,
 )
 from jugglecards.counting import stirling1
 from jugglecards.enumeration import throw_cards, transfer
 from jugglecards.rng import RandomStream
+
+_BLOCK = 4096  # draws per batch, which bounds the size of the packed ints
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,14 +212,6 @@ def _integer_weights(cards, weights):
     return [int(f * scale) for f in fracs]
 
 
-def _draw_index(stream: RandomStream, cumulative, total) -> int:
-    r = stream.randrange(total)
-    for i, edge in enumerate(cumulative):
-        if r < edge:
-            return i
-    raise AssertionError("cumulative weights must cover the range")
-
-
 def sample_sequence(
     b: int,
     n: int,
@@ -231,13 +227,28 @@ def sample_sequence(
     integer cumulative sums, so equal seeds reproduce equal sequences.
     """
     cards = throw_cards(b, m, ordered)
-    ints = _integer_weights(cards, weights)
-    cumulative = list(itertools.accumulate(ints))
-    stream = RandomStream(seed)
-    picks = [
-        cards[_draw_index(stream, cumulative, cumulative[-1])] for _ in range(n)
-    ]
-    return CardSequence(b, tuple(picks))
+    cumulative = list(itertools.accumulate(_integer_weights(cards, weights)))
+    draws = RandomStream(seed).randrange_many(cumulative[-1], n)
+    return CardSequence(b, tuple(_picks(cards, cumulative, draws)))
+
+
+def _picks(items, cumulative, draws):
+    """The item each draw selects: the first whose cumulative weight
+    exceeds it."""
+    return map(items.__getitem__, map(bisect_right, itertools.repeat(cumulative), draws))
+
+
+def _trial_draws(root: RandomStream, trials: range, bound: int, n: int):
+    """Batches of draws, ``n`` from each trial's child stream in turn; a
+    batch holds whole trials, or part of one trial longer than
+    ``_BLOCK``."""
+    if n <= _BLOCK:
+        yield root.split_randrange_many(trials, bound, n)
+        return
+    for t in trials:
+        stream = root.split(t)
+        for done in range(0, n, _BLOCK):
+            yield stream.randrange_many(bound, min(_BLOCK, n - done))
 
 
 def estimate_single_cycle_probability(
@@ -253,22 +264,31 @@ def estimate_single_cycle_probability(
 
     Every trial runs on its own child stream of ``seed``, so estimates
     are reproducible and the first ``t`` trials do not depend on the
-    total trial count.
+    total trial count.  A trial follows the arrangement, the inverse of
+    the permutation, which has the same cycles; each card acts on it as
+    one ``itemgetter``.  Trials run in blocks of about ``_BLOCK`` draws,
+    and each distinct final arrangement of a block is tested once.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    if n < 0:
+        raise ValueError(f"step count must be nonnegative, got {n}")
     cards = throw_cards(b, m, ordered)
-    perms = [card_permutation(c) for c in cards]
-    ints = _integer_weights(cards, weights)
-    cumulative = list(itertools.accumulate(ints))
-    total = cumulative[-1]
+    moves = [composer(inverse(card_permutation(c))) for c in cards]
+    cumulative = list(itertools.accumulate(_integer_weights(cards, weights)))
     root = RandomStream(seed)
+    start = identity_perm(b)
+    per_block = max(1, _BLOCK // max(n, 1))
     hits = 0
-    for t in range(trials):
-        stream = root.split(t)
-        current = identity_perm(b)
-        for _ in range(n):
-            current = compose(current, perms[_draw_index(stream, cumulative, total)])
-        if cycle_count(current) == 1:
-            hits += 1
+    for first in range(0, trials, per_block):
+        block = range(first, min(first + per_block, trials))
+        steps = _picks(moves, cumulative, itertools.chain.from_iterable(
+            _trial_draws(root, block, cumulative[-1], n)))
+        ends = []
+        for _ in block:
+            current = start
+            for move in itertools.islice(steps, n):
+                current = move(current)
+            ends.append(current)
+        hits += sum(k for end, k in Counter(ends).items() if cycle_count(end) == 1)
     return Fraction(hits, trials)

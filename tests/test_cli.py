@@ -163,6 +163,18 @@ def test_convert_decodes_a_deeply_nested_dyck_word(capsys):
         ["convert", "digraph", "sequence", "--payload",
          '{"k": 2, "arcs": [[1, null]], "target": [1, 2]}'],
         ["convert", "multigraph", "cover", "--payload", '{"k": 2, "edges": {"a": 1}}'],
+        ["convert", "partition", "sequence", "--payload", '{"blocks": [[1]], "target": 3}'],
+        ["convert", "partition", "sequence", "--payload",
+         '{"blocks": [[1]], "target": [1], "b": "1"}'],
+        ["convert", "digraph", "sequence", "--payload",
+         '{"k": "2", "arcs": [[1, 2]], "target": [2, 1]}'],
+        ["convert", "cover", "sequence", "--payload",
+         '{"rows": [[1, 0], [0, 1]], "terminal": 5}'],
+        ["convert", "cover", "sequence", "--payload",
+         '{"rows": [[1, 0], [0, 1]], "terminal": [1, 2], "initial": "12"}'],
+        ["convert", "multigraph", "cover", "--payload", '{"k": [2], "edges": [[1, 2]]}'],
+        ["convert", "sequence", "dyck", "--payload", '{"b": 2, "cards": 5}'],
+        ["convert", "dyck", "sequence", "--payload", '{"dyck": 5}'],
     ],
 )
 def test_malformed_payloads_are_usage_errors(capsys, argv):
@@ -262,6 +274,7 @@ def test_census_counts_and_collects(capsys, monkeypatch):
         ["--b", "3", "--n", "4", "--thrown", "-1"],
         ["--b", "3", "--n", "4", "--max-crossings", "-1"],
         ["--b", "3", "--n", "0"],
+        ["--b", "3", "--n", "4", "--jobs", "-2", "--collect"],
     ],
 )
 def test_census_rejects_bad_queries_with_one_line(capsys, argv):
@@ -302,3 +315,26 @@ def test_walk_monte_carlo_is_reproducible(capsys):
     assert code == 0 and json.loads(out)["single_cycle_mass"] == "21/50"
     _, again, _ = run(capsys, *argv)
     assert again == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--b", "3", "--n", "4", "--m", "5"],
+        ["sample", "--b", "0", "--n", "4"],
+        ["walk", "--b", "3", "--steps", "2", "--m", "5", "--trials", "5"],
+        ["walk", "--b", "4", "--steps", "-1", "--trials", "10"],
+    ],
+)
+def test_walks_and_samples_reject_bad_families_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_count_builds_long_stirling_rows_without_recursion(capsys):
+    n = 5000
+    code, out, _ = run(capsys, "count", "stirling2", "--n", str(n), "--k", "3")
+    assert code == 0 and int(out) == (3**n - 3 * 2**n + 3) // 6
+    code, out, _ = run(capsys, "count", "gen-stirling", "--n", "3000", "--k", "2", "--m", "1")
+    assert code == 0 and int(out) == 2**2999 - 1

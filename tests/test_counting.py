@@ -144,6 +144,21 @@ def test_stirling1_against_brute_cycle_counts():
             assert stirling1(b, l) == tally.get(l, 0), (b, l)
 
 
+def test_stirling_numbers_far_past_the_recursion_limit():
+    # the bands run from column 0 up, and from the far corner down
+    n = 4000
+    assert stirling2(n, 2) == 2 ** (n - 1) - 1
+    assert stirling1(n, n - 1) == math.comb(n, 2)
+    assert stirling1(n, 1) == math.factorial(n - 1)
+    assert gen_stirling(n, 2, 2) == 2 ** (n - 1)
+    assert gen_stirling(n, 3, 1) == stirling2(n, 3) == (3**n - 3 * 2**n + 3) // 6
+    for m in (1, 2, 3):
+        for n, k in ((6, 2 * m), (9, 3 * m + 1), (4, 4 * m), (12, 5 * m), (7, m)):
+            assert gen_stirling(n, k, m) == gen_stirling_explicit(n, k, m), (n, k, m)
+    assert [stirling2(n, k) for n, k in ((10, 9), (3, 7), (12, 11))] == [45, 0, 66]
+    assert [stirling1(b, l) for b, l in ((0, 0), (5, 0), (-1, 0), (3, -1))] == [1, 0, 0, 0]
+
+
 def test_count_suffix_at_least_against_brute():
     for b in range(1, 7):
         perms = list(itertools.permutations(range(1, b + 1)))

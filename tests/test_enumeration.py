@@ -80,6 +80,21 @@ def test_census_query_rejects_bad_fields(fields):
         CensusQuery(**fields)
 
 
+@pytest.mark.parametrize("b, m", [(0, 1), (-1, 1), (3, 0), (3, 4)])
+def test_throw_cards_rejects_families_outside_one_to_b(b, m):
+    for ordered in (True, False):
+        with pytest.raises(ValueError):
+            throw_cards(b, m, ordered)
+
+
+def test_census_rejects_negative_jobs():
+    query = CensusQuery(b=3, n=4)
+    for collect in (False, True):
+        with pytest.raises(ValueError):
+            census(query, collect, jobs=-2)
+    assert census(query, True, jobs=0) == census(query, True)
+
+
 def test_census_budget_is_the_tighter_crossing_filter():
     for collect in (False, True):
         tight = CensusQuery(b=3, n=4, crossings=6, max_crossings=2)

@@ -1,10 +1,15 @@
 import itertools
+import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jugglecards.enumeration import cycle_census
-from jugglecards.rng import RandomStream, mix
+from jugglecards import rng, stochastic
+from jugglecards.cards import CardSequence, card_permutation, compose, cycle_count, identity_perm
+from jugglecards.enumeration import cycle_census, throw_cards
+from jugglecards.rng import RandomStream, mix, mix_many
 from jugglecards.stochastic import (
     GeneratorDistribution,
     GroupDistribution,
@@ -60,6 +65,62 @@ def test_randrange_bounds_and_frozen_draws():
         RandomStream(5).randrange(0)
     with pytest.raises(ValueError):
         RandomStream(5).split(-1)
+
+
+def test_mix_many_is_mix_word_for_word():
+    source = random.Random(5)
+    words = [0, 1, 2, (1 << 63), (1 << 64) - 1] + [source.getrandbits(64) for _ in range(500)]
+    assert mix_many(words) == [mix(z) for z in words]
+    assert mix_many([]) == []
+
+
+def _one_by_one(stream, bound, k):
+    return [stream.randrange(bound) for _ in range(k)]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 10, 7 * 2**40 + 1, 2**63 + 1, 2**64 - 1, 2**64])
+def test_batched_draws_are_the_one_by_one_draws(bound):
+    for seed in (0, 9, 2**64 - 1):
+        for k in (0, 1, 6, 300):
+            one, many = RandomStream(seed), RandomStream(seed)
+            assert many.randrange_many(bound, k) == _one_by_one(one, bound, k)
+            assert many.next_word() == one.next_word()
+            root = RandomStream(seed)
+            assert root.split_randrange_many(range(2, 7), bound, k) == [
+                x for j in range(2, 7) for x in _one_by_one(root.split(j), bound, k)
+            ]
+
+
+def test_batched_draws_at_bound_two_to_the_63_plus_one_reject_about_half():
+    bound = 2**63 + 1
+    one, many = RandomStream(3), RandomStream(3)
+    assert many.randrange_many(bound, 400) == _one_by_one(one, bound, 400)
+    words, accepted = RandomStream(3), 0
+    for used in itertools.count(1):
+        accepted += words.next_word() < bound
+        if accepted == 400:
+            break
+    assert 650 < used < 950  # about half the words are rejected
+    assert many.next_word() == one.next_word() == words.next_word()
+    root = RandomStream(3)
+    assert root.split_randrange_many(range(40), bound, 10) == [
+        x for j in range(40) for x in _one_by_one(root.split(j), bound, 10)
+    ]
+
+
+def test_long_batched_draws_run_in_several_kernel_calls():
+    one, many = RandomStream(8), RandomStream(8)
+    assert many.randrange_many(6, 3 * rng._BATCH + 5) == _one_by_one(one, 6, 3 * rng._BATCH + 5)
+    assert many.next_word() == one.next_word()
+
+
+def test_batched_draws_reject_bad_arguments():
+    with pytest.raises(ValueError):
+        RandomStream(5).randrange_many(0, 3)
+    with pytest.raises(ValueError):
+        RandomStream(5).split_randrange_many(range(3), 0, 3)
+    with pytest.raises(ValueError):
+        RandomStream(5).split_randrange_many(range(-1, 2), 4, 3)
 
 
 def test_randrange_is_roughly_uniform():
@@ -253,3 +314,84 @@ def test_estimate_is_reproducible_and_exact_for_one_ball():
     assert a == Fraction(21, 50)
     with pytest.raises(ValueError):
         estimate_single_cycle_probability(3, 4, trials=0)
+
+
+def test_estimates_keep_their_values():
+    assert estimate_single_cycle_probability(4, 10, trials=2000, seed=0) == Fraction(499, 2000)
+    assert estimate_single_cycle_probability(
+        4, 10, trials=2000, seed=2**64 - 1) == Fraction(521, 2000)
+    assert estimate_single_cycle_probability(
+        5, 6, m=2, ordered=False, weights=[1, 2, 3, 4, 5, 6, 7, 8, 9, 1],
+        trials=1500, seed=11,
+    ) == Fraction(101, 500)
+
+
+def _scalar_draw(stream, cumulative):
+    r = stream.randrange(cumulative[-1])
+    return next(i for i, edge in enumerate(cumulative) if r < edge)
+
+
+def _scalar_estimate(b, n, m, ordered, weights, trials, seed):
+    """The Monte Carlo loop one draw and one composition at a time."""
+    cards = throw_cards(b, m, ordered)
+    perms = [card_permutation(c) for c in cards]
+    cumulative = list(itertools.accumulate(weights or [1] * len(cards)))
+    root = RandomStream(seed)
+    hits = 0
+    for t in range(trials):
+        stream = root.split(t)
+        current = identity_perm(b)
+        for _ in range(n):
+            current = compose(current, perms[_scalar_draw(stream, cumulative)])
+        hits += cycle_count(current) == 1
+    return Fraction(hits, trials)
+
+
+def _scalar_sample(b, n, m, ordered, weights, seed):
+    cards = throw_cards(b, m, ordered)
+    cumulative = list(itertools.accumulate(weights or [1] * len(cards)))
+    stream = RandomStream(seed)
+    return CardSequence(b, tuple(cards[_scalar_draw(stream, cumulative)] for _ in range(n)))
+
+
+@st.composite
+def walk_cases(draw):
+    b = draw(st.integers(1, 4))
+    m = draw(st.integers(1, b))
+    ordered = draw(st.booleans())
+    family = len(throw_cards(b, m, ordered))
+    weights = draw(st.one_of(
+        st.none(), st.lists(st.integers(1, 9), min_size=family, max_size=family)))
+    if weights is not None and draw(st.booleans()):
+        # one weight of 2**63 puts the total just above 2**63, where
+        # about half the words are rejected
+        weights[draw(st.integers(0, family - 1))] = 2**63
+    return dict(b=b, n=draw(st.integers(0, 12)), m=m, ordered=ordered, weights=weights,
+                seed=draw(st.integers(0, 2**64 - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_cases(), st.integers(1, 30), st.sampled_from([1, 5, 64, stochastic._BLOCK]))
+def test_batched_walk_is_the_scalar_walk(case, trials, block):
+    """Small blocks split trials across batches, and walks longer than a
+    block draw in several batches per trial."""
+    with mock.patch.object(stochastic, "_BLOCK", block):
+        assert estimate_single_cycle_probability(**case, trials=trials) == _scalar_estimate(
+            **case, trials=trials)
+    if case["n"] > 0:
+        assert sample_sequence(**case) == _scalar_sample(**case)
+
+
+def test_estimate_rejects_bad_families_and_negative_steps():
+    with pytest.raises(ValueError):
+        estimate_single_cycle_probability(4, -1, trials=10)
+    with pytest.raises(ValueError):
+        estimate_single_cycle_probability(3, 2, m=5, trials=5)
+    with pytest.raises(ValueError):
+        estimate_single_cycle_probability(0, 2, trials=5)
+    with pytest.raises(ValueError):
+        sample_sequence(3, 4, m=5)
+    with pytest.raises(ValueError):
+        sample_sequence(0, 4)
+    with pytest.raises(ValueError):
+        card_distribution(3, m=0)

@@ -6,66 +6,19 @@ queries, reproducible sampling, and exact walk distributions. Output is
 machine-parseable JSON (bare integers count as JSON) unless ``--human``
 asks for plain text. Exit status is 0 for a semantically valid result,
 1 for a failed check, 2 for unusable input.
+
+Each subcommand imports the library modules it runs when it runs, so a
+``count`` never loads the bijections, the census engine or the walks.
 """
+
+from __future__ import annotations
 
 import argparse
 import json
 import os
 import sys
 
-from jugglecards.bijections import (
-    CoverMatrix,
-    LabeledDigraph,
-    cover_to_multigraph,
-    cover_to_sequence,
-    digraph_to_family,
-    dyck_peaks,
-    dyck_to_minimal,
-    dyck_to_pattern,
-    family_to_digraph,
-    family_to_sequence,
-    is_minimal,
-    minimal_to_dyck,
-    multigraph_to_cover,
-    partition_to_sequence,
-    sequence_to_cover,
-    sequence_to_family,
-    sequence_to_partition,
-)
-from jugglecards.cards import (
-    CardSequence,
-    crossings,
-    cycle_string,
-    final_arrangement,
-    increasing_suffix_length,
-    inverse,
-    is_identity,
-    parse_sequence,
-    sequence_permutation,
-    verify_siteswap,
-)
-from jugglecards.counting import (
-    gen_stirling,
-    js_count,
-    narayana,
-    p0,
-    p2,
-    p4,
-    plus_two_count,
-    q_from_p,
-    stirling1,
-    stirling2,
-)
-from jugglecards.enumeration import CensusQuery, census
-from jugglecards.stochastic import (
-    card_distribution,
-    cycle_count_distribution,
-    estimate_single_cycle_probability,
-    exact_step_distribution,
-    sample_sequence,
-    single_cycle_mass,
-)
-from jugglecards.svg import RenderSpec, render_svg
+from jugglecards import __version__
 
 JOBS_ENV = "JUGGLECARDS_JOBS"
 
@@ -99,6 +52,8 @@ def _infer_b(cards_text: str) -> int:
 
 
 def _sequence(cards_text: str, b: int | None) -> CardSequence:
+    from jugglecards.cards import parse_sequence
+
     return parse_sequence(cards_text, _infer_b(cards_text) if b is None else b)
 
 
@@ -138,6 +93,19 @@ def _require(args, parser, *names):
 
 
 def cmd_count(args, parser) -> int:
+    from jugglecards.counting import (
+        gen_stirling,
+        js_count,
+        narayana,
+        p0,
+        p2,
+        p4,
+        plus_two_count,
+        q_from_p,
+        stirling1,
+        stirling2,
+    )
+
     kind = args.kind
     if kind == "stirling2":
         n, k = _require(args, parser, "n", "k")
@@ -146,6 +114,8 @@ def cmd_count(args, parser) -> int:
         n, k, m = _require(args, parser, "n", "k", "m")
         value = gen_stirling(n, k, m)
     elif kind == "js":
+        from jugglecards.cards import increasing_suffix_length, inverse
+
         text, n, m = _require(args, parser, "arrangement", "n", "m")
         arrangement = _ints(text)
         b = len(arrangement)
@@ -179,6 +149,8 @@ def _seq_json(seq: CardSequence) -> dict:
 
 
 def _load_sequence(data: dict) -> CardSequence:
+    from jugglecards.cards import parse_sequence
+
     return parse_sequence(_load_text(data, "cards"), _load_int(data, "b"))
 
 
@@ -215,6 +187,24 @@ def _load_int_lists(data: dict, key: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _convert(kind: tuple[str, str], data: dict):
+    from jugglecards.bijections import (
+        CoverMatrix,
+        LabeledDigraph,
+        cover_to_multigraph,
+        cover_to_sequence,
+        digraph_to_family,
+        dyck_to_minimal,
+        family_to_digraph,
+        family_to_sequence,
+        minimal_to_dyck,
+        multigraph_to_cover,
+        partition_to_sequence,
+        sequence_to_cover,
+        sequence_to_family,
+        sequence_to_partition,
+    )
+    from jugglecards.cards import final_arrangement
+
     if kind == ("partition", "sequence"):
         target = _load_ints(data, "target")
         b = _load_int(data, "b") if "b" in data else len(target)
@@ -289,6 +279,8 @@ def cmd_convert(args, parser) -> int:
 
 
 def _siteswap_report(text: str) -> tuple[bool, str | None, dict]:
+    from jugglecards.cards import verify_siteswap
+
     heights = _ints(text)
     valid, balls = verify_siteswap(heights)
     if valid:
@@ -306,6 +298,8 @@ def _siteswap_report(text: str) -> tuple[bool, str | None, dict]:
 
 
 def _dyck_report(word: str) -> tuple[bool, str | None, dict]:
+    from jugglecards.bijections import dyck_peaks, dyck_to_pattern
+
     try:
         dyck_to_pattern(word)
     except ValueError as exc:
@@ -314,6 +308,9 @@ def _dyck_report(word: str) -> tuple[bool, str | None, dict]:
 
 
 def _minimal_report(seq: CardSequence) -> tuple[bool, str | None, dict]:
+    from jugglecards.bijections import is_minimal
+    from jugglecards.cards import crossings, is_identity, sequence_permutation
+
     b = seq.b
     info = {"b": b, "n": seq.n, "crossings": crossings(seq)}
     if not all(card.is_single_throw for card in seq.cards):
@@ -335,6 +332,8 @@ def cmd_verify(args, parser) -> int:
     if args.kind == "siteswap":
         valid, reason, info = _siteswap_report(text)
     elif args.kind == "cover":
+        from jugglecards.bijections import CoverMatrix
+
         data = json.loads(text)
         rows = _load_int_lists(data if isinstance(data, dict) else {}, "rows")
         try:
@@ -356,6 +355,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_render(args, parser) -> int:
+    from jugglecards.svg import RenderSpec, render_svg
+
     spec = RenderSpec(
         card_width=args.card_width,
         card_height=args.card_height,
@@ -373,6 +374,8 @@ def cmd_render(args, parser) -> int:
 
 
 def cmd_census(args, parser) -> int:
+    from jugglecards.enumeration import CensusQuery, census
+
     query = CensusQuery(
         b=args.b,
         n=args.n,
@@ -387,7 +390,11 @@ def cmd_census(args, parser) -> int:
     )
     jobs = args.jobs
     if jobs is None and os.environ.get(JOBS_ENV):
-        jobs = int(os.environ[JOBS_ENV])
+        text = os.environ[JOBS_ENV]
+        try:
+            jobs = int(text)
+        except ValueError:
+            raise ValueError(f"{JOBS_ENV} must be an integer, got {text!r}") from None
     result = census(query, collect=args.collect, jobs=jobs)
     if args.collect:
         rows = [str(seq) for seq in result]
@@ -398,6 +405,8 @@ def cmd_census(args, parser) -> int:
 
 
 def cmd_sample(args, parser) -> int:
+    from jugglecards.stochastic import sample_sequence
+
     seq = sample_sequence(
         b=args.b,
         n=args.n,
@@ -411,6 +420,15 @@ def cmd_sample(args, parser) -> int:
 
 
 def cmd_walk(args, parser) -> int:
+    from jugglecards.cards import cycle_string
+    from jugglecards.stochastic import (
+        card_distribution,
+        cycle_count_distribution,
+        estimate_single_cycle_probability,
+        exact_step_distribution,
+        single_cycle_mass,
+    )
+
     weights = _ints(args.weights) if args.weights else None
     if args.trials is not None:
         estimate = estimate_single_cycle_probability(
@@ -462,6 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="jugglecards",
         description="Exact counting, conversion, and simulation of card rows.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -12,7 +12,9 @@ per-permutation and cycle tallies use the same layers, and
 :func:`_census_from` is the brute-force oracle: a plain tree walk over
 every row, which the tests pin the engine to.  The closed forms in
 :mod:`jugglecards.counting` and the maps in :mod:`jugglecards.bijections`
-are checked against both over small ranges.
+are checked against both over small ranges.  The structure oracles at
+the end import :mod:`jugglecards.bijections` when first run, so a census
+never loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import dataclasses
 import itertools
 import os
 
-from jugglecards.bijections import CoverMatrix, LabeledDigraph, is_noncrossing
 from jugglecards.cards import (
     Card,
     CardSequence,
@@ -424,6 +425,8 @@ def enumerate_set_partitions(n: int, k: int | None = None):
 
 def enumerate_noncrossing_partitions(n: int, k: int | None = None):
     """The partitions from :func:`enumerate_set_partitions` with no crossing."""
+    from jugglecards.bijections import is_noncrossing
+
     for blocks in enumerate_set_partitions(n, k):
         if is_noncrossing(blocks):
             yield blocks
@@ -447,6 +450,8 @@ def enumerate_2covers(n: int, k: int):
     sorted) per row multiset, since relabeling the virtual balls only
     permutes rows.
     """
+    from jugglecards.bijections import CoverMatrix
+
     pairs = list(itertools.combinations(range(k), 2))
     for cols in itertools.product(pairs, repeat=n):
         rows = tuple(
@@ -461,6 +466,8 @@ def enumerate_2covers(n: int, k: int):
 
 def enumerate_labeled_digraphs(n: int, k: int):
     """All loopless multi-digraphs with arcs labeled 1..n covering 1..k."""
+    from jugglecards.bijections import LabeledDigraph
+
     arcs = [(t, h) for t in range(1, k + 1) for h in range(1, k + 1) if t != h]
     for combo in itertools.product(arcs, repeat=n):
         used = {v for arc in combo for v in arc}

@@ -130,9 +130,11 @@ def _stream_words(keys, done: int, k: int) -> list[int]:
 
 def _limit(n: int) -> int:
     """Words at or above this are rejected by :meth:`RandomStream.randrange`
-    with bound ``n``."""
+    with bound ``n``.  A bound above ``2**64`` would reject every word."""
     if n < 1:
         raise ValueError(f"empty range, got n={n}")
+    if n > 1 << 64:
+        raise ValueError(f"bound must be at most 2**64, got n={n}")
     return (1 << 64) - ((1 << 64) % n)
 
 
@@ -157,10 +159,9 @@ class RandomStream:
         return mix((self._key + self._count * _GOLDEN) & _MASK)
 
     def randrange(self, n: int) -> int:
-        """A uniform integer in ``0..n-1`` by rejection sampling."""
-        if n < 1:
-            raise ValueError(f"empty range, got n={n}")
-        limit = (1 << 64) - ((1 << 64) % n)
+        """A uniform integer in ``0..n-1`` by rejection sampling, for
+        ``1 <= n <= 2**64``."""
+        limit = _limit(n)
         while True:
             word = self.next_word()
             if word < limit:

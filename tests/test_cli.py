@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,12 +12,21 @@ from jugglecards.bijections import dyck_to_minimal, minimal_to_dyck
 from jugglecards.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def fresh(*args):
+    """A fresh interpreter on this checkout's ``src`` running ``args``."""
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True, text=True, timeout=30,
+    )
 
 
 @pytest.mark.parametrize(
@@ -283,6 +295,13 @@ def test_census_rejects_bad_queries_with_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_census_names_a_bad_jobs_variable(capsys, monkeypatch):
+    monkeypatch.setenv("JUGGLECARDS_JOBS", "abc")
+    code, out, err = run(capsys, "census", "--b", "3", "--n", "4", "--collect")
+    assert (code, out) == (2, "")
+    assert err == "error: JUGGLECARDS_JOBS must be an integer, got 'abc'\n"
+
+
 def test_sample_is_reproducible(capsys):
     code, out, _ = run(capsys, "sample", "--b", "4", "--n", "10", "--seed", "7")
     assert code == 0
@@ -338,3 +357,62 @@ def test_count_builds_long_stirling_rows_without_recursion(capsys):
     assert code == 0 and int(out) == (3**n - 3 * 2**n + 3) // 6
     code, out, _ = run(capsys, "count", "gen-stirling", "--n", "3000", "--k", "2", "--m", "1")
     assert code == 0 and int(out) == 2**2999 - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--b", "2", "--n", "3", "--weights", "18446744073709551616,1"],
+        ["walk", "--b", "3", "--steps", "2", "--trials", "5",
+         "--weights", "18446744073709551615,18446744073709551615,5"],
+    ],
+)
+def test_weights_past_one_word_are_rejected_not_drawn_forever(argv):
+    # integer weights totalling more than 2**64 once made every draw a
+    # rejection; the timeout turns such a hang into a failure
+    done = fresh("-m", "jugglecards.cli", *argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "jugglecards 0.1.0\n"
+
+
+_LOADED = """
+import contextlib, io, json, sys
+from jugglecards import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(json.loads(sys.argv[1]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "jugglecards")]))
+"""
+SUBMODULES = {"cards", "counting", "enumeration", "bijections", "stochastic", "rng", "svg"}
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["--version"], SUBMODULES),
+        (["count", "narayana", "--b", "5", "--n", "8"], SUBMODULES - {"counting"}),
+        (["census", "--b", "3", "--n", "4"], {"bijections", "stochastic", "svg", "rng"}),
+        (["census", "--b", "3", "--n", "4", "--collect"], {"bijections", "stochastic", "svg", "rng"}),
+        (["sample", "--b", "3", "--n", "4"], {"bijections", "svg"}),
+        (["walk", "--b", "3", "--steps", "2"], {"bijections", "svg"}),
+        (["walk", "--b", "3", "--steps", "2", "--trials", "5"], {"bijections", "svg"}),
+        (["render", "C3 C2"], {"counting", "enumeration", "stochastic", "bijections"}),
+    ],
+)
+def test_each_subcommand_loads_only_the_modules_it_runs(argv, unused):
+    done = fresh("-c", _LOADED, json.dumps(argv))
+    code, loaded = json.loads(done.stdout)
+    assert code == 0
+    assert {"jugglecards", "jugglecards.cli"} <= set(loaded)
+    assert set(loaded) - {"jugglecards", "jugglecards.cli"} <= {
+        "jugglecards." + name for name in SUBMODULES - unused
+    }

@@ -123,6 +123,20 @@ def test_batched_draws_reject_bad_arguments():
         RandomStream(5).split_randrange_many(range(-1, 2), 4, 3)
 
 
+def test_bounds_above_two_to_the_64_are_rejected():
+    # no word lies below the rejection limit of such a bound, so a draw
+    # would never return; the calls with no draws come first so that a
+    # missing check fails here instead of hanging
+    too_big = (1 << 64) + 1
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RandomStream(5).randrange_many(too_big, 0)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RandomStream(5).split_randrange_many(range(0), too_big, 3)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RandomStream(5).randrange(too_big)
+    assert RandomStream(5).randrange(1 << 64) == RandomStream(5).next_word()
+
+
 def test_randrange_is_roughly_uniform():
     r = RandomStream(99)
     counts = [0] * 5

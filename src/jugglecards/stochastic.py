@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -23,13 +24,14 @@ from jugglecards.cards import (
     composer,
     cycle_count,
     identity_perm,
+    increasing_suffix_length,
     inverse,
 )
-from jugglecards.counting import stirling1
 from jugglecards.enumeration import throw_cards, transfer
 from jugglecards.rng import RandomStream
 
 _BLOCK = 4096  # draws per batch, which bounds the size of the packed ints
+_MAX_STATES = 10**6  # permutations an exact walk may hold
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,12 +95,20 @@ class GroupDistribution:
         if len(sizes) != 1:
             raise ValueError(f"mixed permutation sizes {sorted(sizes)}")
         (b,) = sizes
+        points = list(range(1, b + 1))
+        numerators: dict[int, int] = {}  # summed per denominator
+        get = numerators.get
         for g, p in self.prob.items():
-            if sorted(g) != list(range(1, b + 1)):
+            if sorted(g) != points:
                 raise ValueError(f"{g} is not a permutation of 1..{b}")
-            if p < 0:
+            if not isinstance(p, (int, Fraction)):
+                raise ValueError(f"probabilities must be exact rationals, got {p!r}")
+            top, bottom = p.numerator, p.denominator
+            if top < 0:
                 raise ValueError(f"negative probability {p} at {g}")
-        if sum(self.prob.values()) != 1:
+            numerators[bottom] = get(bottom, 0) + top
+        scale = math.lcm(*numerators)
+        if sum(top * (scale // bottom) for bottom, top in numerators.items()) != scale:
             raise ValueError("probabilities must sum to exactly 1")
 
     @property
@@ -145,18 +155,110 @@ def step_distribution(d: GroupDistribution, gd: GeneratorDistribution) -> GroupD
 def exact_step_distribution(gd: GeneratorDistribution, n: int) -> GroupDistribution:
     """Distribution of the walk after ``n`` steps from the identity.
 
-    The walk runs on integer weights over the common denominator of the
-    probabilities and divides once at the end.
+    A uniform draw from the ordered ``m``-throw cards (the generators of
+    ``card_distribution(b, m)`` in any order, all with one probability)
+    takes the lumped walk: after ``n ≥ 1`` steps a permutation's mass
+    depends only on the length of its increasing suffix, and is read
+    from :func:`jugglecards.counting.js_count`.  This is the
+    top-to-random lumping of Diaconis, Fill and Pitman (1992), so the
+    walk computes ``b`` counts instead of pushing weights over up to
+    ``b!`` states for every step.  Every other family (weighted,
+    unordered, any other generators) runs the transfer walk over
+    permutation states.
+
+    Either way the result is exact.  A walk that would hold more than
+    ``_MAX_STATES`` permutations raises ``ValueError`` before it starts.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
+    if n >= 1 and (m := _lumped_throws(gd)) is not None:
+        return _lumped_walk(gd.degree, n, m)
+    return _transfer_walk(gd, n)
+
+
+def _lumped_throws(gd: GeneratorDistribution) -> int | None:
+    """The ``m`` whose ordered ``m``-throw cards are exactly the
+    generators, drawn uniformly; ``None`` if there is none."""
+    if gd.probs.count(gd.probs[0]) != len(gd.probs):
+        return None
+    b, count = gd.degree, len(gd.generators)
+    m = next((m for m in range(1, b + 1) if math.perm(b, m) == count), None)
+    if m is None:
+        return None
+    if set(gd.generators) != {card_permutation(c) for c in throw_cards(b, m)}:
+        return None
+    return m
+
+
+def _suffix_law(b: int, n: int, m: int) -> dict[int, Fraction]:
+    """Mass of each permutation with increasing suffix ``k`` after ``n``
+    uniform ordered ``m``-throw cards, for ``k`` in 1..b.
+
+    ``js_count`` counts the rows landing on one such permutation, out of
+    ``(b)_m ** n`` rows.
+    """
+    from jugglecards.counting import js_count
+
+    rows = math.perm(b, m) ** n
+    return {k: Fraction(js_count(k, n, b, m), rows) for k in range(1, b + 1)}
+
+
+def _lumped_walk(b: int, n: int, m: int) -> GroupDistribution:
+    """The walk of :func:`_suffix_law` spread over its support.
+
+    A permutation with increasing suffix ``k`` needs ``b - k`` distinct
+    balls thrown, and ``n`` cards throw at most ``nm``; so the support is
+    every permutation that ends in an increasing ``tail`` of ``least =
+    b - nm`` points (at least one), after any order of the others.
+    """
+    least = max(1, b - n * m)
+    _check_states(b, n, _support_bound(b, n, m))
+    law = _suffix_law(b, n, m)
+    points = range(1, b + 1)
+    support = []
+    for tail in itertools.combinations(points, least):
+        head = [x for x in points if x not in tail]
+        support.extend(map(operator.add, itertools.permutations(head), itertools.repeat(tail)))
+    classes = map(increasing_suffix_length, support)
+    return GroupDistribution(dict(zip(support, map(law.__getitem__, classes))))
+
+
+def _transfer_walk(gd: GeneratorDistribution, n: int) -> GroupDistribution:
+    """The walk over permutation states, one transfer per step.
+
+    It runs on integer weights over the common denominator of the
+    probabilities and divides once at the end.  A generator with
+    increasing suffix ``k`` is the level map of a card of ``b - k``
+    throws, so the walk stays inside the support of the uniform walk on
+    cards of the most throws any generator needs.
+    """
+    b, count = gd.degree, len(gd.generators)
+    throws = b - min(map(increasing_suffix_length, gd.generators))
+    # for two or more generators, count ** n passes _MAX_STATES exactly
+    # when count ** min(n, bit_length) does, and stays a small number
+    reachable = count ** min(n, _MAX_STATES.bit_length())
+    _check_states(b, n, min(_support_bound(b, n, throws), reachable))
     ints = _integer_weights(gd.generators, gd.probs)
     moves = _walk_moves(gd, ints)
-    layer = {identity_perm(gd.degree): 1}
+    layer = {identity_perm(b): 1}
     for _ in range(n):
         layer = transfer(layer, moves)
     total = sum(ints) ** n
     return GroupDistribution({g: Fraction(ways, total) for g, ways in layer.items()})
+
+
+def _support_bound(b: int, n: int, m: int) -> int:
+    """How many permutations ``n`` cards of at most ``m`` throws reach:
+    those whose increasing suffix is at least ``b - nm`` long."""
+    return math.perm(b, min(b - 1, n * m))
+
+
+def _check_states(b: int, n: int, states: int) -> None:
+    if states > _MAX_STATES:
+        raise ValueError(
+            f"an exact walk on {b} points over {n} steps would hold more than "
+            f"{_MAX_STATES} permutations"
+        )
 
 
 def cycle_count_distribution(d: GroupDistribution) -> dict[int, Fraction]:
@@ -179,6 +281,8 @@ def cycle_type_limit(b: int) -> dict[int, Fraction]:
     This is the cycle-count distribution of a uniform permutation, the
     limit of the card walk as the number of cards grows.
     """
+    from jugglecards.counting import stirling1
+
     fact = math.factorial(b)
     return {l: Fraction(stirling1(b, l), fact) for l in range(1, b + 1)}
 
@@ -212,6 +316,17 @@ def _integer_weights(cards, weights):
     return [int(f * scale) for f in fracs]
 
 
+def _cumulative_weights(cards, weights) -> list[int]:
+    """Running totals of the integer card weights, which one random
+    word must be able to cover."""
+    cumulative = list(itertools.accumulate(_integer_weights(cards, weights)))
+    if cumulative[-1] > 1 << 64:
+        raise ValueError(
+            f"card weights total {cumulative[-1]} as integers, more than 2**64"
+        )
+    return cumulative
+
+
 def sample_sequence(
     b: int,
     n: int,
@@ -227,7 +342,7 @@ def sample_sequence(
     integer cumulative sums, so equal seeds reproduce equal sequences.
     """
     cards = throw_cards(b, m, ordered)
-    cumulative = list(itertools.accumulate(_integer_weights(cards, weights)))
+    cumulative = _cumulative_weights(cards, weights)
     draws = RandomStream(seed).randrange_many(cumulative[-1], n)
     return CardSequence(b, tuple(_picks(cards, cumulative, draws)))
 
@@ -275,7 +390,7 @@ def estimate_single_cycle_probability(
         raise ValueError(f"step count must be nonnegative, got {n}")
     cards = throw_cards(b, m, ordered)
     moves = [composer(inverse(card_permutation(c))) for c in cards]
-    cumulative = list(itertools.accumulate(_integer_weights(cards, weights)))
+    cumulative = _cumulative_weights(cards, weights)
     root = RandomStream(seed)
     start = identity_perm(b)
     per_block = max(1, _BLOCK // max(n, 1))

@@ -40,6 +40,7 @@ from jugglecards.cards import (
 )
 from jugglecards.counting import (
     convolved_pair_identity,
+    count_suffix_at_least,
     falling_factorial,
     falling_factorial_identity,
     functional_equation_residual,
@@ -68,6 +69,7 @@ from jugglecards.enumeration import (
 from jugglecards.rng import RandomStream
 from jugglecards.stochastic import (
     GeneratorDistribution,
+    _suffix_law,
     card_distribution,
     exact_step_distribution,
     point_distribution,
@@ -204,6 +206,21 @@ def test_c10_single_cycle_mass_is_one_over_b():
         for n in range(1, 41):
             dist = step_distribution(dist, gd)
             assert single_cycle_mass(dist) == Fraction(1, b), (b, n)
+
+
+def test_c10b_single_cycle_mass_is_one_over_b_up_to_sixty_balls():
+    # the lumped walk's law by suffix class, weighed with the class sizes;
+    # no b! state space is built
+    start = time.perf_counter()
+    grid = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200}
+    for b in range(2, 61):
+        at_least = [count_suffix_at_least(b, k) for k in range(1, b + 1)] + [0]
+        cycles = [count_suffix_at_least(b, k, cyclic=True) for k in range(1, b)] + [0, 0]
+        for n in sorted(grid | {b - 1, b, b + 1}):
+            law = _suffix_law(b, n, 1)
+            assert sum(law[k] * (at_least[k - 1] - at_least[k]) for k in law) == 1, (b, n)
+            assert sum(law[k] * (cycles[k - 1] - cycles[k]) for k in law) == Fraction(1, b), (b, n)
+    assert time.perf_counter() - start < 5.0
 
 
 def test_c11_uniform_is_the_fixed_point_and_the_limit():

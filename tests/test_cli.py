@@ -343,6 +343,7 @@ def test_walk_monte_carlo_is_reproducible(capsys):
         ["sample", "--b", "0", "--n", "4"],
         ["walk", "--b", "3", "--steps", "2", "--m", "5", "--trials", "5"],
         ["walk", "--b", "4", "--steps", "-1", "--trials", "10"],
+        ["walk", "--b", "12", "--steps", "12"],  # 12! permutations
     ],
 )
 def test_walks_and_samples_reject_bad_families_with_one_line(capsys, argv):
@@ -375,6 +376,21 @@ def test_weights_past_one_word_are_rejected_not_drawn_forever(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, total",
+    [
+        (["sample", "--b", "2", "--n", "3", "--weights", "18446744073709551616,1"],
+         2**64 + 1),
+        (["walk", "--b", "3", "--steps", "2", "--trials", "5",
+          "--weights", "18446744073709551615,18446744073709551615,5"], 2**65 + 3),
+    ],
+)
+def test_weight_totals_past_one_word_name_the_weights(capsys, argv, total):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: card weights total {total} as integers, more than 2**64\n"
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -402,9 +418,9 @@ SUBMODULES = {"cards", "counting", "enumeration", "bijections", "stochastic", "r
         (["count", "narayana", "--b", "5", "--n", "8"], SUBMODULES - {"counting"}),
         (["census", "--b", "3", "--n", "4"], {"bijections", "stochastic", "svg", "rng"}),
         (["census", "--b", "3", "--n", "4", "--collect"], {"bijections", "stochastic", "svg", "rng"}),
-        (["sample", "--b", "3", "--n", "4"], {"bijections", "svg"}),
+        (["sample", "--b", "3", "--n", "4"], {"bijections", "svg", "counting"}),
         (["walk", "--b", "3", "--steps", "2"], {"bijections", "svg"}),
-        (["walk", "--b", "3", "--steps", "2", "--trials", "5"], {"bijections", "svg"}),
+        (["walk", "--b", "3", "--steps", "2", "--trials", "5"], {"bijections", "svg", "counting"}),
         (["render", "C3 C2"], {"counting", "enumeration", "stochastic", "bijections"}),
     ],
 )

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jugglecards import rng, stochastic
-from jugglecards.cards import CardSequence, card_permutation, compose, cycle_count, identity_perm
+from jugglecards.cards import (
+    CardSequence,
+    card_permutation,
+    compose,
+    cycle_count,
+    identity_perm,
+    increasing_suffix_length,
+)
 from jugglecards.enumeration import cycle_census, throw_cards
 from jugglecards.rng import RandomStream, mix, mix_many
 from jugglecards.stochastic import (
@@ -173,6 +180,11 @@ def test_group_distribution_validation():
         GroupDistribution({(1, 2): Fraction(3, 4)})
     with pytest.raises(ValueError):
         GroupDistribution({(1, 2): Fraction(5, 4), (2, 1): Fraction(-1, 4)})
+    with pytest.raises(ValueError, match="exact rationals"):
+        GroupDistribution({(1, 2): 0.5, (2, 1): 0.5})
+    # integer and mixed-denominator masses are summed exactly
+    GroupDistribution({(1, 2): Fraction(1, 3), (2, 1): Fraction(2, 3)})
+    GroupDistribution({(2, 1, 3): 1})
 
 
 def test_card_distribution_weights():
@@ -216,6 +228,101 @@ def test_single_cycle_mass_is_one_over_b_multiplex():
         gd = card_distribution(b, m=2)
         for n in range(1, 5):
             assert single_cycle_mass(exact_step_distribution(gd, n)) == Fraction(1, b)
+
+
+@pytest.mark.parametrize("b", range(1, 7))
+def test_lumped_walk_is_the_transfer_walk(b):
+    """Uniform ordered families take the walk by increasing-suffix class
+    for n >= 1; the permutation-state walk is its oracle."""
+    for m in range(1, b + 1):
+        gd = card_distribution(b, m)
+        for n in (0, 1, 2, 3, 5, 8):
+            if b == 6 and n > 5:
+                continue
+            expected = stochastic._transfer_walk(gd, n)
+            if n == 0:
+                assert exact_step_distribution(gd, n) == expected
+                continue
+            with mock.patch.object(stochastic, "_transfer_walk", side_effect=AssertionError):
+                assert exact_step_distribution(gd, n) == expected, (m, n)
+
+
+def _stepped(gd, n):
+    """``n`` single steps from the identity, on Fraction weights."""
+    d = point_distribution(gd.degree)
+    for _ in range(n):
+        d = step_distribution(d, gd)
+    return d
+
+
+def test_families_that_do_not_lump_take_the_transfer_walk():
+    families = [
+        card_distribution(3, weights=[1, 2, 3]),
+        card_distribution(4, weights=[5, 1, 1, 1]),  # only C1, the identity, reweighted
+        card_distribution(4, m=2, ordered=False),
+        card_distribution(3, m=2, ordered=False),  # as many cards as single throws
+    ]
+    for gd in families:
+        for n in (1, 2, 5):
+            with mock.patch.object(stochastic, "_suffix_law", side_effect=AssertionError):
+                assert exact_step_distribution(gd, n) == _stepped(gd, n), (gd, n)
+
+
+def test_reordered_uniform_generators_still_lump():
+    gd = card_distribution(4, m=2)
+    share = gd.probs[0]
+    shuffled = GeneratorDistribution(tuple(reversed(gd.generators)), (share,) * len(gd.probs))
+    for n in (1, 3):
+        with mock.patch.object(stochastic, "_transfer_walk", side_effect=AssertionError):
+            assert exact_step_distribution(shuffled, n) == _stepped(gd, n)
+
+
+def test_huge_exact_walks_are_refused_before_they_start():
+    untouched = dict(side_effect=AssertionError)
+    with mock.patch.object(stochastic, "_suffix_law", **untouched), \
+            mock.patch.object(stochastic, "transfer", **untouched):
+        with pytest.raises(ValueError, match="more than 1000000 permutations"):
+            exact_step_distribution(card_distribution(30), 5)
+        with pytest.raises(ValueError, match="more than 1000000 permutations"):
+            exact_step_distribution(card_distribution(30, weights=range(1, 31)), 5)
+        with pytest.raises(ValueError, match="more than 1000000 permutations"):
+            exact_step_distribution(card_distribution(30, weights=range(1, 31)), 10**9)
+    # one step of thirty cards reaches thirty permutations
+    assert len(exact_step_distribution(card_distribution(30), 1).prob) == 30
+
+
+def test_the_state_guard_is_the_support_bound():
+    # three uniform single throws on 4 balls reach 4!/1! = 24 permutations
+    with mock.patch.object(stochastic, "_MAX_STATES", 24):
+        assert len(exact_step_distribution(card_distribution(4), 3).prob) == 24
+    with mock.patch.object(stochastic, "_MAX_STATES", 23), pytest.raises(ValueError):
+        exact_step_distribution(card_distribution(4), 3)
+    # weights do not widen the support: two single throws reach 4!/2! = 12
+    weighted = card_distribution(4, weights=[1, 2, 3, 4])
+    with mock.patch.object(stochastic, "_MAX_STATES", 12):
+        assert len(exact_step_distribution(weighted, 2).prob) == 12
+    with mock.patch.object(stochastic, "_MAX_STATES", 11), pytest.raises(ValueError):
+        exact_step_distribution(weighted, 2)
+    # two generators reach at most 2 ** n permutations
+    pair = GeneratorDistribution(((2, 1, 3, 4, 5), (2, 3, 4, 5, 1)), (Fraction(1, 3), Fraction(2, 3)))
+    with mock.patch.object(stochastic, "_MAX_STATES", 8):
+        assert len(exact_step_distribution(pair, 3).prob) <= 8
+    with mock.patch.object(stochastic, "_MAX_STATES", 7), pytest.raises(ValueError):
+        exact_step_distribution(pair, 3)
+
+
+def test_any_generators_stay_inside_the_card_support_bound():
+    # a generator with increasing suffix k acts as a card of b - k throws
+    stream = RandomStream(77)
+    for trial in range(60):
+        b = 3 + trial % 3
+        perms = list(itertools.permutations(range(1, b + 1)))
+        gens = tuple({perms[stream.randrange(len(perms))] for _ in range(1 + stream.randrange(4))})
+        gd = GeneratorDistribution(gens, (Fraction(1, len(gens)),) * len(gens))
+        throws = b - min(map(increasing_suffix_length, gens))
+        for n in range(5):
+            held = len(exact_step_distribution(gd, n).prob)
+            assert held <= stochastic._support_bound(b, n, throws), (gens, n)
 
 
 def test_exact_walk_matches_cycle_census():
@@ -409,3 +516,16 @@ def test_estimate_rejects_bad_families_and_negative_steps():
         sample_sequence(0, 4)
     with pytest.raises(ValueError):
         card_distribution(3, m=0)
+
+
+def test_weight_totals_past_one_word_name_the_weights():
+    # one random word covers weight totals up to 2**64; a larger total is
+    # refused before any draw, in terms of the weights
+    with pytest.raises(ValueError, match="card weights total 18446744073709551617 "):
+        sample_sequence(2, 3, weights=[2**64, 1])
+    with pytest.raises(ValueError, match="card weights total 36893488147419103235 "):
+        estimate_single_cycle_probability(3, 2, weights=[2**64 - 1, 2**64 - 1, 5], trials=5)
+    # fractions are scaled to integers first: 2**64/3 and 1/3 become 2**64 and 1
+    with pytest.raises(ValueError, match="card weights total 18446744073709551617 "):
+        sample_sequence(2, 3, weights=[Fraction(2**64, 3), Fraction(1, 3)])
+    assert len(sample_sequence(2, 3, weights=[2**64 - 1, 1]).cards) == 3

@@ -43,10 +43,11 @@ _EXPORTS = {
     ),
     "enumeration": (
         "CensusQuery", "all_sequences", "brute_js", "census",
-        "count_by_permutation", "cycle_census", "enumerate_2covers",
-        "enumerate_dyck_words", "enumerate_labeled_digraphs",
-        "enumerate_minimal", "enumerate_noncrossing_partitions",
-        "enumerate_plus", "enumerate_plus_two", "enumerate_set_partitions",
+        "census_rows", "count_by_permutation", "cycle_census",
+        "enumerate_2covers", "enumerate_dyck_words",
+        "enumerate_labeled_digraphs", "enumerate_minimal",
+        "enumerate_noncrossing_partitions", "enumerate_plus",
+        "enumerate_plus_two", "enumerate_set_partitions",
         "throw_cards",
     ),
     "rng": ("RandomStream",),

@@ -15,12 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from jugglecards import __version__
-
-JOBS_ENV = "JUGGLECARDS_JOBS"
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -374,7 +371,7 @@ def cmd_render(args, parser) -> int:
 
 
 def cmd_census(args, parser) -> int:
-    from jugglecards.enumeration import CensusQuery, census
+    from jugglecards.enumeration import CensusQuery, census, census_rows
 
     query = CensusQuery(
         b=args.b,
@@ -388,19 +385,23 @@ def cmd_census(args, parser) -> int:
         uses_top=args.uses_top,
         thrown=args.thrown,
     )
-    jobs = args.jobs
-    if jobs is None and os.environ.get(JOBS_ENV):
-        text = os.environ[JOBS_ENV]
-        try:
-            jobs = int(text)
-        except ValueError:
-            raise ValueError(f"{JOBS_ENV} must be an integer, got {text!r}") from None
-    result = census(query, collect=args.collect, jobs=jobs)
-    if args.collect:
-        rows = [str(seq) for seq in result]
-        _emit(args, rows, "\n".join(rows))
+    if not args.collect:
+        print(census(query))
+        return 0
+    # Stream the rows; the bytes equal _emit of the whole list: a JSON list
+    # of strings, or one row per line and a lone newline when there are none.
+    rows = map(str, census_rows(query))
+    first = next(rows, "")
+    write = sys.stdout.write
+    if args.human:
+        write(first + "\n")
+        for row in rows:
+            write(row + "\n")
     else:
-        print(result)
+        write("[" + (json.dumps(first) if first else ""))
+        for row in rows:
+            write(", " + json.dumps(row))
+        write("]\n")
     return 0
 
 
@@ -552,11 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--uses-top", action=argparse.BooleanOptionalAction)
     cen.add_argument("--thrown", type=int, help="exact count of distinct balls")
     cen.add_argument("--collect", action="store_true", help="list instead of count")
-    cen.add_argument(
-        "--jobs",
-        type=int,
-        help=f"worker processes for --collect (default ${JOBS_ENV} or 1)",
-    )
     cen.add_argument("--human", action="store_true")
     cen.set_defaults(run=cmd_census)
 
@@ -588,10 +584,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.run(args, parser)
+        code = args.run(args, parser)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so the flush at
+        # exit does not raise again (the recipe in Python's signal docs).
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

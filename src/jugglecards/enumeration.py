@@ -4,10 +4,12 @@ Counts come from one exact state-transfer engine, :func:`transfer`,
 which pushes weights over states one card at a time.  A census walks
 states (arrangement, crossings so far, top seen, bottom seen, balls
 thrown), so its cost grows with the reachable states per layer instead
-of the ``b^n`` rows; collecting runs the same layers, marks the states
-that can still reach an accepted row, and walks only into those.  The
-per-permutation and cycle tallies use the same layers, and
-:mod:`jugglecards.stochastic` runs its exact walk on :func:`transfer`.
+of the ``b^n`` rows.  Collecting (:func:`census_rows`) runs the same
+layers, keeps only the moves into states that can still reach an
+accepted row, and streams the rows depth-first in tree-walk order, so
+memory holds the move graph and one row.  The per-permutation and
+cycle tallies use the same layers, and :mod:`jugglecards.stochastic`
+runs its exact walk on :func:`transfer`.
 
 :func:`_census_from` is the brute-force oracle: a plain tree walk over
 every row, which the tests pin the engine to.  The closed forms in
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 
 from jugglecards.cards import (
     Card,
@@ -120,7 +121,7 @@ def _budget(query: CensusQuery) -> int | None:
     return min(limits) if limits else None
 
 
-def _census_from(query: CensusQuery, first: int | None, collect: bool):
+def _census_from(query: CensusQuery, collect: bool):
     cards = throw_cards(query.b, query.m, query.ordered)
     perms = [card_permutation(c) for c in cards]
     deltas = [card_crossings(c) for c in cards]
@@ -156,8 +157,7 @@ def _census_from(query: CensusQuery, first: int | None, collect: bool):
             left = (query.n - depth) * query.m
             if len(thrown) > query.thrown or len(thrown) + left < query.thrown:
                 return
-        choices = (first,) if depth == 0 and first is not None else range(len(cards))
-        for i in choices:
+        for i in range(len(cards)):
             if query.primitive is True and is_bottom[i]:
                 continue
             if query.uses_top is False and is_top[i]:
@@ -269,61 +269,71 @@ class _Census:
     def count(self) -> int:
         return sum(ways for state, ways in self.final_layer().items() if self.accepts(state))
 
-    def collect(self, first: int | None = None) -> tuple[CardSequence, ...]:
-        """Accepted rows in tree-walk order, optionally only those starting
-        with card index ``first``."""
-        graph = []  # per depth: state -> its (card index, child) moves
+    def rows(self):
+        """Accepted rows in tree-walk order, one at a time.
+
+        Runs the forward layers, keeps the moves into states that can
+        still reach an accepted row, then walks those moves depth-first
+        with a stack of iterators (no recursion, so any ``n`` works) and
+        one shared prefix: memory holds the move graph and one row.
+        """
+        graph = []  # per depth: state -> its moves, (card, child) once pruned
         frontier = {self.start}
         for depth in range(self.query.n):
             left = self.left(depth)
-            edges = {}
-            for state in frontier:
-                kids = self.children(state, left)
-                if depth == 0 and first is not None:
-                    kids = [(i, c) for i, c in kids if i == first]
-                edges[state] = kids
+            edges = {state: self.children(state, left) for state in frontier}
             graph.append(edges)
             frontier = {c for kids in edges.values() for _, c in kids}
         live = {s for s in frontier if self.accepts(s)}
         for edges in reversed(graph):
             for state, kids in edges.items():
-                kids[:] = [(i, c) for i, c in kids if c in live]
+                kids[:] = [(self.cards[i], c) for i, c in kids if c in live]
             live = {s for s, kids in edges.items() if kids}
-        rows = [((), self.start)] if self.start in live else []
-        for edges in graph:
-            rows = [
-                (prefix + (self.cards[i],), c)
-                for prefix, state in rows
-                for i, c in edges[state]
-            ]
-        return tuple(CardSequence(self.query.b, prefix) for prefix, _ in rows)
+        if self.start not in live:
+            return
+        b, n = self.query.b, self.query.n
+        prefix = []
+        stack = [iter(graph[0][self.start])]
+        while stack:
+            for card, child in stack[-1]:
+                prefix.append(card)
+                if len(prefix) == n:
+                    yield CardSequence(b, tuple(prefix))
+                    prefix.pop()
+                else:
+                    stack.append(iter(graph[len(prefix)][child]))
+                    break
+            else:
+                stack.pop()
+                if prefix:
+                    prefix.pop()
 
 
-def _collect(query: CensusQuery, first: int | None = None):
-    return _Census(query).collect(first)
+def census_rows(query: CensusQuery):
+    """Yield the sequences matching ``query`` one at a time.
+
+    Rows come in tree-walk order (cards in family order at each
+    position), the order of :func:`_census_from`.  The search runs
+    before the first row; after it, memory holds the move graph and one
+    row, so listings far larger than memory can be streamed.
+    """
+    return _Census(query).rows()
 
 
 def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):
     """Count (or collect) all sequences matching ``query``.
 
-    Counts run the state-transfer engine in this process.  When
-    collecting, ``jobs`` splits the rows by first card across worker
-    processes, no more than there are first cards or CPUs; the rows come
-    back in the serial order.
+    Both run the state-transfer engine in this process.  Collecting
+    returns ``tuple(census_rows(query))``: the walk streams rows in
+    tree-walk order, holding the move graph and one row.  ``jobs`` is
+    ignored (it must still be nonnegative); it stays only for the
+    benchmark's ``jobs2_speedup`` probe and goes with it.
     """
     if jobs is not None and jobs < 0:
         raise ValueError(f"jobs must be nonnegative, got {jobs}")
-    if not collect:
-        return _Census(query).count()
-    firsts = range(len(throw_cards(query.b, query.m, query.ordered)))
-    workers = min(jobs or 1, len(firsts), os.cpu_count() or 1)
-    if workers > 1 and query.n > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_collect, itertools.repeat(query), firsts))
-        return tuple(seq for part in parts for seq in part)
-    return _collect(query)
+    if collect:
+        return tuple(census_rows(query))
+    return _Census(query).count()
 
 
 def count_by_permutation(
@@ -352,7 +362,7 @@ def brute_js(sigma: tuple[int, ...], n: int, b: int, m: int = 1) -> int:
     Oracle for the closed-form :func:`jugglecards.counting.js_count`;
     ``m > 1`` searches over ordered ``m``-subset cards.
     """
-    return _census_from(CensusQuery(b=b, n=n, m=m, perm=tuple(sigma)), None, False)
+    return _census_from(CensusQuery(b=b, n=n, m=m, perm=tuple(sigma)), False)
 
 
 def enumerate_plus(

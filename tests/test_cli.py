@@ -10,6 +10,7 @@ import pytest
 
 from jugglecards.bijections import dyck_to_minimal, minimal_to_dyck
 from jugglecards.cli import main
+from jugglecards.enumeration import CensusQuery, census
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -257,7 +258,7 @@ def test_render_rejects_nonpositive_dimensions(capsys):
     assert code == 2 and "card_width" in err
 
 
-def test_census_counts_and_collects(capsys, monkeypatch):
+def test_census_counts_and_collects(capsys):
     code, out, _ = run(
         capsys, "census", "--b", "2", "--n", "6",
         "--crossings", "4", "--perm", "id", "--uses-top",
@@ -269,12 +270,6 @@ def test_census_counts_and_collects(capsys, monkeypatch):
     )
     rows = json.loads(out)
     assert len(rows) == 6 and all("C2" in row for row in rows)
-    monkeypatch.setenv("JUGGLECARDS_JOBS", "2")
-    code, out2, _ = run(
-        capsys, "census", "--b", "2", "--n", "6",
-        "--crossings", "4", "--perm", "id", "--uses-top",
-    )
-    assert out2 == "15\n"
 
 
 @pytest.mark.parametrize(
@@ -286,7 +281,6 @@ def test_census_counts_and_collects(capsys, monkeypatch):
         ["--b", "3", "--n", "4", "--thrown", "-1"],
         ["--b", "3", "--n", "4", "--max-crossings", "-1"],
         ["--b", "3", "--n", "0"],
-        ["--b", "3", "--n", "4", "--jobs", "-2", "--collect"],
     ],
 )
 def test_census_rejects_bad_queries_with_one_line(capsys, argv):
@@ -295,11 +289,45 @@ def test_census_rejects_bad_queries_with_one_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_census_names_a_bad_jobs_variable(capsys, monkeypatch):
+def test_census_has_no_jobs_flag_or_variable(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--b", "3", "--n", "4", "--collect", "--jobs", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    plain = run(capsys, "census", "--b", "3", "--n", "4", "--collect")
     monkeypatch.setenv("JUGGLECARDS_JOBS", "abc")
-    code, out, err = run(capsys, "census", "--b", "3", "--n", "4", "--collect")
-    assert (code, out) == (2, "")
-    assert err == "error: JUGGLECARDS_JOBS must be an integer, got 'abc'\n"
+    assert run(capsys, "census", "--b", "3", "--n", "4", "--collect") == plain
+
+
+@pytest.mark.parametrize(
+    "argv, query, size",
+    [
+        (["--perm", "id", "--crossings", "99"],
+         CensusQuery(b=2, n=3, perm=(1, 2), crossings=99), 0),
+        (["--crossings", "0"], CensusQuery(b=2, n=3, crossings=0), 1),
+        ([], CensusQuery(b=2, n=3), 8),
+    ],
+)
+def test_census_collect_streams_the_bytes_of_the_whole_list(capsys, argv, query, size):
+    rows = [str(seq) for seq in census(query, True)]
+    assert len(rows) == size
+    argv = ["census", "--b", "2", "--n", "3", *argv, "--collect"]
+    assert run(capsys, *argv) == (0, json.dumps(rows, sort_keys=True) + "\n", "")
+    assert run(capsys, *argv, "--human") == (0, "\n".join(rows) + "\n", "")
+
+
+@pytest.mark.parametrize("human", [[], ["--human"]])
+def test_census_collect_into_a_closed_pipe_exits_1_quietly(human):
+    argv = ["census", "--b", "3", "--n", "10", "--collect", *human]
+    with subprocess.Popen(
+        [sys.executable, "-m", "jugglecards.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.read(20)
+        proc.stdout.close()
+        assert proc.wait(timeout=30) == 1
+        assert b"Traceback" not in proc.stderr.read()
 
 
 def test_sample_is_reproducible(capsys):

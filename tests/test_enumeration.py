@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jugglecards.cards import (
+    Card,
+    CardSequence,
     card_permutation,
     cycle_count,
     identity_perm,
@@ -20,11 +22,11 @@ from jugglecards.counting import (
 )
 from jugglecards.enumeration import (
     CensusQuery,
-    _Census,
     _census_from,
     all_sequences,
     brute_js,
     census,
+    census_rows,
     count_by_permutation,
     cycle_census,
     enumerate_2covers,
@@ -98,13 +100,13 @@ def test_census_rejects_negative_jobs():
 def test_census_budget_is_the_tighter_crossing_filter():
     for collect in (False, True):
         tight = CensusQuery(b=3, n=4, crossings=6, max_crossings=2)
-        assert census(tight, collect) == _census_from(tight, None, collect) == (
+        assert census(tight, collect) == _census_from(tight, collect) == (
             () if collect else 0
         )
         loose = CensusQuery(b=3, n=4, crossings=2, max_crossings=6)
         only = CensusQuery(b=3, n=4, crossings=2)
         assert census(loose, collect) == census(only, collect)
-        assert _census_from(loose, None, collect) == _census_from(only, None, collect)
+        assert _census_from(loose, collect) == _census_from(only, collect)
 
 
 def filter_values(b, n, m, ordered):
@@ -140,17 +142,25 @@ def test_census_engine_matches_tree_walk_on_each_filter():
         for name, values in filter_values(b, n, m, ordered).items():
             for value in values:
                 q = CensusQuery(b=b, n=n, m=m, ordered=ordered, **{name: value})
-                assert census(q) == _census_from(q, None, False), q
-                assert census(q, collect=True) == _census_from(q, None, True), q
+                assert census(q) == _census_from(q, False), q
+                assert census(q, collect=True) == _census_from(q, True), q
 
 
 @settings(max_examples=300, deadline=None)
-@given(census_queries(), st.data())
-def test_census_engine_matches_tree_walk(query, data):
-    assert census(query) == _census_from(query, None, False)
-    assert census(query, collect=True) == _census_from(query, None, True)
-    first = data.draw(st.integers(0, len(throw_cards(query.b, query.m, query.ordered)) - 1))
-    assert _Census(query).collect(first) == _census_from(query, first, True)
+@given(census_queries())
+def test_census_engine_matches_tree_walk(query):
+    assert census(query) == _census_from(query, False)
+    assert census(query, collect=True) == _census_from(query, True)
+
+
+def test_census_rows_are_lazy():
+    # all 3**40 rows match; the first must come without building the rest
+    assert next(census_rows(CensusQuery(b=3, n=40))) == CardSequence(3, (Card(3, (1,)),) * 40)
+
+
+def test_census_rows_walk_long_rows_without_recursion():
+    rows = census(CensusQuery(b=2, n=5000, crossings=0), collect=True)
+    assert rows == (CardSequence(2, (Card(2, (1,)),) * 5000),)
 
 
 def test_census_parallel_matches_serial():

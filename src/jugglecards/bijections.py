@@ -15,14 +15,12 @@ names its balls 1..k in order of first appearance.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 from jugglecards.cards import (
     Card,
     CardSequence,
     arrangement_history,
     backward_step,
-    backward_step_order_preserving,
     crossings,
     identity_perm,
     increasing_suffix_length,
@@ -78,6 +76,35 @@ def _validate_blocks(blocks: Blocks) -> int:
     return n
 
 
+def _rebuild(
+    family: Family, target: tuple[int, ...], b: int, counted: str
+) -> CardSequence:
+    """The row over ``b`` balls throwing ``family[j-1]`` at card ``j`` and
+    ending at ``target``, built right to left with :func:`backward_step`.
+
+    ``family`` names its balls 1..k.  The count ``k`` must satisfy
+    ``b - L <= k <= b`` where ``L`` is the increasing-suffix length of the
+    target's level map; outside that range no row exists and the
+    ValueError counts the balls as ``counted``.
+    """
+    balls = range(1, b + 1)
+    if len(target) != len(balls) or sorted(target) != list(balls):
+        raise ValueError(f"target must arrange balls 1..{b}, got {target}")
+    k = max(max(entry) for entry in family)
+    low = b - increasing_suffix_length(inverse(tuple(target)))
+    if not low <= k <= b:
+        raise ValueError(
+            f"{k} {counted} cannot reach this arrangement; need {max(low, 1)}..{b}"
+        )
+    right = tuple(target)
+    cards: list[Card] = []
+    for entry in reversed(family):
+        right, card = backward_step(right, entry)
+        cards.append(card)
+    assert right == identity_perm(b), "backward construction must end sorted"
+    return CardSequence(b, tuple(reversed(cards)))
+
+
 def partition_to_sequence(
     blocks: Blocks, target: tuple[int, ...], b: int
 ) -> CardSequence:
@@ -88,27 +115,11 @@ def partition_to_sequence(
     increasing-suffix length of the target's level map; outside that
     range no sequence exists and a ValueError is raised.
     """
-    n = _validate_blocks(blocks)
-    if sorted(target) != list(range(1, b + 1)):
-        raise ValueError(f"target must arrange balls 1..{b}, got {target}")
-    k = len(blocks)
-    sigma = inverse(tuple(target))
-    low = b - increasing_suffix_length(sigma)
-    if not low <= k <= b:
-        raise ValueError(
-            f"{k} blocks cannot reach this arrangement; need {max(low, 1)}..{b}"
-        )
-    ball_at = {}
+    ball_at = [0] * _validate_blocks(blocks)
     for i, block in enumerate(blocks, start=1):
         for j in block:
-            ball_at[j] = i
-    right = tuple(target)
-    cards: list[Card] = []
-    for j in range(n, 0, -1):
-        right, card = backward_step(right, (ball_at[j],))
-        cards.append(card)
-    assert right == identity_perm(b), "backward construction must end sorted"
-    return CardSequence(b, tuple(reversed(cards)))
+            ball_at[j - 1] = i
+    return _rebuild(tuple((i,) for i in ball_at), target, b, "blocks")
 
 
 def is_noncrossing(blocks: Blocks) -> bool:
@@ -184,22 +195,7 @@ def family_to_sequence(family: Family, target: tuple[int, ...], b: int) -> CardS
     """
     if family != canonicalize_family(family):
         raise ValueError("family must be canonical (symbols 1..k in first-use order)")
-    k = max(max(entry) for entry in family)
-    if sorted(target) != list(range(1, b + 1)):
-        raise ValueError(f"target must arrange balls 1..{b}, got {target}")
-    sigma = inverse(tuple(target))
-    low = b - increasing_suffix_length(sigma)
-    if not low <= k <= b:
-        raise ValueError(
-            f"{k} thrown balls cannot reach this arrangement; need {max(low, 1)}..{b}"
-        )
-    right = tuple(target)
-    cards: list[Card] = []
-    for entry in reversed(family):
-        right, card = backward_step(right, entry)
-        cards.append(card)
-    assert right == identity_perm(b), "backward construction must end sorted"
-    return CardSequence(b, tuple(reversed(cards)))
+    return _rebuild(family, target, b, "thrown balls")
 
 
 # ---------------------------------------------------------------------------
@@ -300,71 +296,17 @@ def cover_partial_order(M: CoverMatrix) -> tuple[tuple[int, ...], ...]:
     """Order the virtual balls from the cover, bottom class first.
 
     Ball ``u`` sits below ``v`` when the first column separating them
-    (containing exactly one of the two) contains ``u``; rows that are
-    never separated are equivalent and share a class.  The comparison is
-    only a valid total preorder for matrices that really do arise from
-    card sequences; contradictions raise with the offending rows named.
+    (containing exactly one of the two) contains ``u``, that is when row
+    ``u`` is lexicographically larger; equal rows are never separated and
+    share a class.  So the classes are the distinct rows, largest first.
+
+    >>> cover_partial_order(CoverMatrix(((1, 0), (0, 1), (1, 0), (0, 1))))
+    ((1, 3), (2, 4))
     """
-    k = M.k
-
-    def relate(u: int, v: int) -> int:
-        # -1: u below, 1: v below, 0: equivalent; rows/balls are 1-based
-        for j in range(M.n):
-            cu, cv = M.rows[u - 1][j], M.rows[v - 1][j]
-            if cu != cv:
-                return -1 if cu else 1
-        return 0
-
-    rel = {}
-    for u in range(1, k + 1):
-        for v in range(u + 1, k + 1):
-            rel[(u, v)] = relate(u, v)
-
-    # group equivalent rows, then insist the grouping is exact
-    class_of = list(range(k + 1))
-
-    def find(x):
-        while class_of[x] != x:
-            class_of[x] = class_of[class_of[x]]
-            x = class_of[x]
-        return x
-
-    for (u, v), r in rel.items():
-        if r == 0:
-            class_of[find(u)] = find(v)
-    members: dict[int, list[int]] = {}
-    for x in range(1, k + 1):
-        members.setdefault(find(x), []).append(x)
-    classes = [tuple(sorted(ms)) for ms in members.values()]
-    for cls in classes:
-        for u, v in itertools.combinations(cls, 2):
-            if rel[(u, v)] != 0:
-                raise ValueError(f"balls {u} and {v} are both ordered and equivalent")
-
-    def below(cls_a, cls_b) -> bool:
-        votes = set()
-        for u in cls_a:
-            for v in cls_b:
-                r = rel[(min(u, v), max(u, v))]
-                votes.add(r if u < v else -r)
-        if len(votes) != 1:
-            raise ValueError(
-                f"rows {cls_a} and {cls_b} are ordered inconsistently"
-            )
-        return votes.pop() == -1
-
-    order = sorted(
-        classes, key=lambda c: sum(below(c, other) for other in classes if other != c),
-        reverse=True,
-    )
-    # a transitive comparison makes the win counts all distinct; verify
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if not below(order[i], order[j]):
-                raise ValueError(
-                    f"rows {order[i]} and {order[j]} break the order into a cycle"
-                )
-    return tuple(order)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for ball, row in enumerate(M.rows, start=1):
+        classes.setdefault(tuple(row), []).append(ball)
+    return tuple(tuple(classes[row]) for row in sorted(classes, reverse=True))
 
 
 def cover_canonical_order(M: CoverMatrix) -> tuple[int, ...]:
@@ -383,7 +325,9 @@ def cover_to_sequence(
     card.  The starting arrangement is forced: classes follow the cover's
     order and equivalent balls keep the terminal's relative order (they
     are always thrown together, so their order never changes).  It is
-    returned alongside the cards.
+    returned alongside the cards.  Each card comes from
+    :func:`backward_step` with its column's balls listed in level order,
+    which is what makes it order-preserving.
 
     Passing ``initial`` asserts the expected start; it is rejected if it
     orders an equivalent pair differently from ``terminal``, or if it
@@ -409,9 +353,9 @@ def cover_to_sequence(
                 )
     right = tuple(terminal)
     cards: list[Card] = []
-    for j in range(M.n, 0, -1):
-        thrown = {i + 1 for i, row in enumerate(M.rows) if row[j - 1]}
-        right, card = backward_step_order_preserving(right, thrown)
+    for j in range(M.n - 1, -1, -1):
+        thrown = tuple(ball for ball in right if M.rows[ball - 1][j])
+        right, card = backward_step(right, thrown)
         cards.append(card)
     start = right
     expected = tuple(
@@ -575,11 +519,9 @@ def sequence_from_pattern(pattern: tuple[int, ...], b: int) -> CardSequence:
     """
     if pattern != canonical_pattern(pattern):
         raise ValueError("pattern must be canonical (balls 1..k in first-use order)")
-    blocks = tuple(
-        tuple(j + 1 for j, x in enumerate(pattern) if x == ball)
-        for ball in range(1, len(set(pattern)) + 1)
-    )
-    return partition_to_sequence(blocks, identity_perm(b), b)
+    if not pattern:
+        raise ValueError("partition needs at least one block")
+    return _rebuild(tuple((ball,) for ball in pattern), identity_perm(b), b, "blocks")
 
 
 def _pair_crossing_counts(seq: CardSequence) -> dict[tuple[int, int], int]:
@@ -680,9 +622,3 @@ def compose_plus_two(
         if ball not in relabel:
             relabel[ball] = len(relabel) + 1
     return tuple(relabel[ball] for ball in merged)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

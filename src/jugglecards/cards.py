@@ -434,7 +434,8 @@ def backward_step(
     came from (bottom first).  The card's targets are then forced: the
     ball thrown from level ``j`` sits at its target level in ``right``,
     and the unthrown balls keep their relative order below the thrown
-    ones removed.
+    ones removed.  Listing ``thrown`` in level order (bottom to top in
+    ``right``) gives the order-preserving card, whose targets are sorted.
     """
     b = len(right)
     pos = {ball: lv + 1 for lv, ball in enumerate(right)}
@@ -447,27 +448,3 @@ def backward_step(
     thrown_set = set(thrown)
     left = tuple(thrown) + tuple(ball for ball in right if ball not in thrown_set)
     return left, Card(b, targets)
-
-
-def backward_step_order_preserving(
-    right: tuple[int, ...], thrown: frozenset[int] | set[int]
-) -> tuple[tuple[int, ...], Card]:
-    """Like :func:`backward_step` but with an unordered throw set.
-
-    The order is fixed by requiring the card to preserve the relative
-    order of the thrown balls, so targets come out sorted.
-    """
-    pos = {ball: lv + 1 for lv, ball in enumerate(right)}
-    for ball in thrown:
-        if ball not in pos:
-            raise ValueError(f"ball {ball} does not appear on the right side")
-    targets = tuple(sorted(pos[ball] for ball in thrown))
-    ordered = tuple(right[t - 1] for t in targets)
-    left = ordered + tuple(ball for ball in right if ball not in thrown)
-    return left, Card(len(right), targets)
-
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

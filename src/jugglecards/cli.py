@@ -31,7 +31,7 @@ def _perm(text: str, b: int) -> tuple[int, ...]:
     if text == "id":
         return tuple(range(1, b + 1))
     perm = _ints(text)
-    if sorted(perm) != list(range(1, b + 1)):
+    if len(perm) != b or sorted(perm) != list(range(1, b + 1)):
         raise ValueError(f"{text!r} is not a permutation of 1..{b}")
     return perm
 

@@ -411,8 +411,3 @@ def q_from_p(d: int, n: int, b: int, p=None) -> int:
         raise ValueError(f"need b, n >= 1, got b={b}, n={n}")
     return sum(binomial(n, k) * p(k, b) for k in range(b, n + 1))
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -107,7 +107,9 @@ class CensusQuery:
             raise ValueError(f"need at least one card, got n={self.n}")
         if not 1 <= self.m <= self.b:
             raise ValueError(f"cards throw m={self.m} balls, must be between 1 and b={self.b}")
-        if self.perm is not None and sorted(self.perm) != list(range(1, self.b + 1)):
+        if self.perm is not None and (
+            len(self.perm) != self.b or sorted(self.perm) != list(range(1, self.b + 1))
+        ):
             raise ValueError(f"perm {self.perm} is not a permutation of 1..{self.b}")
         for name in ("crossings", "max_crossings", "thrown"):
             value = getattr(self, name)

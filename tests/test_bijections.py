@@ -263,6 +263,46 @@ def test_worked_cover_partial_order():
     assert cover_canonical_order(WORKED_COVER) == (1, 3, 2, 4, 5)
 
 
+def _reference_cover_order(M):
+    """The order from its definition: ``u`` sits below ``v`` when the first
+    column holding exactly one of them holds ``u``.  A class's height is
+    the number of balls below it; classes are listed lowest first."""
+
+    def below(u, v):
+        for cu, cv in zip(M.rows[u - 1], M.rows[v - 1]):
+            if cu != cv:
+                return cu == 1
+        return False
+
+    balls = range(1, M.k + 1)
+    for u, v in itertools.combinations(balls, 2):
+        assert not (below(u, v) and below(v, u))
+    height = {u: sum(below(v, u) for v in balls) for u in balls}
+    return tuple(
+        tuple(u for u in balls if height[u] == h) for h in sorted(set(height.values()))
+    )
+
+
+def _all_covers(k, n):
+    """Every valid cover with ``k`` rows and ``n`` columns."""
+    for m in range(1, k + 1):
+        columns = list(itertools.combinations(range(k), m))
+        for cols in itertools.product(columns, repeat=n):
+            rows = tuple(tuple(int(i in col) for col in cols) for i in range(k))
+            if all(any(row) for row in rows):
+                yield CoverMatrix(rows)
+
+
+def test_cover_order_matches_its_definition():
+    covers = [M for k in range(1, 5) for n in range(1, 5) for M in _all_covers(k, n)]
+    assert len(covers) == 1634
+    for M in covers:
+        assert cover_partial_order(M) == _reference_cover_order(M), M.rows
+    as_lists = CoverMatrix([list(row) for row in WORKED_COVER.rows])
+    assert cover_partial_order(as_lists) == ((1,), (3,), (2, 4), (5,))
+    assert cover_partial_order(as_lists) == _reference_cover_order(as_lists)
+
+
 def test_worked_cover_to_sequence():
     seq, start = cover_to_sequence(WORKED_COVER, (4, 1, 5, 3, 2))
     assert start == (1, 3, 4, 2, 5)

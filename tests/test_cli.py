@@ -22,11 +22,20 @@ def run(capsys, *argv):
     return code, out, err
 
 
-def fresh(*args):
-    """A fresh interpreter on this checkout's ``src`` running ``args``."""
+def fresh(*args, cap_mb=None):
+    """A fresh interpreter on this checkout's ``src`` running ``args``,
+    its address space capped at ``cap_mb`` megabytes when given."""
+
+    def cap():
+        import resource
+
+        limit = cap_mb * 2**20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     return subprocess.run(
         [sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True, text=True, timeout=30,
+        preexec_fn=cap if cap_mb else None,
     )
 
 
@@ -200,6 +209,21 @@ def test_convert_names_the_violated_precondition(capsys):
     payload = json.dumps({"blocks": [[1, 2]], "target": [3, 2, 1]})
     code, _, err = run(capsys, "convert", "partition", "sequence", "--payload", payload)
     assert code == 2 and "blocks cannot reach this arrangement" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["convert", "partition", "sequence", "--payload",
+         json.dumps({"blocks": [[1]], "target": [1], "b": 10**9})],
+        ["census", "--b", str(10**9), "--n", "1", "--perm", "1"],
+    ],
+)
+def test_a_huge_b_is_compared_by_length_first(argv):
+    # listing 1..b would need gigabytes; the cap turns that into a MemoryError
+    done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_verify_siteswap(capsys):

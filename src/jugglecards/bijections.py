@@ -19,7 +19,6 @@ import dataclasses
 from jugglecards.cards import (
     Card,
     CardSequence,
-    arrangement_history,
     backward_step,
     crossings,
     identity_perm,
@@ -411,14 +410,47 @@ def multigraph_to_cover(k: int, edges: tuple[tuple[int, int], ...]) -> CoverMatr
 # fewest-crossing sequences and Dyck paths
 
 
+def _minimal_fault(seq: CardSequence) -> str | None:
+    """The first fewest-crossing condition ``seq`` fails, in words, or None."""
+    b = seq.b
+    if not all(c.is_single_throw for c in seq.cards):
+        return "multiplex cards are not allowed"
+    if not uses_top_throw(seq):
+        return f"the top card C{b} is never used"
+    if not is_identity(sequence_permutation(seq)):
+        return "the balls do not return to their starting levels"
+    if crossings(seq) != b * (b - 1):
+        return f"crossing number is {crossings(seq)}, not {b * (b - 1)}"
+    return None
+
+
 def is_minimal(seq: CardSequence) -> bool:
     """Single-throw, fixes the sorted stack, uses ``C_b``, crossings ``b(b-1)``."""
-    return (
-        all(c.is_single_throw for c in seq.cards)
-        and uses_top_throw(seq)
-        and is_identity(sequence_permutation(seq))
-        and crossings(seq) == seq.b * (seq.b - 1)
-    )
+    return _minimal_fault(seq) is None
+
+
+def _pattern_to_dyck(pattern: tuple[int, ...]) -> str | None:
+    """The stack scan of :func:`minimal_to_dyck` on a throw pattern, or
+    None when a ball comes back after its card was closed.  A canonical
+    pattern is fewest-crossing exactly when :func:`dyck_to_pattern` turns
+    the word back into the pattern."""
+    open_: dict[int, bool] = {}  # balls seen, True while their card is open
+    stack: list[int] = []  # balls of the open cards, each at most once
+    out: list[str] = []
+    for ball in pattern:
+        if ball in open_:
+            if not open_[ball]:
+                return None
+            closed = None
+            while closed != ball:
+                closed = stack.pop()
+                open_[closed] = False
+                out.append(")")
+        open_[ball] = True
+        stack.append(ball)
+        out.append("(")
+    out.append(")" * len(stack))
+    return "".join(out)
 
 
 def minimal_to_dyck(seq: CardSequence) -> str:
@@ -432,20 +464,7 @@ def minimal_to_dyck(seq: CardSequence) -> str:
     """
     if not is_minimal(seq):
         raise ValueError("can only encode a fewest-crossing sequence")
-    seen: set[int] = set()
-    stack: list[int] = []  # balls of the open cards, each at most once
-    out: list[str] = []
-    for ball in single_throws(throw_pattern(seq)):
-        if ball in seen:
-            closed = None
-            while closed != ball:
-                closed = stack.pop()
-                out.append(")")
-        seen.add(ball)
-        stack.append(ball)
-        out.append("(")
-    out.append(")" * len(stack))
-    return "".join(out)
+    return _pattern_to_dyck(single_throws(throw_pattern(seq)))
 
 
 def dyck_to_pattern(word: str) -> tuple[int, ...]:
@@ -524,63 +543,47 @@ def sequence_from_pattern(pattern: tuple[int, ...], b: int) -> CardSequence:
     return _rebuild(tuple((ball,) for ball in pattern), identity_perm(b), b, "blocks")
 
 
-def _pair_crossing_counts(seq: CardSequence) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    history = arrangement_history(seq)
-    for arr, card in zip(history, seq.cards):
-        ball = arr[0]
-        for other in arr[1: card.targets[0]]:
-            key = (min(ball, other), max(ball, other))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def decompose_plus_two(
     pattern: tuple[int, ...], b: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
     """Split a two-extra-crossings pattern into four plain parts.
 
-    Exactly one pair of balls crosses four times; walking its crossing
-    positions ``i1 < i2 < i3 < i4`` cuts the pattern into subpatterns
-    ``P1 = (i1, i2]``, ``P2 = (i2, i3]``, ``P3 = (i3, i4]`` and ``P0``
-    (the rest), each of which relabels to a fewest-crossing pattern.
-    Returns ``(P0, P1, P2, P3, i1)``; ``i1`` marks the cut inside ``P0``.
+    Cut down to two balls, a fewest-crossing or plus-two pattern falls
+    into ``r`` runs, and the two balls cross ``2 * (r // 2)`` times.  So
+    the four-crossing pair is the one pair with four runs or more; the
+    ends ``i1 < i2 < i3 < i4`` of its first four runs cut the pattern into
+    ``P1 = (i1, i2]``, ``P2 = (i2, i3]``, ``P3 = (i3, i4]`` and ``P0`` (the
+    rest), each relabelled canonically.  The pattern is accepted only if
+    it throws ``b`` balls and :func:`compose_plus_two`, which checks that
+    every part is fewest-crossing, joins the parts back into it.  Returns
+    ``(P0, P1, P2, P3, i1)``; ``i1`` marks the cut inside ``P0``.
+
+    >>> decompose_plus_two((1, 2, 1, 2), 2)
+    ((1,), (1,), (1,), (1,), 1)
     """
-    seq = sequence_from_pattern(pattern, b)
-    if not uses_top_throw(seq):
-        raise ValueError(f"pattern does not use the full-height throw C_{b}")
-    if crossings(seq) != b * (b - 1) + 2:
-        raise ValueError(
-            f"pattern has {crossings(seq)} crossings, not {b * (b - 1) + 2}"
-        )
-    counts = _pair_crossing_counts(seq)
-    special = [pair for pair, c in counts.items() if c == 4]
-    if len(special) != 1 or any(
-        c != 2 for pair, c in counts.items() if pair != special[0]
-    ):
+    if pattern != canonical_pattern(pattern) or max(pattern, default=0) != b:
+        raise ValueError(f"pattern must throw balls 1..{b} in first-use order")
+    runs: dict[tuple[int, int], int] = {}
+    latest: dict[int, None] = {}  # balls in the order of their latest throw
+    for ball in pattern:
+        # a new run for the ball and each ball thrown since its last throw
+        for other in reversed(latest):
+            if other == ball:
+                break
+            pair = (other, ball) if other < ball else (ball, other)
+            runs[pair] = runs.get(pair, 1) + 1
+        latest[ball] = latest.pop(ball, None)  # now the latest
+    special = [pair for pair, r in runs.items() if r >= 4]
+    if len(special) != 1:
         raise ValueError("crossings are not two plus a single four-crossing pair")
-    a, z = special[0]
-
-    def first(ball, start):
-        for j in range(start, len(pattern) + 1):
-            if pattern[j - 1] == ball:
-                return j
-        return len(pattern) + 1
-
-    def last_before(ball, stop):
-        return max(j for j in range(1, stop) if pattern[j - 1] == ball)
-
-    i1 = last_before(a, first(z, 1))
-    i2 = last_before(z, first(a, i1 + 1))
-    i3 = last_before(a, first(z, i2 + 1))
-    i4 = last_before(z, first(a, i3 + 1))
-    if not i1 < i2 < i3 < i4:
-        raise ValueError("four-crossing pair's throws do not alternate")
-    p0 = canonical_pattern(pattern[:i1] + pattern[i4:])
-    p1 = canonical_pattern(pattern[i1:i2])
-    p2 = canonical_pattern(pattern[i2:i3])
-    p3 = canonical_pattern(pattern[i3:i4])
-    return p0, p1, p2, p3, i1
+    throws = [j for j, ball in enumerate(pattern) if ball in special[0]]
+    ends = [j + 1 for j, k in zip(throws, throws[1:]) if pattern[j] != pattern[k]]
+    i1, i2, i3, i4 = (ends + [throws[-1] + 1])[:4]
+    slices = (pattern[:i1] + pattern[i4:], pattern[i1:i2], pattern[i2:i3], pattern[i3:i4])
+    parts = tuple(map(canonical_pattern, slices))
+    if compose_plus_two(*parts, i1) != pattern:
+        raise ValueError("pattern is not the join of its four parts")
+    return (*parts, i1)
 
 
 def compose_plus_two(
@@ -596,6 +599,9 @@ def compose_plus_two(
     ``1 <= i1 <= len(p0)``.  The ball at ``p0[i1-1]`` is identified with
     the last ball of ``p2``, and the last balls of ``p1`` and ``p3`` with
     each other, producing the four-crossing pair of the result.
+
+    >>> compose_plus_two((1,), (1,), (1,), (1,), 1)
+    (1, 2, 1, 2)
     """
     parts = (p0, p1, p2, p3)
     for part in parts:
@@ -603,22 +609,14 @@ def compose_plus_two(
             raise ValueError("all four patterns must be nonempty")
         if part != canonical_pattern(part):
             raise ValueError(f"pattern {part} is not canonical")
-        if not is_minimal(sequence_from_pattern(part, len(set(part)))):
+        word = _pattern_to_dyck(part)
+        if word is None or dyck_to_pattern(word) != part:
             raise ValueError(f"pattern {part} is not a fewest-crossing pattern")
     if not 1 <= i1 <= len(p0):
         raise ValueError(f"cut position {i1} outside 1..{len(p0)}")
-    A, Z = ("a",), ("z",)  # shared-ball markers, distinct from all tags below
-
-    def tagged(idx, part, marked, marker):
-        return [marker if x == marked else (idx, x) for x in part]
-
-    w0 = tagged(0, p0, p0[i1 - 1], A)
-    w1 = tagged(1, p1, p1[-1], Z)
-    w2 = tagged(2, p2, p2[-1], A)
-    w3 = tagged(3, p3, p3[-1], Z)
-    merged = w0[:i1] + w1 + w2 + w3 + w0[i1:]
-    relabel: dict = {}
-    for ball in merged:
-        if ball not in relabel:
-            relabel[ball] = len(relabel) + 1
-    return tuple(relabel[ball] for ball in merged)
+    # ball x of part i is (i, x), except for the two shared balls
+    shared = {(0, p0[i1 - 1]): "a", (2, p2[-1]): "a", (1, p1[-1]): "z", (3, p3[-1]): "z"}
+    w0, w1, w2, w3 = (
+        [shared.get((i, x), (i, x)) for x in part] for i, part in enumerate(parts)
+    )
+    return canonical_pattern(w0[:i1] + w1 + w2 + w3 + w0[i1:])

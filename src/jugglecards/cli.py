@@ -305,23 +305,11 @@ def _dyck_report(word: str) -> tuple[bool, str | None, dict]:
 
 
 def _minimal_report(seq: CardSequence) -> tuple[bool, str | None, dict]:
-    from jugglecards.bijections import is_minimal
-    from jugglecards.cards import crossings, is_identity, sequence_permutation
+    from jugglecards.bijections import _minimal_fault
+    from jugglecards.cards import crossings
 
-    b = seq.b
-    info = {"b": b, "n": seq.n, "crossings": crossings(seq)}
-    if not all(card.is_single_throw for card in seq.cards):
-        return False, "multiplex cards are not allowed", info
-    if not any(card.targets == (b,) for card in seq.cards):
-        return False, f"the top card C{b} is never used", info
-    if not is_identity(sequence_permutation(seq)):
-        return False, "the balls do not return to their starting levels", info
-    if crossings(seq) != b * (b - 1):
-        return False, (
-            f"crossing number is {crossings(seq)}, not {b * (b - 1)}"
-        ), info
-    assert is_minimal(seq)
-    return True, None, info
+    reason = _minimal_fault(seq)
+    return reason is None, reason, {"b": seq.b, "n": seq.n, "crossings": crossings(seq)}
 
 
 def cmd_verify(args, parser) -> int:
@@ -371,8 +359,9 @@ def cmd_render(args, parser) -> int:
 
 
 def cmd_census(args, parser) -> int:
-    from jugglecards.enumeration import CensusQuery, census, census_rows
+    from jugglecards.enumeration import CensusQuery, _check_family, census, census_rows
 
+    _check_family(args.b, args.m, not args.unordered)  # before --perm id lists 1..b
     query = CensusQuery(
         b=args.b,
         n=args.n,

@@ -35,6 +35,8 @@ from jugglecards.cards import (
     inverse,
 )
 
+_MAX_LEVELS = 10**6  # cards times balls: the level-map entries a family may list
+
 
 def transfer(layer: dict, moves) -> dict:
     """One card of the exact state-transfer engine.
@@ -51,17 +53,30 @@ def transfer(layer: dict, moves) -> dict:
     return nxt
 
 
+def _check_family(b: int, m: int, ordered: bool) -> None:
+    """Refuse a malformed family, or one past ``_MAX_LEVELS`` levels (``b``
+    per card), counted one factor at a time: a huge ``perm(b, m)`` takes seconds."""
+    if b < 1:
+        raise ValueError(f"need at least one ball, got b={b}")
+    if not 1 <= m <= b:
+        raise ValueError(f"cards throw m={m} balls, must be between 1 and b={b}")
+    levels = b
+    for i in range(m if ordered else min(m, b - m)):
+        if levels > _MAX_LEVELS:
+            break
+        levels = levels * (b - i) // (1 if ordered else i + 1)
+    if levels > _MAX_LEVELS:
+        raise ValueError(f"cards throwing {m} of {b} balls are too many to list")
+
+
 def throw_cards(b: int, m: int = 1, ordered: bool = True) -> tuple[Card, ...]:
     """Every card throwing ``m`` of ``b`` balls.
 
     ``ordered`` distinguishes all ``m``-permutations of target levels
     from just the ascending ones (which preserve the thrown balls'
-    relative order).
+    relative order).  A family past ``_MAX_LEVELS`` levels is refused.
     """
-    if b < 1:
-        raise ValueError(f"need at least one ball, got b={b}")
-    if not 1 <= m <= b:
-        raise ValueError(f"cards throw m={m} balls, must be between 1 and b={b}")
+    _check_family(b, m, ordered)
     if ordered:
         picks = itertools.permutations(range(1, b + 1), m)
     else:
@@ -101,12 +116,9 @@ class CensusQuery:
     thrown: int | None = None
 
     def __post_init__(self):
-        if self.b < 1:
-            raise ValueError(f"need at least one ball, got b={self.b}")
+        _check_family(self.b, self.m, self.ordered)
         if self.n < 1:
             raise ValueError(f"need at least one card, got n={self.n}")
-        if not 1 <= self.m <= self.b:
-            raise ValueError(f"cards throw m={self.m} balls, must be between 1 and b={self.b}")
         if self.perm is not None and (
             len(self.perm) != self.b or sorted(self.perm) != list(range(1, self.b + 1))
         ):

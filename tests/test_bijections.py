@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -31,6 +32,7 @@ from jugglecards.bijections import (
     sequence_to_partition,
 )
 from jugglecards.cards import (
+    arrangement_history,
     crossings,
     final_arrangement,
     identity_perm,
@@ -39,8 +41,9 @@ from jugglecards.cards import (
     sequence_permutation,
     single_throws,
     throw_pattern,
+    uses_top_throw,
 )
-from jugglecards.counting import gen_stirling, narayana
+from jugglecards.counting import gen_stirling, narayana, plus_two_count
 from jugglecards.enumeration import (
     CensusQuery,
     all_sequences,
@@ -524,6 +527,88 @@ def test_decompose_rejects_wrong_crossing_count():
         decompose_plus_two((1, 1), 1)
     with pytest.raises(ValueError):
         decompose_plus_two((1, 2, 2, 1), 2)
+
+
+def _canonical_patterns(longest):
+    """Every canonical pattern of 1..longest throws, one per set partition."""
+    for n in range(1, longest + 1):
+        for blocks in enumerate_set_partitions(n):
+            pattern = [0] * n
+            for ball, block in enumerate(blocks, start=1):
+                for j in block:
+                    pattern[j - 1] = ball
+            yield tuple(pattern)
+
+
+def _reference_plus_two(pattern, b):
+    """Plus-two by its definition on the row: it uses ``C_b``, has
+    ``b(b-1) + 2`` crossings, and exactly one pair of balls crosses four
+    times, counted card by card from the arrangements."""
+    try:
+        seq = sequence_from_pattern(pattern, b)
+    except ValueError:
+        return False
+    if not uses_top_throw(seq) or crossings(seq) != b * (b - 1) + 2:
+        return False
+    pairs = collections.Counter()
+    for arr, card in zip(arrangement_history(seq), seq.cards):
+        for other in arr[1: card.targets[0]]:
+            pairs[frozenset((arr[0], other))] += 1
+    return list(pairs.values()).count(4) == 1
+
+
+def test_decompose_accepts_exactly_the_plus_two_patterns():
+    accepted = collections.Counter()
+    for pattern in _canonical_patterns(8):
+        k = max(pattern)
+        for b in (k - 1, k, k + 1):
+            expected = _reference_plus_two(pattern, b)
+            try:
+                decompose_plus_two(pattern, b)
+            except ValueError:
+                assert not expected, (pattern, b)
+            else:
+                assert expected, (pattern, b)
+                accepted[b, len(pattern)] += 1
+    assert accepted == {
+        (b, n): plus_two_count(b, n)
+        for b in range(2, 9) for n in range(b, 9) if plus_two_count(b, n)
+    }
+
+
+def test_compose_rejects_plain_parts_that_are_not_fewest_crossing():
+    one = (1,)
+    fewest = []
+    for part in _canonical_patterns(4):
+        if is_minimal(sequence_from_pattern(part, max(part))):
+            fewest.append(part)
+            continue
+        for at in range(4):
+            parts = [one] * 4
+            parts[at] = part
+            with pytest.raises(ValueError, match="not a fewest-crossing pattern"):
+                compose_plus_two(*parts, 1)
+    for p0 in fewest:
+        for cut in (0, len(p0) + 1):
+            with pytest.raises(ValueError, match="cut position"):
+                compose_plus_two(p0, one, one, one, cut)
+
+
+def test_plus_two_maps_refuse_malformed_input_with_value_error():
+    # ValueError, never IndexError from an empty or mislabelled pattern
+    bad_decompose = [((), b) for b in (-1, 0, 1, 2)] + [
+        ((2, 1, 2, 1), 2), ((1, 3, 1, 3), 3), ((1, 2, 2, 1), 2)
+    ] + [((1, 2, 1, 2), b) for b in (-2, 0, 1, 3, 4)]
+    for pattern, b in bad_decompose:
+        with pytest.raises(ValueError):
+            decompose_plus_two(pattern, b)
+    one = (1,)
+    for parts in (
+        ((), one, one, one), (one, (), one, one), (one, one, one, ()),
+        ((2,), one, one, one), (one, one, (1, 3), one), (one, one, one, (2, 1)),
+    ):
+        with pytest.raises(ValueError):
+            compose_plus_two(*parts, 1)
 
 
 def test_canonical_pattern():

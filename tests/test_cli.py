@@ -226,6 +226,24 @@ def test_a_huge_b_is_compared_by_length_first(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--b", str(10**9), "--n", "1"],
+        ["census", "--b", str(10**9), "--n", "1", "--perm", "id"],
+        ["walk", "--b", str(10**9), "--steps", "1"],
+        ["walk", "--b", str(10**9), "--steps", "1", "--trials", "3"],
+        ["sample", "--b", str(10**9), "--n", "1"],
+    ],
+)
+def test_a_huge_card_family_is_refused_before_it_is_listed(argv):
+    # listing b cards, or 1..b for --perm id, would end in a MemoryError
+    done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "too many to list" in done.stderr
+
+
 def test_verify_siteswap(capsys):
     code, out, _ = run(capsys, "verify", "siteswap", "3,4,5")
     assert code == 0
@@ -264,6 +282,10 @@ def test_verify_minimal(capsys):
     assert "starting levels" in json.loads(out)["reason"]
     code, out, _ = run(capsys, "verify", "minimal", "C1 C1", "--b", "2")
     assert code == 1 and "C2 is never used" in json.loads(out)["reason"]
+    code, out, _ = run(capsys, "verify", "minimal", "C2,1")
+    assert code == 1 and json.loads(out)["reason"] == "multiplex cards are not allowed"
+    code, out, _ = run(capsys, "verify", "minimal", "C2 C2 C2 C2")
+    assert code == 1 and json.loads(out)["reason"] == "crossing number is 4, not 2"
 
 
 def test_render_writes_the_golden_document(capsys, tmp_path):

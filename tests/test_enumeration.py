@@ -23,6 +23,7 @@ from jugglecards.counting import (
 from jugglecards.enumeration import (
     CensusQuery,
     _census_from,
+    _check_family,
     all_sequences,
     brute_js,
     census,
@@ -86,6 +87,27 @@ def test_census_query_rejects_bad_fields(fields):
 def test_throw_cards_rejects_families_outside_one_to_b(b, m):
     for ordered in (True, False):
         with pytest.raises(ValueError):
+            throw_cards(b, m, ordered)
+
+
+@pytest.mark.parametrize(
+    "b, m, ordered, fits",
+    [
+        (1000, 1, True, True),  # 10**6 levels, the cap
+        (1001, 1, True, False),
+        (100, 2, True, True),  # 9900 cards of 100 levels
+        (101, 2, True, False),
+        (10**6, 10**6, False, True),  # one card
+        (10**6 + 1, 10**6 + 1, False, False),
+        (10**9, 10**9 // 2, True, False),  # refused without computing perm
+        (10**9, 10**9 // 2, False, False),
+    ],
+)
+def test_card_families_past_a_million_levels_are_refused(b, m, ordered, fits):
+    if fits:
+        _check_family(b, m, ordered)
+    else:
+        with pytest.raises(ValueError, match="too many to list"):
             throw_cards(b, m, ordered)
 
 

@@ -22,6 +22,9 @@ import operator
 import re
 
 
+_MAX_LEVELS = 10**6  # the most balls a card may hold; card families count cards times balls
+
+
 class MultiplexError(ValueError):
     """Raised by operations that are only defined for single-throw cards."""
 
@@ -152,7 +155,9 @@ class Card:
     """One juggling card over ``b`` balls.
 
     ``targets`` lists where the bottom ``m`` balls go: the ball entering at
-    level ``j`` leaves at level ``targets[j-1]``.
+    level ``j`` leaves at level ``targets[j-1]``.  A card of more than
+    ``_MAX_LEVELS`` balls is refused before anything is built over its
+    levels, and so is every row, since a row holds at least one card.
     """
 
     b: int
@@ -162,6 +167,8 @@ class Card:
         m = len(self.targets)
         if self.b < 1:
             raise ValueError(f"need at least one ball, got b={self.b}")
+        if self.b > _MAX_LEVELS:
+            raise ValueError(f"cards hold at most {_MAX_LEVELS} balls, got b={self.b}")
         if not 1 <= m <= self.b:
             raise ValueError(f"card throws {m} balls, must be between 1 and {self.b}")
         if len(set(self.targets)) != m:

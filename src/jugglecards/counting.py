@@ -44,6 +44,17 @@ def falling_factorial(x, m: int):
 # Stirling numbers, classical and throw-m generalization
 
 
+_MAX_BAND = 10**6  # entries a Stirling band may hold
+
+
+def _band_area(s: int, n: int, k: int) -> int:
+    """Entries of the band :func:`_band` builds for ``T(n, k)``: the sum
+    over rows ``i = 1..n`` of ``min(k, s i) - max(0, k - s(n-i)) + 1``."""
+    a = min(n, k // s)  # rows with s i <= k, whose band ends at column s i
+    c = min(n, -(-k // s))  # rows with s(n-i) < k, whose band starts above column 0
+    return n + s * a * (a + 1) // 2 + (n - a) * k - (c * k - s * c * (c - 1) // 2)
+
+
 def _band(weights, s: int, n: int, k: int) -> int:
     """``T(n, k)``, ``0 <= k <= s n``, of a recurrence
     ``T(i, c) = sum_j w_j(i, c) T(i-1, c-s+j)`` over ``j = 0..s`` with
@@ -53,8 +64,15 @@ def _band(weights, s: int, n: int, k: int) -> int:
     columns ``lo..hi-1`` of row ``i``.  ``T(n, k)`` needs only columns
     ``k - s(n-i) .. min(k, s i)`` of row ``i``, so that band is built
     bottom up, one row at a time, keeping only the row before.  Nothing
-    recurses, so ``n`` is not bounded by the recursion limit.
+    recurses, so ``n`` is not bounded by the recursion limit.  A band
+    of more than ``_MAX_BAND`` entries raises ``ValueError`` before any
+    is built.
     """
+    area = _band_area(s, n, k)
+    if area > _MAX_BAND:
+        raise ValueError(
+            f"the Stirling band for n={n}, k={k} holds {area} entries, more than {_MAX_BAND}"
+        )
     first, row = 0, [1]  # the band of the row before, from column first
     for i in range(1, n + 1):
         lo, hi = max(0, k - s * (n - i)), min(k, s * i) + 1

@@ -7,9 +7,17 @@ thrown), so its cost grows with the reachable states per layer instead
 of the ``b^n`` rows.  Collecting (:func:`census_rows`) runs the same
 layers, keeps only the moves into states that can still reach an
 accepted row, and streams the rows depth-first in tree-walk order, so
-memory holds the move graph and one row.  The per-permutation and
-cycle tallies use the same layers, and :mod:`jugglecards.stochastic`
-runs its exact walk on :func:`transfer`.
+memory holds the move graph and one row.
+
+Rows of uniform ordered ``m``-throw cards that reach a permutation
+depend only on the length of its increasing suffix, so the
+per-permutation and cycle tallies of those families, and the lumped
+exact walk in :mod:`jugglecards.stochastic`, read one table,
+:func:`_lumped_table`: each suffix class gets its counts from
+:func:`jugglecards.counting.gen_stirling`, and only the reachable
+permutations are listed.  Unordered multi-throw families tally the
+census engine's final layer, which stays the oracle for the table; the
+walk over any other family runs on :func:`transfer`.
 
 :func:`_census_from` is the brute-force oracle: a plain tree walk over
 every row, which the tests pin the engine to.  The closed forms in
@@ -23,8 +31,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
+import operator
 
 from jugglecards.cards import (
+    _MAX_LEVELS,
     Card,
     CardSequence,
     card_crossings,
@@ -32,10 +43,11 @@ from jugglecards.cards import (
     composer,
     cycle_count,
     identity_perm,
+    increasing_suffix_length,
     inverse,
 )
 
-_MAX_LEVELS = 10**6  # cards times balls: the level-map entries a family may list
+_MAX_SUPPORT = 10**6  # permutations a lumped table may list
 
 
 def transfer(layer: dict, moves) -> dict:
@@ -355,19 +367,96 @@ def count_by_permutation(
 ) -> dict:
     """Sequence counts keyed by realized permutation.
 
-    Runs the census engine with no filters and reads each final
-    arrangement as a permutation, so it stays cheap for ``n`` far beyond
-    exhaustive reach.  With ``by_thrown`` the keys are ``(perm, k)`` with
-    ``k`` the number of distinct balls thrown.  Tests pin the engine to
-    :func:`_census_from`, the brute-force oracle, and this table to a
-    tally over :func:`all_sequences`.
+    Ordered families, and single throws either way, read
+    :func:`_lumped_table`: a permutation with increasing suffix ``s`` is
+    reached by ``js_count(s, n, b, m)`` rows, so only the ``b`` suffix
+    classes are counted and the reachable permutations listed.  With
+    ``by_thrown`` the keys are ``(perm, k)`` with ``k`` the number of
+    distinct balls thrown, reached by ``gen_stirling(n, k, m)`` rows for
+    each ``k`` from ``b - s`` (at least 1) to ``b``.  Unordered
+    multi-throw families run the census engine with no filters and read
+    each final arrangement as a permutation; tests pin the table to that
+    engine and to a tally over :func:`all_sequences`.
+
+    >>> table = count_by_permutation(3, 2)
+    >>> [table[p] for p in sorted(table)]
+    [2, 1, 2, 1, 2, 1]
+    >>> count_by_permutation(3, 2, by_thrown=True)[(1, 2, 3), 1]
+    1
     """
-    layer = _Census(CensusQuery(b=b, n=n, m=m, ordered=ordered), by_thrown).final_layer()
+    query = CensusQuery(b=b, n=n, m=m, ordered=ordered)
+    if not ordered and m > 1:
+        return _census_by_permutation(query, by_thrown)
+    if not by_thrown:
+        return _lumped_table(b, n, m, lambda ks: sum(ks.values()))
+    table = _lumped_table(b, n, m, dict)
+    return {(perm, k): ways for perm, ks in table.items() for k, ways in ks.items()}
+
+
+def _census_by_permutation(query: CensusQuery, by_thrown: bool) -> dict:
+    """:func:`count_by_permutation` from the census engine's final layer."""
     out: dict = {}
-    for (arr, _, _, _, mask), ways in layer.items():
+    for (arr, _, _, _, mask), ways in _Census(query, by_thrown).final_layer().items():
         key = (inverse(arr), mask.bit_count()) if by_thrown else inverse(arr)
         out[key] = out.get(key, 0) + ways
     return out
+
+
+def _suffix_classes(b: int, n: int, m: int) -> dict[int, dict[int, int]]:
+    """``{s: {k: rows}}``: the rows of ``n`` uniform ordered ``m``-throw
+    cards landing on one permutation with increasing suffix ``s``, by
+    the number ``k`` of distinct balls they throw.
+
+    The permutation needs its ``b - s`` head balls thrown, and the rows
+    throwing exactly ``k`` balls number ``gen_stirling(n, k, m)`` for
+    every ``k`` from ``b - s`` (at least 1) to ``b``, so the sum over
+    ``k`` is ``js_count(s, n, b, m)``.  Only the classes some row
+    reaches, ``s >= b - nm``, are keyed.
+    """
+    from jugglecards.counting import gen_stirling
+
+    rows = {k: ways for k in range(1, b + 1) if (ways := gen_stirling(n, k, m))}
+    return {
+        s: {k: ways for k, ways in rows.items() if k >= b - s}
+        for s in range(max(1, b - n * m), b + 1)
+    }
+
+
+def _support_bound(b: int, n: int, m: int) -> int:
+    """How many permutations ``n`` cards of at most ``m`` throws reach:
+    those whose increasing suffix is at least ``b - nm`` long."""
+    return math.perm(b, min(b - 1, n * m))
+
+
+def _lumped_table(b: int, n: int, m: int, value) -> dict:
+    """``{perm: value(rows)}`` over the permutations of ``1..b`` that ``n``
+    uniform ordered ``m``-throw cards reach, ``rows`` being the
+    ``{k: rows}`` of the permutation's suffix class from
+    :func:`_suffix_classes`.
+
+    ``value`` runs once per class and its result is shared by the
+    class.  A permutation with suffix ``s`` needs ``b - s`` distinct
+    balls thrown and ``n`` cards throw at most ``nm``, so the reachable
+    ones end in an increasing tail of ``b - nm`` points (at least one)
+    after any order of the others: each tail from
+    ``itertools.combinations`` behind each ``itertools.permutations`` of
+    the head.  A support past ``_MAX_SUPPORT`` permutations raises
+    ``ValueError`` before anything is counted or listed.
+    """
+    if _support_bound(b, n, m) > _MAX_SUPPORT:
+        raise ValueError(
+            f"permutations of {b} points reached by {n} cards of {m} throws "
+            f"number more than {_MAX_SUPPORT}"
+        )
+    per_class = {s: value(ks) for s, ks in _suffix_classes(b, n, m).items()}
+    least = max(1, b - n * m)
+    points = range(1, b + 1)
+    support = []
+    for tail in itertools.combinations(points, least):
+        head = [x for x in points if x not in tail]
+        support.extend(map(operator.add, itertools.permutations(head), itertools.repeat(tail)))
+    classes = map(increasing_suffix_length, support)
+    return dict(zip(support, map(per_class.__getitem__, classes)))
 
 
 def brute_js(sigma: tuple[int, ...], n: int, b: int, m: int = 1) -> int:

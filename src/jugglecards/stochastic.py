@@ -13,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import operator
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
@@ -27,7 +26,12 @@ from jugglecards.cards import (
     increasing_suffix_length,
     inverse,
 )
-from jugglecards.enumeration import throw_cards, transfer
+from jugglecards.enumeration import (
+    _lumped_table,
+    _support_bound,
+    throw_cards,
+    transfer,
+)
 from jugglecards.rng import RandomStream
 
 _BLOCK = 4096  # draws per batch, which bounds the size of the packed ints
@@ -158,10 +162,11 @@ def exact_step_distribution(gd: GeneratorDistribution, n: int) -> GroupDistribut
     A uniform draw from the ordered ``m``-throw cards (the generators of
     ``card_distribution(b, m)`` in any order, all with one probability)
     takes the lumped walk: after ``n ≥ 1`` steps a permutation's mass
-    depends only on the length of its increasing suffix, and is read
-    from :func:`jugglecards.counting.js_count`.  This is the
-    top-to-random lumping of Diaconis, Fill and Pitman (1992), so the
-    walk computes ``b`` counts instead of pushing weights over up to
+    depends only on the length of its increasing suffix, and is the
+    row count of :func:`jugglecards.enumeration.count_by_permutation`
+    over ``(b)_m ** n``, read from the same suffix-class table.  This is
+    the top-to-random lumping of Diaconis, Fill and Pitman (1992), so
+    the walk computes ``b`` counts instead of pushing weights over up to
     ``b!`` states for every step.  Every other family (weighted,
     unordered, any other generators) runs the transfer walk over
     permutation states.
@@ -190,37 +195,13 @@ def _lumped_throws(gd: GeneratorDistribution) -> int | None:
     return m
 
 
-def _suffix_law(b: int, n: int, m: int) -> dict[int, Fraction]:
-    """Mass of each permutation with increasing suffix ``k`` after ``n``
-    uniform ordered ``m``-throw cards, for ``k`` in 1..b.
-
-    ``js_count`` counts the rows landing on one such permutation, out of
-    ``(b)_m ** n`` rows.
-    """
-    from jugglecards.counting import js_count
-
-    rows = math.perm(b, m) ** n
-    return {k: Fraction(js_count(k, n, b, m), rows) for k in range(1, b + 1)}
-
-
 def _lumped_walk(b: int, n: int, m: int) -> GroupDistribution:
-    """The walk of :func:`_suffix_law` spread over its support.
-
-    A permutation with increasing suffix ``k`` needs ``b - k`` distinct
-    balls thrown, and ``n`` cards throw at most ``nm``; so the support is
-    every permutation that ends in an increasing ``tail`` of ``least =
-    b - nm`` points (at least one), after any order of the others.
-    """
-    least = max(1, b - n * m)
+    """The walk as :func:`jugglecards.enumeration._lumped_table`, each
+    suffix class's row count divided by the ``(b)_m ** n`` rows: one
+    ``Fraction`` per class, shared by the permutations of that class."""
     _check_states(b, n, _support_bound(b, n, m))
-    law = _suffix_law(b, n, m)
-    points = range(1, b + 1)
-    support = []
-    for tail in itertools.combinations(points, least):
-        head = [x for x in points if x not in tail]
-        support.extend(map(operator.add, itertools.permutations(head), itertools.repeat(tail)))
-    classes = map(increasing_suffix_length, support)
-    return GroupDistribution(dict(zip(support, map(law.__getitem__, classes))))
+    rows = math.perm(b, m) ** n
+    return GroupDistribution(_lumped_table(b, n, m, lambda ks: Fraction(sum(ks.values()), rows)))
 
 
 def _transfer_walk(gd: GeneratorDistribution, n: int) -> GroupDistribution:
@@ -245,12 +226,6 @@ def _transfer_walk(gd: GeneratorDistribution, n: int) -> GroupDistribution:
         layer = transfer(layer, moves)
     total = sum(ints) ** n
     return GroupDistribution({g: Fraction(ways, total) for g, ways in layer.items()})
-
-
-def _support_bound(b: int, n: int, m: int) -> int:
-    """How many permutations ``n`` cards of at most ``m`` throws reach:
-    those whose increasing suffix is at least ``b - nm`` long."""
-    return math.perm(b, min(b - 1, n * m))
 
 
 def _check_states(b: int, n: int, states: int) -> None:

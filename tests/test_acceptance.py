@@ -56,6 +56,7 @@ from jugglecards.counting import (
 )
 from jugglecards.enumeration import (
     CensusQuery,
+    _suffix_classes,
     all_sequences,
     brute_js,
     census,
@@ -69,7 +70,6 @@ from jugglecards.enumeration import (
 from jugglecards.rng import RandomStream
 from jugglecards.stochastic import (
     GeneratorDistribution,
-    _suffix_law,
     card_distribution,
     exact_step_distribution,
     point_distribution,
@@ -209,7 +209,8 @@ def test_c10_single_cycle_mass_is_one_over_b():
 
 
 def test_c10b_single_cycle_mass_is_one_over_b_up_to_sixty_balls():
-    # the lumped walk's law by suffix class, weighed with the class sizes;
+    # the lumped walk's law: the suffix-class row counts it shares with
+    # count_by_permutation over b**n rows, weighed with the class sizes;
     # no b! state space is built
     start = time.perf_counter()
     grid = {1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 200}
@@ -217,7 +218,8 @@ def test_c10b_single_cycle_mass_is_one_over_b_up_to_sixty_balls():
         at_least = [count_suffix_at_least(b, k) for k in range(1, b + 1)] + [0]
         cycles = [count_suffix_at_least(b, k, cyclic=True) for k in range(1, b)] + [0, 0]
         for n in sorted(grid | {b - 1, b, b + 1}):
-            law = _suffix_law(b, n, 1)
+            law = {k: Fraction(sum(rows.values()), b**n)
+                   for k, rows in _suffix_classes(b, n, 1).items()}
             assert sum(law[k] * (at_least[k - 1] - at_least[k]) for k in law) == 1, (b, n)
             assert sum(law[k] * (cycles[k - 1] - cycles[k]) for k in law) == Fraction(1, b), (b, n)
     assert time.perf_counter() - start < 5.0

@@ -143,6 +143,15 @@ def test_card_validation():
         Card(0, (1,))
 
 
+def test_cards_and_rows_over_too_many_balls_are_refused():
+    # checked before anything is built over the levels
+    Card(10**6, (10**6,))
+    with pytest.raises(ValueError, match="at most 1000000 balls, got b=1000001"):
+        Card(10**6 + 1, (1,))
+    with pytest.raises(ValueError, match="got b=1000000000"):
+        parse_sequence("C3 C1", 10**9)
+
+
 def test_parse_and_print_cards():
     assert parse_card("C3", 4) == single_throw(4, 3)
     assert parse_card("C2,5", 5) == Card(5, (2, 5))

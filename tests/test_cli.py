@@ -244,6 +244,22 @@ def test_a_huge_card_family_is_refused_before_it_is_listed(argv):
     assert "too many to list" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "minimal", "C1000000000"],
+        ["render", "C3", "--b", str(10**9)],
+        ["convert", "sequence", "dyck", "--payload",
+         json.dumps({"b": 10**9, "cards": "C1000000000"})],
+    ],
+)
+def test_a_row_over_a_huge_b_is_refused_before_it_is_built(argv):
+    # the row's level maps would list 1..b and end in a MemoryError
+    done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: cards hold at most 1000000 balls, got b=1000000000\n"
+
+
 def test_verify_siteswap(capsys):
     code, out, _ = run(capsys, "verify", "siteswap", "3,4,5")
     assert code == 0
@@ -432,6 +448,13 @@ def test_count_builds_long_stirling_rows_without_recursion(capsys):
     assert code == 0 and int(out) == (3**n - 3 * 2**n + 3) // 6
     code, out, _ = run(capsys, "count", "gen-stirling", "--n", "3000", "--k", "2", "--m", "1")
     assert code == 0 and int(out) == 2**2999 - 1
+
+
+def test_count_refuses_a_stirling_band_past_a_million_entries(capsys):
+    code, out, err = run(capsys, "count", "stirling1", "--n", "4000", "--k", "2000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the Stirling band for n=4000, k=2000 ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,17 @@
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from jugglecards import counting
 from jugglecards.cards import cycle_count, increasing_suffix_length
 from jugglecards.counting import (
+    _band,
+    _band_area,
+    _stirling2_weights,
     binomial,
     convolved_pair_identity,
     count_suffix_at_least,
@@ -27,7 +32,7 @@ from jugglecards.counting import (
     stirling1,
     stirling2,
 )
-from jugglecards.enumeration import CensusQuery, census, count_by_permutation
+from jugglecards.enumeration import CensusQuery, _census_by_permutation, census
 
 
 def identity(b):
@@ -159,6 +164,27 @@ def test_stirling_numbers_far_past_the_recursion_limit():
     assert [stirling1(b, l) for b, l in ((0, 0), (5, 0), (-1, 0), (3, -1))] == [1, 0, 0, 0]
 
 
+def test_band_area_is_the_sum_of_its_row_widths():
+    for s in (1, 2, 3):
+        for n in range(1, 25):
+            for k in range(s * n + 1):
+                widths = (min(k, s * i) - max(0, k - s * (n - i)) + 1 for i in range(1, n + 1))
+                assert _band_area(s, n, k) == sum(widths), (s, n, k)
+
+
+def test_stirling_bands_past_the_bound_are_refused_before_they_start():
+    # stirling1(4000, 2000) would fill 4,004,000 big-integer entries
+    untouched = dict(side_effect=AssertionError)
+    with mock.patch.object(counting, "_stirling1_weights", **untouched):
+        with pytest.raises(ValueError, match="n=4000, k=2000 holds 4004000 entries"):
+            stirling1(4000, 2000)
+    area = _band_area(1, 10, 3)
+    with mock.patch.object(counting, "_MAX_BAND", area):
+        assert _band(_stirling2_weights, 1, 10, 3) == 9330
+    with mock.patch.object(counting, "_MAX_BAND", area - 1), pytest.raises(ValueError):
+        _band(_stirling2_weights, 1, 10, 3)
+
+
 def test_count_suffix_at_least_against_brute():
     for b in range(1, 7):
         perms = list(itertools.permutations(range(1, b + 1)))
@@ -214,10 +240,16 @@ def test_js_count_identity_counts_everything():
             assert full == b**n, (b, n)
 
 
+def _engine_table(b, n, m=1, by_thrown=False):
+    """Counts by permutation from the census engine's permutation states,
+    not from the closed forms that :func:`count_by_permutation` reads."""
+    return _census_by_permutation(CensusQuery(b=b, n=n, m=m), by_thrown)
+
+
 def test_js_count_matches_dynamic_program_single():
     for b in range(2, 5):
         for n in range(1, 6):
-            table = count_by_permutation(b, n)
+            table = _engine_table(b, n)
             for perm, ways in table.items():
                 assert ways == js_count(increasing_suffix_length(perm), n, b, 1)
 
@@ -225,14 +257,14 @@ def test_js_count_matches_dynamic_program_single():
 def test_js_count_matches_dynamic_program_multiplex():
     for b in range(2, 5):
         for n in range(1, 4):
-            table = count_by_permutation(b, n, m=2)
+            table = _engine_table(b, n, m=2)
             for perm, ways in table.items():
                 assert ways == js_count(increasing_suffix_length(perm), n, b, 2)
 
 
 def test_js_count_splits_by_thrown_balls():
     b, n, m = 4, 3, 2
-    table = count_by_permutation(b, n, m=m, by_thrown=True)
+    table = _engine_table(b, n, m=m, by_thrown=True)
     for (perm, k), ways in table.items():
         assert ways == gen_stirling(n, k, m), (perm, k)
         assert k >= b - increasing_suffix_length(perm)

@@ -1,15 +1,18 @@
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jugglecards import enumeration
 from jugglecards.cards import (
     Card,
     CardSequence,
     card_permutation,
     cycle_count,
     identity_perm,
+    inverse,
     inversions,
     sequence_permutation,
 )
@@ -22,6 +25,8 @@ from jugglecards.counting import (
 )
 from jugglecards.enumeration import (
     CensusQuery,
+    _Census,
+    _census_by_permutation,
     _census_from,
     _check_family,
     all_sequences,
@@ -36,6 +41,7 @@ from jugglecards.enumeration import (
     enumerate_plus,
     enumerate_set_partitions,
     throw_cards,
+    transfer,
 )
 
 
@@ -311,3 +317,56 @@ def test_count_by_thrown_tracks_distinct_balls():
             key = (sequence_permutation(seq), len(set(pat)))
             tally[key] = tally.get(key, 0) + 1
         assert tally == table
+
+
+def _engine_tables(b, m, depth):
+    """``(n, table)`` for n = 1..depth: the census engine's permutation
+    states tallied by permutation and thrown count, one card at a time,
+    so every n costs one engine run."""
+    states = _Census(CensusQuery(b=b, n=depth, m=m), track_thrown=True)
+    layer = {states.start: 1}
+    for n in range(1, depth + 1):
+        layer = transfer(layer, lambda s: [(c, 1) for _, c in states.children(s, 0)])
+        table = {}
+        for (arr, _, _, _, mask), ways in layer.items():
+            key = (inverse(arr), mask.bit_count())
+            table[key] = table.get(key, 0) + ways
+        yield n, table
+
+
+def test_lumped_counts_are_the_engine_tables():
+    # ordered families read the suffix-class table; the engine is its oracle
+    for b in range(1, 7):
+        for m in range(1, min(b, 3) + 1):
+            for n, by_thrown in _engine_tables(b, m, 7):
+                assert count_by_permutation(b, n, m, by_thrown=True) == by_thrown, (b, n, m)
+                plain = {}
+                for (perm, _), ways in by_thrown.items():
+                    plain[perm] = plain.get(perm, 0) + ways
+                assert count_by_permutation(b, n, m) == plain, (b, n, m)
+
+
+def test_unordered_families_take_the_table_only_for_single_throws():
+    for b, n in ((3, 4), (4, 3)):
+        for by_thrown in (False, True):
+            query = CensusQuery(b=b, n=n, ordered=False)
+            assert count_by_permutation(b, n, ordered=False, by_thrown=by_thrown) == (
+                _census_by_permutation(query, by_thrown))
+            with mock.patch.object(enumeration, "_lumped_table", side_effect=AssertionError):
+                table = count_by_permutation(b, n, m=2, ordered=False, by_thrown=by_thrown)
+            assert table == _census_by_permutation(
+                CensusQuery(b=b, n=n, m=2, ordered=False), by_thrown)
+
+
+def test_the_lumped_table_refuses_a_support_past_its_bound():
+    # three single throws on 4 balls reach 4!/1! = 24 permutations
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 24):
+        assert len(count_by_permutation(4, 3)) == 24
+    untouched = dict(side_effect=AssertionError)
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 23), \
+            mock.patch.object(enumeration, "_suffix_classes", **untouched), \
+            mock.patch.object(enumeration, "increasing_suffix_length", **untouched):
+        with pytest.raises(ValueError, match="more than 23"):
+            count_by_permutation(4, 3)
+        with pytest.raises(ValueError, match="more than 23"):
+            count_by_permutation(4, 3, by_thrown=True)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -15,7 +16,7 @@ from jugglecards.cards import (
     identity_perm,
     increasing_suffix_length,
 )
-from jugglecards.enumeration import cycle_census, throw_cards
+from jugglecards.enumeration import count_by_permutation, cycle_census, throw_cards
 from jugglecards.rng import RandomStream, mix, mix_many
 from jugglecards.stochastic import (
     GeneratorDistribution,
@@ -247,6 +248,18 @@ def test_lumped_walk_is_the_transfer_walk(b):
                 assert exact_step_distribution(gd, n) == expected, (m, n)
 
 
+def test_uniform_walk_is_the_counts_over_all_rows():
+    # the walk and count_by_permutation read one suffix-class table
+    for b in range(1, 6):
+        for m in range(1, min(b, 2) + 1):
+            gd = card_distribution(b, m)
+            for n in range(1, 6):
+                rows = math.perm(b, m) ** n
+                counts = count_by_permutation(b, n, m)
+                expected = {g: Fraction(ways, rows) for g, ways in counts.items()}
+                assert exact_step_distribution(gd, n).prob == expected, (b, m, n)
+
+
 def _stepped(gd, n):
     """``n`` single steps from the identity, on Fraction weights."""
     d = point_distribution(gd.degree)
@@ -264,7 +277,7 @@ def test_families_that_do_not_lump_take_the_transfer_walk():
     ]
     for gd in families:
         for n in (1, 2, 5):
-            with mock.patch.object(stochastic, "_suffix_law", side_effect=AssertionError):
+            with mock.patch.object(stochastic, "_lumped_table", side_effect=AssertionError):
                 assert exact_step_distribution(gd, n) == _stepped(gd, n), (gd, n)
 
 
@@ -279,7 +292,7 @@ def test_reordered_uniform_generators_still_lump():
 
 def test_huge_exact_walks_are_refused_before_they_start():
     untouched = dict(side_effect=AssertionError)
-    with mock.patch.object(stochastic, "_suffix_law", **untouched), \
+    with mock.patch.object(stochastic, "_lumped_table", **untouched), \
             mock.patch.object(stochastic, "transfer", **untouched):
         with pytest.raises(ValueError, match="more than 1000000 permutations"):
             exact_step_distribution(card_distribution(30), 5)

@@ -197,12 +197,16 @@ def single_throw(b: int, i: int) -> Card:
 _CARD_RE = re.compile(r"^C(\d+(?:,\d+)*)$")
 
 
-def parse_card(text: str, b: int) -> Card:
-    """Parse card names like ``C3`` or ``C2,5``."""
+def _targets(text: str) -> tuple[int, ...]:
     m = _CARD_RE.match(text.strip())
     if not m:
         raise ValueError(f"cannot parse card {text!r}, expected e.g. C3 or C2,5")
-    return Card(b, tuple(int(t) for t in m.group(1).split(",")))
+    return tuple(int(t) for t in m.group(1).split(","))
+
+
+def parse_card(text: str, b: int) -> Card:
+    """Parse card names like ``C3`` or ``C2,5``."""
+    return Card(b, _targets(text))
 
 
 def card_permutation(card: Card) -> tuple[int, ...]:
@@ -279,6 +283,13 @@ def parse_sequence(text: str, b: int) -> CardSequence:
     if not names:
         raise ValueError("empty card sequence")
     return CardSequence(b, tuple(parse_card(t, b) for t in names))
+
+
+def _highest_target(text: str) -> int:
+    """The highest target level in a row of card names, read by the
+    grammar of :func:`parse_card`, so the fewest balls the row fits; 0
+    for a row with no cards, which :func:`parse_sequence` refuses."""
+    return max((max(_targets(name)) for name in text.split()), default=0)
 
 
 def sequence_permutation(seq: CardSequence) -> tuple[int, ...]:

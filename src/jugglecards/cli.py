@@ -36,26 +36,13 @@ def _perm(text: str, b: int) -> tuple[int, ...]:
     return perm
 
 
-def _infer_b(cards_text: str) -> int:
-    targets = [
-        int(level)
-        for token in cards_text.split()
-        for level in token.lstrip("Cc").split(",")
-        if level
-    ]
-    if not targets:
-        raise ValueError("empty card sequence")
-    return max(targets)
-
-
 def _sequence(cards_text: str, b: int | None) -> CardSequence:
-    from jugglecards.cards import parse_sequence
+    from jugglecards.cards import _highest_target, parse_sequence
 
-    return parse_sequence(cards_text, _infer_b(cards_text) if b is None else b)
+    return parse_sequence(cards_text, _highest_target(cards_text) if b is None else b)
 
 
-def _payload(args) -> dict:
-    text = args.payload if args.payload is not None else sys.stdin.read()
+def _payload(text: str) -> dict:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -89,51 +76,35 @@ def _require(args, parser, *names):
     return values
 
 
-def cmd_count(args, parser) -> int:
-    from jugglecards.counting import (
-        gen_stirling,
-        js_count,
-        narayana,
-        p0,
-        p2,
-        p4,
-        plus_two_count,
-        q_from_p,
-        stirling1,
-        stirling2,
-    )
+# each kind: its function in jugglecards.counting and the flags it takes, in order
+_COUNTS = {
+    "stirling2": ("stirling2", ("n", "k")),
+    "gen-stirling": ("gen_stirling", ("n", "k", "m")),
+    "js": ("js_count", ("arrangement", "n", "m")),
+    "narayana": ("narayana", ("b", "n")),
+    "g": ("plus_two_count", ("b", "n")),
+    "p0": ("p0", ("n", "b")),
+    "p2": ("p2", ("n", "b")),
+    "p4": ("p4", ("n", "b")),
+    "qd": ("q_from_p", ("d", "n", "b")),
+    "stirling1": ("stirling1", ("n", "k")),
+}
 
-    kind = args.kind
-    if kind == "stirling2":
-        n, k = _require(args, parser, "n", "k")
-        value = stirling2(n, k)
-    elif kind == "gen-stirling":
-        n, k, m = _require(args, parser, "n", "k", "m")
-        value = gen_stirling(n, k, m)
-    elif kind == "js":
+
+def cmd_count(args, parser) -> int:
+    from jugglecards import counting
+
+    name, flags = _COUNTS[args.kind]
+    values = _require(args, parser, *flags)
+    if flags[0] == "arrangement":
+        # the count depends on the arrangement through its size and the
+        # increasing suffix of its level map
         from jugglecards.cards import increasing_suffix_length, inverse
 
-        text, n, m = _require(args, parser, "arrangement", "n", "m")
-        arrangement = _ints(text)
-        b = len(arrangement)
-        sigma = inverse(_perm(text, b))
-        value = js_count(increasing_suffix_length(sigma), n, b, m)
-    elif kind == "narayana":
-        b, n = _require(args, parser, "b", "n")
-        value = narayana(b, n)
-    elif kind == "g":
-        b, n = _require(args, parser, "b", "n")
-        value = plus_two_count(b, n)
-    elif kind in ("p0", "p2", "p4"):
-        n, b = _require(args, parser, "n", "b")
-        value = {"p0": p0, "p2": p2, "p4": p4}[kind](n, b)
-    elif kind == "qd":
-        d, n, b = _require(args, parser, "d", "n", "b")
-        value = q_from_p(d, n, b)
-    else:
-        n, k = _require(args, parser, "n", "k")
-        value = stirling1(n, k)
-    print(value)
+        text, n, m = values
+        sigma = inverse(_perm(text, len(_ints(text))))
+        values = increasing_suffix_length(sigma), n, len(sigma), m
+    print(getattr(counting, name)(*values))
     return 0
 
 
@@ -266,7 +237,8 @@ def _convert(kind: tuple[str, str], data: dict):
 
 
 def cmd_convert(args, parser) -> int:
-    out, human = _convert((args.source, args.dest), _payload(args))
+    text = args.payload if args.payload is not None else sys.stdin.read()
+    out, human = _convert((args.source, args.dest), _payload(text))
     _emit(args, out, human)
     return 0
 
@@ -319,8 +291,7 @@ def cmd_verify(args, parser) -> int:
     elif args.kind == "cover":
         from jugglecards.bijections import CoverMatrix
 
-        data = json.loads(text)
-        rows = _load_int_lists(data if isinstance(data, dict) else {}, "rows")
+        rows = _load_int_lists(_payload(text), "rows")
         try:
             M = CoverMatrix(rows)
             valid, reason, info = True, None, {"k": M.k, "n": M.n, "m": M.m}
@@ -351,7 +322,11 @@ def cmd_render(args, parser) -> int:
     )
     doc = render_svg(_sequence(args.cards, args.b), spec)
     if args.output:
-        with open(args.output, "w") as handle:
+        try:
+            handle = open(args.output, "w")
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror}")
+        with handle:
             handle.write(doc)
     else:
         sys.stdout.write(doc)
@@ -402,7 +377,7 @@ def cmd_sample(args, parser) -> int:
         n=args.n,
         m=args.m,
         ordered=not args.unordered,
-        weights=_ints(args.weights) if args.weights else None,
+        weights=args.weights,
         seed=args.seed,
     )
     _emit(args, {**_seq_json(seq), "seed": args.seed}, str(seq))
@@ -419,14 +394,13 @@ def cmd_walk(args, parser) -> int:
         single_cycle_mass,
     )
 
-    weights = _ints(args.weights) if args.weights else None
     if args.trials is not None:
         estimate = estimate_single_cycle_probability(
             args.b,
             args.steps,
             m=args.m,
             ordered=not args.unordered,
-            weights=weights,
+            weights=args.weights,
             trials=args.trials,
             seed=args.seed,
         )
@@ -440,7 +414,7 @@ def cmd_walk(args, parser) -> int:
         _emit(args, out, f"single-cycle mass ~ {estimate}")
         return 0
     gd = card_distribution(
-        args.b, m=args.m, ordered=not args.unordered, weights=weights
+        args.b, m=args.m, ordered=not args.unordered, weights=args.weights
     )
     dist = exact_step_distribution(gd, args.steps)
     mass = single_cycle_mass(dist)
@@ -477,13 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     count = sub.add_parser("count", help="evaluate one exact counting formula")
-    count.add_argument(
-        "kind",
-        choices=[
-            "stirling2", "gen-stirling", "js", "narayana", "g",
-            "p0", "p2", "p4", "qd", "stirling1",
-        ],
-    )
+    count.add_argument("kind", choices=_COUNTS)
     count.add_argument("--n", type=int)
     count.add_argument("--k", type=int)
     count.add_argument("--b", type=int)
@@ -530,11 +498,21 @@ def build_parser() -> argparse.ArgumentParser:
     render.add_argument("--output", help="write here instead of stdout")
     render.set_defaults(run=cmd_render)
 
-    cen = sub.add_parser("census", help="count or list rows matching a filter")
-    cen.add_argument("--b", type=int, required=True)
+    # the card family and output flags of census, sample and walk
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--b", type=int, required=True)
+    family.add_argument("--m", type=int, default=1)
+    family.add_argument("--unordered", action="store_true")
+    family.add_argument("--human", action="store_true")
+    # the draw flags of sample and walk
+    draws = argparse.ArgumentParser(add_help=False)
+    draws.add_argument("--weights", type=_ints, help="comma-separated card weights")
+    draws.add_argument("--seed", type=int, default=0)
+
+    cen = sub.add_parser(
+        "census", parents=[family], help="count or list rows matching a filter"
+    )
     cen.add_argument("--n", type=int, required=True)
-    cen.add_argument("--m", type=int, default=1)
-    cen.add_argument("--unordered", action="store_true")
     cen.add_argument("--perm", help='"id" or a comma-separated level map')
     cen.add_argument("--crossings", type=int)
     cen.add_argument("--max-crossings", type=int)
@@ -542,28 +520,19 @@ def build_parser() -> argparse.ArgumentParser:
     cen.add_argument("--uses-top", action=argparse.BooleanOptionalAction)
     cen.add_argument("--thrown", type=int, help="exact count of distinct balls")
     cen.add_argument("--collect", action="store_true", help="list instead of count")
-    cen.add_argument("--human", action="store_true")
     cen.set_defaults(run=cmd_census)
 
-    sample = sub.add_parser("sample", help="draw a random card row")
-    sample.add_argument("--b", type=int, required=True)
+    sample = sub.add_parser(
+        "sample", parents=[family, draws], help="draw a random card row"
+    )
     sample.add_argument("--n", type=int, required=True)
-    sample.add_argument("--m", type=int, default=1)
-    sample.add_argument("--unordered", action="store_true")
-    sample.add_argument("--weights", help="comma-separated card weights")
-    sample.add_argument("--seed", type=int, default=0)
-    sample.add_argument("--human", action="store_true")
     sample.set_defaults(run=cmd_sample)
 
-    walk = sub.add_parser("walk", help="distribution after n random cards")
-    walk.add_argument("--b", type=int, required=True)
+    walk = sub.add_parser(
+        "walk", parents=[family, draws], help="distribution after n random cards"
+    )
     walk.add_argument("--steps", type=int, required=True)
-    walk.add_argument("--m", type=int, default=1)
-    walk.add_argument("--unordered", action="store_true")
-    walk.add_argument("--weights", help="comma-separated card weights")
     walk.add_argument("--trials", type=int, help="Monte Carlo instead of exact")
-    walk.add_argument("--seed", type=int, default=0)
-    walk.add_argument("--human", action="store_true")
     walk.set_defaults(run=cmd_walk)
 
     return parser

@@ -370,10 +370,14 @@ def convolved_pair_identity(b: int, n: int) -> tuple[Fraction, Fraction]:
 def p0(n: int, b: int) -> int:
     """Primitive fewest-crossing sequences: no ``C_1`` card anywhere.
 
-    ``p0(n, b) = 1/(t+1) C(b-2, t) C(b+t, t)`` with ``t = n - b``.
+    ``p0(n, b) = 1/(t+1) C(b-2, t) C(b+t, t)`` with ``t = n - b``, for
+    ``b >= 2``.  On one ball ``C_1`` is also the top card ``C_b``, which
+    the sequences must use, so there are none.
     """
     if b < 1 or n < b:
         raise ValueError(f"need n >= b >= 1, got n={n}, b={b}")
+    if b == 1:
+        return 0
     t = n - b
     q, r = divmod(binomial(b - 2, t) * binomial(b + t, t), t + 1)
     assert r == 0
@@ -418,7 +422,11 @@ def q_from_p(d: int, n: int, b: int, p=None) -> int:
 
     Dropping all ``C_1`` cards from a sequence leaves a primitive one
     with the same crossings, so ``Q_d(n, b) = sum_k C(n, k) P_d(k, b)``.
-    ``p`` defaults to the closed form for surplus ``d``.
+    ``p`` defaults to the closed form for surplus ``d``.  Every primitive
+    card crosses at least once, so the sum stops at ``k = b(b-1) + d``.
+    On one ball the only card, ``C_1``, is also the top card: the one
+    sequence of each length has no crossings, and dropping its cards
+    leaves none.
     """
     if p is None:
         try:
@@ -427,5 +435,7 @@ def q_from_p(d: int, n: int, b: int, p=None) -> int:
             raise ValueError(f"no closed form for surplus {d}; pass p explicitly")
     if b < 1 or n < 1:
         raise ValueError(f"need b, n >= 1, got b={b}, n={n}")
-    return sum(binomial(n, k) * p(k, b) for k in range(b, n + 1))
+    if b == 1:
+        return int(d == 0)
+    return sum(binomial(n, k) * p(k, b) for k in range(b, min(n, b * (b - 1) + d) + 1))
 

@@ -20,7 +20,10 @@ census engine's final layer, which stays the oracle for the table; the
 walk over any other family runs on :func:`transfer`.
 
 :func:`_census_from` is the brute-force oracle: a plain tree walk over
-every row, which the tests pin the engine to.  The closed forms in
+every row, which the tests pin the engine to.  It moves the balls with
+:func:`jugglecards.cards.apply_card`, from each card's targets, where
+the engine composes level maps, so the two check two definitions of a
+card against each other.  The closed forms in
 :mod:`jugglecards.counting` and the maps in :mod:`jugglecards.bijections`
 are checked against both over small ranges.  The structure oracles at
 the end import :mod:`jugglecards.bijections` when first run, so a census
@@ -38,6 +41,7 @@ from jugglecards.cards import (
     _MAX_LEVELS,
     Card,
     CardSequence,
+    apply_card,
     card_crossings,
     card_permutation,
     composer,
@@ -47,7 +51,7 @@ from jugglecards.cards import (
     inverse,
 )
 
-_MAX_SUPPORT = 10**6  # permutations a lumped table may list
+_MAX_SUPPORT = 10**6  # permutations an exact table or walk may hold
 
 
 def transfer(layer: dict, moves) -> dict:
@@ -149,7 +153,6 @@ def _budget(query: CensusQuery) -> int | None:
 
 def _census_from(query: CensusQuery, collect: bool):
     cards = throw_cards(query.b, query.m, query.ordered)
-    perms = [card_permutation(c) for c in cards]
     deltas = [card_crossings(c) for c in cards]
     is_bottom = [c.targets == (1,) for c in cards]
     is_top = [c.targets == (query.b,) for c in cards]
@@ -194,7 +197,7 @@ def _census_from(query: CensusQuery, collect: bool):
             prefix.append(cards[i])
             walk(
                 depth + 1,
-                _apply(arr, perms[i]),
+                apply_card(arr, cards[i]),
                 cr2,
                 top_seen or is_top[i],
                 bottom_seen or is_bottom[i],
@@ -205,14 +208,6 @@ def _census_from(query: CensusQuery, collect: bool):
 
     walk(0, identity_perm(query.b), 0, False, False, set(), [])
     return tuple(found) if collect else count
-
-
-def _apply(arr, perm):
-    # send the ball at level l to level perm[l-1]
-    out = [0] * len(arr)
-    for level, ball in enumerate(arr):
-        out[perm[level] - 1] = ball
-    return tuple(out)
 
 
 class _Census:
@@ -428,6 +423,15 @@ def _support_bound(b: int, n: int, m: int) -> int:
     return math.perm(b, min(b - 1, n * m))
 
 
+def _check_support(b: int, n: int, support: int) -> None:
+    """Refuse a table of ``support`` permutations past ``_MAX_SUPPORT``."""
+    if support > _MAX_SUPPORT:
+        raise ValueError(
+            f"a table of the permutations of {b} points reached in {n} steps "
+            f"would hold more than {_MAX_SUPPORT} permutations"
+        )
+
+
 def _lumped_table(b: int, n: int, m: int, value) -> dict:
     """``{perm: value(rows)}`` over the permutations of ``1..b`` that ``n``
     uniform ordered ``m``-throw cards reach, ``rows`` being the
@@ -443,11 +447,7 @@ def _lumped_table(b: int, n: int, m: int, value) -> dict:
     the head.  A support past ``_MAX_SUPPORT`` permutations raises
     ``ValueError`` before anything is counted or listed.
     """
-    if _support_bound(b, n, m) > _MAX_SUPPORT:
-        raise ValueError(
-            f"permutations of {b} points reached by {n} cards of {m} throws "
-            f"number more than {_MAX_SUPPORT}"
-        )
+    _check_support(b, n, _support_bound(b, n, m))
     per_class = {s: value(ks) for s, ks in _suffix_classes(b, n, m).items()}
     least = max(1, b - n * m)
     points = range(1, b + 1)

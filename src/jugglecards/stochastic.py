@@ -27,6 +27,8 @@ from jugglecards.cards import (
     inverse,
 )
 from jugglecards.enumeration import (
+    _MAX_SUPPORT,
+    _check_support,
     _lumped_table,
     _support_bound,
     throw_cards,
@@ -35,7 +37,7 @@ from jugglecards.enumeration import (
 from jugglecards.rng import RandomStream
 
 _BLOCK = 4096  # draws per batch, which bounds the size of the packed ints
-_MAX_STATES = 10**6  # permutations an exact walk may hold
+_MAX_ROW = 10**6  # cards a sampled row may hold
 
 
 @dataclasses.dataclass(frozen=True)
@@ -172,7 +174,8 @@ def exact_step_distribution(gd: GeneratorDistribution, n: int) -> GroupDistribut
     permutation states.
 
     Either way the result is exact.  A walk that would hold more than
-    ``_MAX_STATES`` permutations raises ``ValueError`` before it starts.
+    ``jugglecards.enumeration._MAX_SUPPORT`` permutations raises
+    ``ValueError`` before it starts.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
@@ -198,10 +201,12 @@ def _lumped_throws(gd: GeneratorDistribution) -> int | None:
 def _lumped_walk(b: int, n: int, m: int) -> GroupDistribution:
     """The walk as :func:`jugglecards.enumeration._lumped_table`, each
     suffix class's row count divided by the ``(b)_m ** n`` rows: one
-    ``Fraction`` per class, shared by the permutations of that class."""
-    _check_states(b, n, _support_bound(b, n, m))
-    rows = math.perm(b, m) ** n
-    return GroupDistribution(_lumped_table(b, n, m, lambda ks: Fraction(sum(ks.values()), rows)))
+    ``Fraction`` per class, shared by the permutations of that class.
+    The rows are counted per class, so only once the table has passed
+    its bound."""
+    return GroupDistribution(
+        _lumped_table(b, n, m, lambda ks: Fraction(sum(ks.values()), math.perm(b, m) ** n))
+    )
 
 
 def _transfer_walk(gd: GeneratorDistribution, n: int) -> GroupDistribution:
@@ -215,10 +220,10 @@ def _transfer_walk(gd: GeneratorDistribution, n: int) -> GroupDistribution:
     """
     b, count = gd.degree, len(gd.generators)
     throws = b - min(map(increasing_suffix_length, gd.generators))
-    # for two or more generators, count ** n passes _MAX_STATES exactly
+    # for two or more generators, count ** n passes _MAX_SUPPORT exactly
     # when count ** min(n, bit_length) does, and stays a small number
-    reachable = count ** min(n, _MAX_STATES.bit_length())
-    _check_states(b, n, min(_support_bound(b, n, throws), reachable))
+    reachable = count ** min(n, _MAX_SUPPORT.bit_length())
+    _check_support(b, n, min(_support_bound(b, n, throws), reachable))
     ints = _integer_weights(gd.generators, gd.probs)
     moves = _walk_moves(gd, ints)
     layer = {identity_perm(b): 1}
@@ -226,14 +231,6 @@ def _transfer_walk(gd: GeneratorDistribution, n: int) -> GroupDistribution:
         layer = transfer(layer, moves)
     total = sum(ints) ** n
     return GroupDistribution({g: Fraction(ways, total) for g, ways in layer.items()})
-
-
-def _check_states(b: int, n: int, states: int) -> None:
-    if states > _MAX_STATES:
-        raise ValueError(
-            f"an exact walk on {b} points over {n} steps would hold more than "
-            f"{_MAX_STATES} permutations"
-        )
 
 
 def cycle_count_distribution(d: GroupDistribution) -> dict[int, Fraction]:
@@ -315,7 +312,10 @@ def sample_sequence(
     ``weights`` (defaulting to uniform) follow the order of
     :func:`jugglecards.enumeration.throw_cards`; the draw is exact, by
     integer cumulative sums, so equal seeds reproduce equal sequences.
+    A row of more than ``_MAX_ROW`` cards is refused before any draw.
     """
+    if n > _MAX_ROW:
+        raise ValueError(f"sampled rows hold at most {_MAX_ROW} cards, got n={n}")
     cards = throw_cards(b, m, ordered)
     cumulative = _cumulative_weights(cards, weights)
     draws = RandomStream(seed).randrange_many(cumulative[-1], n)

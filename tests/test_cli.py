@@ -244,6 +244,13 @@ def test_a_huge_card_family_is_refused_before_it_is_listed(argv):
     assert "too many to list" in done.stderr
 
 
+def test_a_huge_sampled_row_is_refused_before_any_draw():
+    # a billion draws would end in a MemoryError under the cap
+    done = fresh("-m", "jugglecards.cli", "sample", "--b", "3", "--n", str(10**9), cap_mb=256)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: sampled rows hold at most 1000000 cards, got n=1000000000\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -318,6 +325,13 @@ def test_render_writes_the_golden_document(capsys, tmp_path):
 def test_render_rejects_nonpositive_dimensions(capsys):
     code, _, err = run(capsys, "render", "C3", "--card-width", "0")
     assert code == 2 and "card_width" in err
+
+
+def test_render_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "row.svg"
+    code, out, err = run(capsys, "render", "C2", "--b", "2", "--output", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: No such file or directory\n"
 
 
 def test_census_counts_and_collects(capsys):

@@ -396,7 +396,7 @@ def test_p4_zero_outside_support():
 
 
 def test_primitive_counts_against_census():
-    for b in range(2, 5):
+    for b in range(1, 5):
         for n in range(b, 7):
             base = dict(b=b, n=n, perm=identity(b), uses_top=True, primitive=True)
             assert census(CensusQuery(crossings=b * (b - 1), **base)) == p0(n, b)
@@ -407,10 +407,12 @@ def test_primitive_counts_against_census():
 def test_q_from_p_recovers_totals():
     # padding a primitive sequence with repeats realizes every sequence
     # once, so the binomial transform of p must return the plain counts
-    for b in range(2, 6):
+    for b in range(1, 6):
         for n in range(b, 9):
             assert q_from_p(0, n, b) == narayana(b, n), (b, n)
             assert q_from_p(2, n, b) == plus_two_count(b, n), (b, n)
+    # a primitive row crosses at least once per card, so the sum is short
+    assert q_from_p(0, 10**6, 2) == math.comb(10**6, 2)
 
 
 def test_q_from_p_surplus_four_spot_values():

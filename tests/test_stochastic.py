@@ -7,7 +7,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jugglecards import rng, stochastic
+from jugglecards import enumeration, rng, stochastic
 from jugglecards.cards import (
     CardSequence,
     card_permutation,
@@ -292,7 +292,8 @@ def test_reordered_uniform_generators_still_lump():
 
 def test_huge_exact_walks_are_refused_before_they_start():
     untouched = dict(side_effect=AssertionError)
-    with mock.patch.object(stochastic, "_lumped_table", **untouched), \
+    with mock.patch.object(enumeration, "_suffix_classes", **untouched), \
+            mock.patch.object(enumeration, "increasing_suffix_length", **untouched), \
             mock.patch.object(stochastic, "transfer", **untouched):
         with pytest.raises(ValueError, match="more than 1000000 permutations"):
             exact_step_distribution(card_distribution(30), 5)
@@ -306,21 +307,21 @@ def test_huge_exact_walks_are_refused_before_they_start():
 
 def test_the_state_guard_is_the_support_bound():
     # three uniform single throws on 4 balls reach 4!/1! = 24 permutations
-    with mock.patch.object(stochastic, "_MAX_STATES", 24):
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 24):
         assert len(exact_step_distribution(card_distribution(4), 3).prob) == 24
-    with mock.patch.object(stochastic, "_MAX_STATES", 23), pytest.raises(ValueError):
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 23), pytest.raises(ValueError):
         exact_step_distribution(card_distribution(4), 3)
     # weights do not widen the support: two single throws reach 4!/2! = 12
     weighted = card_distribution(4, weights=[1, 2, 3, 4])
-    with mock.patch.object(stochastic, "_MAX_STATES", 12):
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 12):
         assert len(exact_step_distribution(weighted, 2).prob) == 12
-    with mock.patch.object(stochastic, "_MAX_STATES", 11), pytest.raises(ValueError):
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 11), pytest.raises(ValueError):
         exact_step_distribution(weighted, 2)
     # two generators reach at most 2 ** n permutations
     pair = GeneratorDistribution(((2, 1, 3, 4, 5), (2, 3, 4, 5, 1)), (Fraction(1, 3), Fraction(2, 3)))
-    with mock.patch.object(stochastic, "_MAX_STATES", 8):
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 8):
         assert len(exact_step_distribution(pair, 3).prob) <= 8
-    with mock.patch.object(stochastic, "_MAX_STATES", 7), pytest.raises(ValueError):
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 7), pytest.raises(ValueError):
         exact_step_distribution(pair, 3)
 
 

@@ -51,7 +51,7 @@ _EXPORTS = {
     ),
     "rng": ("RandomStream",),
     "stochastic": (
-        "GeneratorDistribution", "GroupDistribution", "card_distribution",
+        "GroupDistribution", "card_distribution",
         "cycle_count_distribution", "cycle_type_limit",
         "estimate_single_cycle_probability", "exact_step_distribution",
         "point_distribution", "sample_sequence", "single_cycle_mass",

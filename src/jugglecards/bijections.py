@@ -419,8 +419,8 @@ def _minimal_fault(seq: CardSequence) -> str | None:
         return f"the top card C{b} is never used"
     if not is_identity(sequence_permutation(seq)):
         return "the balls do not return to their starting levels"
-    if crossings(seq) != b * (b - 1):
-        return f"crossing number is {crossings(seq)}, not {b * (b - 1)}"
+    if (count := crossings(seq)) != b * (b - 1):
+        return f"crossing number is {count}, not {b * (b - 1)}"
     return None
 
 

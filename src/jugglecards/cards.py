@@ -23,6 +23,7 @@ import re
 
 
 _MAX_LEVELS = 10**6  # the most balls a card may hold; card families count cards times balls
+_MAX_ROW = 10**6  # the most cards a counted, collected or sampled row may hold
 
 
 class MultiplexError(ValueError):
@@ -344,12 +345,8 @@ def throw_pattern(seq: CardSequence) -> tuple[tuple[int, ...], ...]:
     Every entry of the result is a tuple, of length 1 for single-throw
     cards.
     """
-    arr = identity_perm(seq.b)
-    out = []
-    for card in seq.cards:
-        out.append(arr[: card.m])
-        arr = apply_card(arr, card)
-    return tuple(out)
+    history = arrangement_history(seq)
+    return tuple(arr[: card.m] for arr, card in zip(history, seq.cards))
 
 
 def single_throws(pattern: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

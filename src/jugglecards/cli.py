@@ -391,7 +391,6 @@ def cmd_walk(args, parser) -> int:
         cycle_count_distribution,
         estimate_single_cycle_probability,
         exact_step_distribution,
-        single_cycle_mass,
     )
 
     if args.trials is not None:
@@ -417,21 +416,18 @@ def cmd_walk(args, parser) -> int:
         args.b, m=args.m, ordered=not args.unordered, weights=args.weights
     )
     dist = exact_step_distribution(gd, args.steps)
-    mass = single_cycle_mass(dist)
+    cycles = sorted(cycle_count_distribution(dist).items())
+    mass = dict(cycles).get(1, 0)
     out = {
         "b": args.b,
         "steps": args.steps,
         "single_cycle_mass": str(mass),
-        "cycle_counts": {
-            str(l): str(p) for l, p in sorted(cycle_count_distribution(dist).items())
-        },
+        "cycle_counts": {str(l): str(p) for l, p in cycles},
         "distribution": {
             cycle_string(g): str(p) for g, p in sorted(dist.prob.items())
         },
     }
-    lines = [f"single-cycle mass: {mass}"] + [
-        f"{l} cycles: {p}" for l, p in sorted(cycle_count_distribution(dist).items())
-    ]
+    lines = [f"single-cycle mass: {mass}"] + [f"{l} cycles: {p}" for l, p in cycles]
     _emit(args, out, "\n".join(lines))
     return 0
 

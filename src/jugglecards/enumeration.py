@@ -39,6 +39,7 @@ import operator
 
 from jugglecards.cards import (
     _MAX_LEVELS,
+    _MAX_ROW,
     Card,
     CardSequence,
     apply_card,
@@ -117,7 +118,8 @@ class CensusQuery:
     sequence must realize, ``crossings`` / ``max_crossings`` an exact or
     upper crossing count (both apply when both are set), ``primitive`` whether ``C_1`` is banned (True)
     or required (False), ``uses_top`` likewise for ``C_b``, and
-    ``thrown`` the exact number of distinct balls thrown.
+    ``thrown`` the exact number of distinct balls thrown.  A row of more
+    than ``_MAX_ROW`` cards is refused before any layer is built.
     """
 
     b: int
@@ -135,6 +137,8 @@ class CensusQuery:
         _check_family(self.b, self.m, self.ordered)
         if self.n < 1:
             raise ValueError(f"need at least one card, got n={self.n}")
+        if self.n > _MAX_ROW:
+            raise ValueError(f"rows hold at most {_MAX_ROW} cards, got n={self.n}")
         if self.perm is not None and (
             len(self.perm) != self.b or sorted(self.perm) != list(range(1, self.b + 1))
         ):

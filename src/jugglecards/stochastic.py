@@ -1,11 +1,13 @@
 """Random walks on the symmetric group driven by card draws.
 
 Drawing cards at random multiplies the running permutation by random
-generators.  Everything distributional here is exact rational
-arithmetic; floating point never appears, so statements like "the
-single-cycle mass is 1/b for every n" are checked as equalities.
-Monte Carlo estimates use the reproducible streams from
-:mod:`jugglecards.rng`.
+level maps.  One draw and ``n`` draws are both exact laws on the
+permutations of ``1..b``, :class:`GroupDistribution`, and the ``n``-step
+law is the ``n``-fold convolution of the one-step law.  Everything
+distributional here is exact rational arithmetic; floating point never
+appears, so statements like "the single-cycle mass is 1/b for every n"
+are checked as equalities.  Monte Carlo estimates use the reproducible
+streams from :mod:`jugglecards.rng`.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from collections import Counter
 from fractions import Fraction
 
 from jugglecards.cards import (
+    _MAX_ROW,
     CardSequence,
     card_permutation,
     composer,
@@ -37,55 +40,6 @@ from jugglecards.enumeration import (
 from jugglecards.rng import RandomStream
 
 _BLOCK = 4096  # draws per batch, which bounds the size of the packed ints
-_MAX_ROW = 10**6  # cards a sampled row may hold
-
-
-@dataclasses.dataclass(frozen=True)
-class GeneratorDistribution:
-    """Permutation generators with exact positive probabilities."""
-
-    generators: tuple[tuple[int, ...], ...]
-    probs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("need at least one generator")
-        if len(self.generators) != len(self.probs):
-            raise ValueError(
-                f"{len(self.generators)} generators but {len(self.probs)} probabilities"
-            )
-        b = len(self.generators[0])
-        for g in self.generators:
-            if sorted(g) != list(range(1, b + 1)):
-                raise ValueError(f"{g} is not a permutation of 1..{b}")
-        for p in self.probs:
-            if not isinstance(p, Fraction):
-                raise ValueError(f"probabilities must be exact fractions, got {p!r}")
-            if p <= 0:
-                raise ValueError(f"probabilities must be positive, got {p}")
-        if sum(self.probs) != 1:
-            raise ValueError(f"probabilities sum to {sum(self.probs)}, not 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.generators[0])
-
-
-def card_distribution(
-    b: int, m: int = 1, ordered: bool = True, weights=None
-) -> GeneratorDistribution:
-    """The walk distribution of drawing one card from a family.
-
-    ``weights`` (defaulting to uniform) are positive rationals in the
-    order of :func:`jugglecards.enumeration.throw_cards`.
-    """
-    cards = throw_cards(b, m, ordered)
-    ints = _integer_weights(cards, weights)
-    total = sum(ints)
-    return GeneratorDistribution(
-        tuple(card_permutation(c) for c in cards),
-        tuple(Fraction(w, total) for w in ints),
-    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -135,10 +89,29 @@ def uniform_distribution(b: int) -> GroupDistribution:
     )
 
 
-def _walk_moves(gd: GeneratorDistribution, weights):
+def card_distribution(
+    b: int, m: int = 1, ordered: bool = True, weights=None
+) -> GroupDistribution:
+    """The law of one card drawn from a family, on the cards' level maps.
+
+    ``weights`` (defaulting to uniform) are positive rationals in the
+    order of :func:`jugglecards.enumeration.throw_cards`.  A card's
+    level map is its targets followed by the other levels in ascending
+    order, so distinct cards have distinct level maps.
+    """
+    cards = throw_cards(b, m, ordered)
+    ints = _integer_weights(cards, weights)
+    total = sum(ints)
+    return GroupDistribution(
+        {card_permutation(c): Fraction(w, total) for c, w in zip(cards, ints)}
+    )
+
+
+def _walk_moves(pairs):
     """Moves for :func:`jugglecards.enumeration.transfer`: the current
-    element goes to ``compose(current, g)`` with the weight of ``g``."""
-    pairs = list(zip(gd.generators, weights))
+    element goes to ``compose(current, g)`` with weight ``w``, for each
+    ``(g, w)`` of ``pairs``."""
+    pairs = list(pairs)
 
     def moves(current):
         then = composer(current)
@@ -147,31 +120,30 @@ def _walk_moves(gd: GeneratorDistribution, weights):
     return moves
 
 
-def step_distribution(d: GroupDistribution, gd: GeneratorDistribution) -> GroupDistribution:
-    """One walk step: right-multiply by a random generator.
+def step_distribution(d: GroupDistribution, step: GroupDistribution) -> GroupDistribution:
+    """One walk step: right-multiply by a permutation drawn from ``step``.
 
-    The new element is "current, then generator", matching how appending
-    a card extends a sequence.
+    The new element is "current, then step", matching how appending a
+    card extends a sequence.
     """
-    if d.degree != gd.degree:
-        raise ValueError(f"distribution on {d.degree} points, generators on {gd.degree}")
-    return GroupDistribution(transfer(d.prob, _walk_moves(gd, gd.probs)))
+    if d.degree != step.degree:
+        raise ValueError(f"distribution on {d.degree} points, step on {step.degree}")
+    return GroupDistribution(transfer(d.prob, _walk_moves(step.prob.items())))
 
 
-def exact_step_distribution(gd: GeneratorDistribution, n: int) -> GroupDistribution:
-    """Distribution of the walk after ``n`` steps from the identity.
+def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistribution:
+    """Law of the walk after ``n`` steps of ``step`` from the identity.
 
-    A uniform draw from the ordered ``m``-throw cards (the generators of
-    ``card_distribution(b, m)`` in any order, all with one probability)
-    takes the lumped walk: after ``n ≥ 1`` steps a permutation's mass
-    depends only on the length of its increasing suffix, and is the
-    row count of :func:`jugglecards.enumeration.count_by_permutation`
-    over ``(b)_m ** n``, read from the same suffix-class table.  This is
-    the top-to-random lumping of Diaconis, Fill and Pitman (1992), so
-    the walk computes ``b`` counts instead of pushing weights over up to
-    ``b!`` states for every step.  Every other family (weighted,
-    unordered, any other generators) runs the transfer walk over
-    permutation states.
+    A uniform draw from the ordered ``m``-throw cards (the law of
+    ``card_distribution(b, m)``, however it was built) takes the lumped
+    walk: after ``n ≥ 1`` steps a permutation's mass depends only on the
+    length of its increasing suffix, and is the row count of
+    :func:`jugglecards.enumeration.count_by_permutation` over
+    ``(b)_m ** n``, read from the same suffix-class table.  This is the
+    top-to-random lumping of Diaconis, Fill and Pitman (1992), so the
+    walk computes ``b`` counts instead of pushing weights over up to
+    ``b!`` states for every step.  Every other law (weighted, unordered,
+    any other support) runs the transfer walk over permutation states.
 
     Either way the result is exact.  A walk that would hold more than
     ``jugglecards.enumeration._MAX_SUPPORT`` permutations raises
@@ -179,23 +151,30 @@ def exact_step_distribution(gd: GeneratorDistribution, n: int) -> GroupDistribut
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    if n >= 1 and (m := _lumped_throws(gd)) is not None:
-        return _lumped_walk(gd.degree, n, m)
-    return _transfer_walk(gd, n)
+    if n >= 1 and (m := _lumped_throws(step)) is not None:
+        return _lumped_walk(step.degree, n, m)
+    return _transfer_walk(step, n)
 
 
-def _lumped_throws(gd: GeneratorDistribution) -> int | None:
-    """The ``m`` whose ordered ``m``-throw cards are exactly the
-    generators, drawn uniformly; ``None`` if there is none."""
-    if gd.probs.count(gd.probs[0]) != len(gd.probs):
+def _throws(step: GroupDistribution) -> int:
+    """The fewest balls a card must throw to hold every level map of the
+    support, at least 1: a permutation with increasing suffix ``k`` is
+    the level map of a card of ``b - k`` throws."""
+    return max(1, step.degree - min(map(increasing_suffix_length, step.prob)))
+
+
+def _lumped_throws(step: GroupDistribution) -> int | None:
+    """The ``m`` whose ordered ``m``-throw cards are drawn uniformly by
+    ``step``; ``None`` if there is none.
+
+    Their level maps are the ``(b)_m`` permutations whose increasing
+    suffix is at least ``b - m``, and ``m = _throws(step)`` is the least
+    ``m`` whose family holds the support, so the step lumps when its
+    masses are equal and its support has ``(b)_m`` elements."""
+    if len(set(step.prob.values())) != 1:
         return None
-    b, count = gd.degree, len(gd.generators)
-    m = next((m for m in range(1, b + 1) if math.perm(b, m) == count), None)
-    if m is None:
-        return None
-    if set(gd.generators) != {card_permutation(c) for c in throw_cards(b, m)}:
-        return None
-    return m
+    m = _throws(step)
+    return m if len(step.prob) == math.perm(step.degree, m) else None
 
 
 def _lumped_walk(b: int, n: int, m: int) -> GroupDistribution:
@@ -209,23 +188,21 @@ def _lumped_walk(b: int, n: int, m: int) -> GroupDistribution:
     )
 
 
-def _transfer_walk(gd: GeneratorDistribution, n: int) -> GroupDistribution:
+def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
     """The walk over permutation states, one transfer per step.
 
     It runs on integer weights over the common denominator of the
-    probabilities and divides once at the end.  A generator with
-    increasing suffix ``k`` is the level map of a card of ``b - k``
-    throws, so the walk stays inside the support of the uniform walk on
-    cards of the most throws any generator needs.
+    masses, which must be positive, and divides once at the end.  The
+    walk stays inside the support of the uniform walk on cards of
+    :func:`_throws` throws.
     """
-    b, count = gd.degree, len(gd.generators)
-    throws = b - min(map(increasing_suffix_length, gd.generators))
-    # for two or more generators, count ** n passes _MAX_SUPPORT exactly
+    b, count = step.degree, len(step.prob)
+    # for two or more permutations, count ** n passes _MAX_SUPPORT exactly
     # when count ** min(n, bit_length) does, and stays a small number
     reachable = count ** min(n, _MAX_SUPPORT.bit_length())
-    _check_support(b, n, min(_support_bound(b, n, throws), reachable))
-    ints = _integer_weights(gd.generators, gd.probs)
-    moves = _walk_moves(gd, ints)
+    _check_support(b, n, min(_support_bound(b, n, _throws(step)), reachable))
+    ints = _integer_weights(step.prob, step.prob.values())
+    moves = _walk_moves(zip(step.prob, ints))
     layer = {identity_perm(b): 1}
     for _ in range(n):
         layer = transfer(layer, moves)
@@ -312,7 +289,8 @@ def sample_sequence(
     ``weights`` (defaulting to uniform) follow the order of
     :func:`jugglecards.enumeration.throw_cards`; the draw is exact, by
     integer cumulative sums, so equal seeds reproduce equal sequences.
-    A row of more than ``_MAX_ROW`` cards is refused before any draw.
+    A row of more than ``jugglecards.cards._MAX_ROW`` cards is refused
+    before any draw.
     """
     if n > _MAX_ROW:
         raise ValueError(f"sampled rows hold at most {_MAX_ROW} cards, got n={n}")

@@ -15,7 +15,6 @@ from jugglecards.cards import (
     arrangement_history,
     card_permutation,
     crossings,
-    throw_pattern,
 )
 
 _MARGIN = 20
@@ -90,7 +89,6 @@ def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
         return _MARGIN + top_pad + (b - level) * spec.level_spacing
 
     history = arrangement_history(seq)
-    thrown = throw_pattern(seq)
     meta = {
         "b": b,
         "cards": str(seq),
@@ -128,7 +126,7 @@ def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
                 f'    <polyline class="track ball-{color}" points="{points}"/>'
             )
         if spec.thrown_labels:
-            label = ",".join(str(ball) for ball in thrown[i - 1])
+            label = ",".join(str(ball) for ball in history[i - 1][: card.m])
             y_text = _MARGIN + spec.card_height + 15
             lines.append(
                 f'    <text class="thrown" x="{_fmt((x0 + x1) / 2)}"'

@@ -69,7 +69,7 @@ from jugglecards.enumeration import (
 )
 from jugglecards.rng import RandomStream
 from jugglecards.stochastic import (
-    GeneratorDistribution,
+    GroupDistribution,
     card_distribution,
     exact_step_distribution,
     point_distribution,
@@ -233,8 +233,10 @@ def test_c11_uniform_is_the_fixed_point_and_the_limit():
         k = 1 + stream.randrange(5)
         gens = tuple(perms[stream.randrange(len(perms))] for _ in range(k))
         raw = [1 + stream.randrange(20) for _ in range(k)]
-        probs = tuple(Fraction(w, sum(raw)) for w in raw)
-        gd = GeneratorDistribution(gens, probs)
+        law = {}  # a repeated generator's draws add up
+        for g, w in zip(gens, raw):
+            law[g] = law.get(g, 0) + Fraction(w, sum(raw))
+        gd = GroupDistribution(law)
         u = uniform_distribution(b)
         assert step_distribution(u, gd) == u, trial
     walk = exact_step_distribution(card_distribution(4), 60)

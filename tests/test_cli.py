@@ -244,6 +244,22 @@ def test_a_huge_card_family_is_refused_before_it_is_listed(argv):
     assert "too many to list" in done.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--b", "1", "--n", str(10**7), "--collect"],
+        ["census", "--b", "1", "--n", str(3 * 10**6)],
+        ["census", "--b", "2", "--n", str(2 * 10**6), "--perm", "id", "--crossings", "2"],
+    ],
+)
+def test_a_huge_census_row_is_refused_before_any_layer(argv):
+    # one move-graph layer per card would end in a MemoryError, or run for
+    # seconds, under the cap
+    done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: rows hold at most 1000000 cards, got n={argv[4]}\n"
+
+
 def test_a_huge_sampled_row_is_refused_before_any_draw():
     # a billion draws would end in a MemoryError under the cap
     done = fresh("-m", "jugglecards.cli", "sample", "--b", "3", "--n", str(10**9), cap_mb=256)

@@ -1,5 +1,7 @@
 import doctest
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -48,7 +50,7 @@ PUBLIC = {
     ),
     "rng": ("RandomStream",),
     "stochastic": (
-        "GeneratorDistribution", "GroupDistribution", "card_distribution",
+        "GroupDistribution", "card_distribution",
         "cycle_count_distribution", "cycle_type_limit",
         "estimate_single_cycle_probability", "exact_step_distribution",
         "point_distribution", "sample_sequence", "single_cycle_mass",
@@ -59,7 +61,7 @@ NAMES = [name for names in PUBLIC.values() for name in names]
 
 
 def test_all_lists_the_public_names_once():
-    assert len(NAMES) == 105
+    assert len(NAMES) == 104
     assert sorted(jugglecards.__all__) == sorted(NAMES)
     assert len(set(jugglecards.__all__)) == len(jugglecards.__all__)
 
@@ -92,3 +94,12 @@ def test_module_doctests_pass(module):
     result = doctest.testmod(importlib.import_module("jugglecards." + module))
     assert result.failed == 0
     assert result.attempted > 0
+
+
+def test_readme_tour_runs():
+    # the python blocks, joined, run as one doctest so later blocks see
+    # the names earlier ones bound; the closing fences stay out of it
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
+    test = doctest.DocTestParser().get_doctest("\n".join(blocks), {}, "README", str(readme), 0)
+    assert doctest.DocTestRunner().run(test) == (0, 13)

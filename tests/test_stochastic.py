@@ -19,7 +19,6 @@ from jugglecards.cards import (
 from jugglecards.enumeration import count_by_permutation, cycle_census, throw_cards
 from jugglecards.rng import RandomStream, mix, mix_many
 from jugglecards.stochastic import (
-    GeneratorDistribution,
     GroupDistribution,
     card_distribution,
     cycle_count_distribution,
@@ -157,24 +156,12 @@ def test_randrange_is_roughly_uniform():
 # distribution types
 
 
-def test_generator_distribution_validation():
-    half = Fraction(1, 2)
-    gens = ((2, 1), (1, 2))
-    GeneratorDistribution(gens, (half, half))
-    with pytest.raises(ValueError):
-        GeneratorDistribution(gens, (half,))
-    with pytest.raises(ValueError):
-        GeneratorDistribution(((2, 2), (1, 2)), (half, half))
-    with pytest.raises(ValueError):
-        GeneratorDistribution(gens, (half, Fraction(1, 3)))
-    with pytest.raises(ValueError):
-        GeneratorDistribution(gens, (Fraction(3, 2), Fraction(-1, 2)))
-    with pytest.raises(ValueError):
-        GeneratorDistribution(gens, (0.5, 0.5))
-
-
 def test_group_distribution_validation():
     GroupDistribution({(1, 2): Fraction(1, 2), (2, 1): Fraction(1, 2)})
+    with pytest.raises(ValueError):
+        GroupDistribution({})
+    with pytest.raises(ValueError, match="not a permutation"):
+        GroupDistribution({(2, 2): Fraction(1, 2), (1, 2): Fraction(1, 2)})
     with pytest.raises(ValueError):
         GroupDistribution({(1, 2): Fraction(1, 2), (2, 1, 3): Fraction(1, 2)})
     with pytest.raises(ValueError):
@@ -190,7 +177,7 @@ def test_group_distribution_validation():
 
 def test_card_distribution_weights():
     gd = card_distribution(2, weights=(3, 1))
-    assert gd.probs == (Fraction(3, 4), Fraction(1, 4))
+    assert gd.prob == {(1, 2): Fraction(3, 4), (2, 1): Fraction(1, 4)}
     with pytest.raises(ValueError):
         card_distribution(2, weights=(1,))
     with pytest.raises(ValueError):
@@ -199,6 +186,15 @@ def test_card_distribution_weights():
 
 # ---------------------------------------------------------------------------
 # exact walks
+
+
+def test_the_exact_walk_refuses_a_step_with_zero_mass():
+    # a step law may carry a zero mass; the integer walk needs every
+    # weight positive
+    step = GroupDistribution({(1, 2): Fraction(1), (2, 1): Fraction(0)})
+    assert step_distribution(point_distribution(2), step).prob == {(1, 2): 1, (2, 1): 0}
+    with pytest.raises(ValueError, match="positive"):
+        exact_step_distribution(step, 2)
 
 
 def test_zero_steps_is_point_mass():
@@ -283,11 +279,30 @@ def test_families_that_do_not_lump_take_the_transfer_walk():
 
 def test_reordered_uniform_generators_still_lump():
     gd = card_distribution(4, m=2)
-    share = gd.probs[0]
-    shuffled = GeneratorDistribution(tuple(reversed(gd.generators)), (share,) * len(gd.probs))
+    shuffled = GroupDistribution(dict(reversed(gd.prob.items())))
     for n in (1, 3):
         with mock.patch.object(stochastic, "_transfer_walk", side_effect=AssertionError):
             assert exact_step_distribution(shuffled, n) == _stepped(gd, n)
+
+
+def _uniform_laws(b, sizes):
+    perms = list(itertools.permutations(range(1, b + 1)))
+    for size in sizes:
+        for support in itertools.combinations(perms, size):
+            yield GroupDistribution(dict.fromkeys(support, Fraction(1, size)))
+
+
+def test_the_lumped_family_is_read_from_the_law_alone():
+    # a uniform law lumps exactly when its support is the level maps of
+    # one ordered card family; (b-1)- and b-throw cards give the same maps
+    for b, sizes in ((1, (1,)), (2, (1, 2)), (3, range(1, 7)), (4, (4,))):
+        families = {
+            m: {card_permutation(c) for c in throw_cards(b, m)} for m in range(1, b + 1)
+        }
+        for law in _uniform_laws(b, sizes):
+            m = stochastic._lumped_throws(law)
+            same = {k for k, maps in families.items() if set(law.prob) == maps}
+            assert (m is None) == (not same) and (m is None or m in same), law
 
 
 def test_huge_exact_walks_are_refused_before_they_start():
@@ -318,7 +333,7 @@ def test_the_state_guard_is_the_support_bound():
     with mock.patch.object(enumeration, "_MAX_SUPPORT", 11), pytest.raises(ValueError):
         exact_step_distribution(weighted, 2)
     # two generators reach at most 2 ** n permutations
-    pair = GeneratorDistribution(((2, 1, 3, 4, 5), (2, 3, 4, 5, 1)), (Fraction(1, 3), Fraction(2, 3)))
+    pair = GroupDistribution({(2, 1, 3, 4, 5): Fraction(1, 3), (2, 3, 4, 5, 1): Fraction(2, 3)})
     with mock.patch.object(enumeration, "_MAX_SUPPORT", 8):
         assert len(exact_step_distribution(pair, 3).prob) <= 8
     with mock.patch.object(enumeration, "_MAX_SUPPORT", 7), pytest.raises(ValueError):
@@ -332,7 +347,7 @@ def test_any_generators_stay_inside_the_card_support_bound():
         b = 3 + trial % 3
         perms = list(itertools.permutations(range(1, b + 1)))
         gens = tuple({perms[stream.randrange(len(perms))] for _ in range(1 + stream.randrange(4))})
-        gd = GeneratorDistribution(gens, (Fraction(1, len(gens)),) * len(gens))
+        gd = GroupDistribution(dict.fromkeys(gens, Fraction(1, len(gens))))
         throws = b - min(map(increasing_suffix_length, gens))
         for n in range(5):
             held = len(exact_step_distribution(gd, n).prob)
@@ -359,10 +374,12 @@ def test_uniform_is_exact_fixed_point_for_random_generators():
         k = 1 + stream.randrange(5)
         gens = tuple(perms[stream.randrange(len(perms))] for _ in range(k))
         raw = [1 + stream.randrange(20) for _ in range(k)]
-        probs = tuple(Fraction(w, sum(raw)) for w in raw)
-        gd = GeneratorDistribution(gens, probs)
+        law = {}  # a repeated generator's draws add up
+        for g, w in zip(gens, raw):
+            law[g] = law.get(g, 0) + Fraction(w, sum(raw))
+        gd = GroupDistribution(law)
         u = uniform_distribution(b)
-        assert step_distribution(u, gd) == u, (trial, gens, probs)
+        assert step_distribution(u, gd) == u, (trial, gens, raw)
 
 
 def test_walk_converges_to_uniform_on_s4():

@@ -19,6 +19,7 @@ import dataclasses
 from jugglecards.cards import (
     Card,
     CardSequence,
+    _check_perm,
     backward_step,
     crossings,
     identity_perm,
@@ -86,9 +87,7 @@ def _rebuild(
     target's level map; outside that range no row exists and the
     ValueError counts the balls as ``counted``.
     """
-    balls = range(1, b + 1)
-    if len(target) != len(balls) or sorted(target) != list(balls):
-        raise ValueError(f"target must arrange balls 1..{b}, got {target}")
+    _check_perm(target, b, "target")
     k = max(max(entry) for entry in family)
     low = b - increasing_suffix_length(inverse(tuple(target)))
     if not low <= k <= b:
@@ -333,12 +332,10 @@ def cover_to_sequence(
     differs from the forced arrangement.
     """
     k = M.k
-    if sorted(terminal) != list(range(1, k + 1)):
-        raise ValueError(f"terminal must arrange balls 1..{k}, got {terminal}")
+    _check_perm(terminal, k, "terminal")
     order = cover_partial_order(M)
     if initial is not None:
-        if sorted(initial) != list(range(1, k + 1)):
-            raise ValueError(f"initial must arrange balls 1..{k}, got {initial}")
+        _check_perm(initial, k, "initial")
         for cls in order:
             if len(cls) < 2:
                 continue

@@ -71,6 +71,13 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(inv)
 
 
+def _check_perm(p, b: int, name: str) -> None:
+    """Refuse ``p``, called ``name``, unless it lists each of 1..b once;
+    lengths are compared first, so a huge ``b`` costs nothing to refuse."""
+    if len(p) != b or sorted(p) != list(range(1, b + 1)):
+        raise ValueError(f"{name} {tuple(p)} is not a permutation of 1..{b}")
+
+
 def is_identity(p: tuple[int, ...]) -> bool:
     return all(x == i + 1 for i, x in enumerate(p))
 

@@ -27,12 +27,13 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
-def _perm(text: str, b: int) -> tuple[int, ...]:
+def _perm(text: str, b: int, name: str) -> tuple[int, ...]:
+    from jugglecards.cards import _check_perm
+
     if text == "id":
         return tuple(range(1, b + 1))
     perm = _ints(text)
-    if len(perm) != b or sorted(perm) != list(range(1, b + 1)):
-        raise ValueError(f"{text!r} is not a permutation of 1..{b}")
+    _check_perm(perm, b, name)
     return perm
 
 
@@ -102,7 +103,7 @@ def cmd_count(args, parser) -> int:
         from jugglecards.cards import increasing_suffix_length, inverse
 
         text, n, m = values
-        sigma = inverse(_perm(text, len(_ints(text))))
+        sigma = inverse(_perm(text, len(_ints(text)), "arrangement"))
         values = increasing_suffix_length(sigma), n, len(sigma), m
     print(getattr(counting, name)(*values))
     return 0
@@ -342,7 +343,7 @@ def cmd_census(args, parser) -> int:
         n=args.n,
         m=args.m,
         ordered=not args.unordered,
-        perm=_perm(args.perm, args.b) if args.perm is not None else None,
+        perm=_perm(args.perm, args.b, "perm") if args.perm is not None else None,
         crossings=args.crossings,
         max_crossings=args.max_crossings,
         primitive=args.primitive,

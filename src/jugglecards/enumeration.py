@@ -19,14 +19,18 @@ permutations are listed.  Unordered multi-throw families tally the
 census engine's final layer, which stays the oracle for the table; the
 walk over any other family runs on :func:`transfer`.
 
-:func:`_census_from` is the brute-force oracle: a plain tree walk over
-every row, which the tests pin the engine to.  It moves the balls with
-:func:`jugglecards.cards.apply_card`, from each card's targets, where
-the engine composes level maps, so the two check two definitions of a
-card against each other.  The closed forms in
+:func:`_census_from` is the brute-force oracle the tests pin the
+engine to: it walks every row on an explicit stack, prunes nothing, and
+tests each filter once per row, at its leaf.  It moves the balls with
+:func:`jugglecards.cards.apply_card`, from each card's targets, and
+reads a card's crossings as the inversions of its level map, where the
+engine composes level maps and sums the closed form
+:func:`jugglecards.cards.card_crossings`, so the two check two
+definitions of a card against each other.  The closed forms in
 :mod:`jugglecards.counting` and the maps in :mod:`jugglecards.bijections`
-are checked against both over small ranges.  The structure oracles at
-the end import :mod:`jugglecards.bijections` when first run, so a census
+are checked against both over small ranges.  The structure listings at
+the end walk explicit stacks too, so no input meets the recursion limit;
+they import :mod:`jugglecards.bijections` when first run, so a census
 never loads it.
 """
 
@@ -40,6 +44,7 @@ import operator
 from jugglecards.cards import (
     _MAX_LEVELS,
     _MAX_ROW,
+    _check_perm,
     Card,
     CardSequence,
     apply_card,
@@ -50,6 +55,7 @@ from jugglecards.cards import (
     identity_perm,
     increasing_suffix_length,
     inverse,
+    inversions,
 )
 
 _MAX_SUPPORT = 10**6  # permutations an exact table or walk may hold
@@ -139,79 +145,49 @@ class CensusQuery:
             raise ValueError(f"need at least one card, got n={self.n}")
         if self.n > _MAX_ROW:
             raise ValueError(f"rows hold at most {_MAX_ROW} cards, got n={self.n}")
-        if self.perm is not None and (
-            len(self.perm) != self.b or sorted(self.perm) != list(range(1, self.b + 1))
-        ):
-            raise ValueError(f"perm {self.perm} is not a permutation of 1..{self.b}")
+        if self.perm is not None:
+            _check_perm(self.perm, self.b, "perm")
         for name in ("crossings", "max_crossings", "thrown"):
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
-def _budget(query: CensusQuery) -> int | None:
-    """The crossing count no row may exceed, from both crossing filters."""
-    limits = [c for c in (query.crossings, query.max_crossings) if c is not None]
-    return min(limits) if limits else None
-
-
 def _census_from(query: CensusQuery, collect: bool):
-    cards = throw_cards(query.b, query.m, query.ordered)
-    deltas = [card_crossings(c) for c in cards]
-    is_bottom = [c.targets == (1,) for c in cards]
-    is_top = [c.targets == (query.b,) for c in cards]
-    budget = _budget(query)
-    target_arr = inverse(query.perm) if query.perm is not None else None
-    found: list[CardSequence] = []
-    count = 0
+    """The brute-force census of ``query``: the oracle for :func:`census`.
 
-    def leaf_ok(arr, cr, top_seen, bottom_seen, thrown):
-        if target_arr is not None and arr != target_arr:
-            return False
-        if query.crossings is not None and cr != query.crossings:
-            return False
-        if query.uses_top is True and not top_seen:
-            return False
-        if query.primitive is False and not bottom_seen:
-            return False
-        if query.thrown is not None and len(thrown) != query.thrown:
-            return False
-        return True
-
-    def walk(depth, arr, cr, top_seen, bottom_seen, thrown, prefix):
-        nonlocal count
-        if depth == query.n:
-            if leaf_ok(arr, cr, top_seen, bottom_seen, thrown):
-                count += 1
-                if collect:
-                    found.append(CardSequence(query.b, tuple(prefix)))
-            return
-        if query.thrown is not None:
-            left = (query.n - depth) * query.m
-            if len(thrown) > query.thrown or len(thrown) + left < query.thrown:
-                return
-        for i in range(len(cards)):
-            if query.primitive is True and is_bottom[i]:
-                continue
-            if query.uses_top is False and is_top[i]:
-                continue
-            cr2 = cr + deltas[i]
-            if budget is not None and cr2 > budget:
-                continue
-            prefix.append(cards[i])
-            walk(
-                depth + 1,
-                apply_card(arr, cards[i]),
-                cr2,
-                top_seen or is_top[i],
-                bottom_seen or is_bottom[i],
-                thrown | set(arr[: query.m]),
-                prefix,
+    Walks every row of the family depth first on an explicit stack and
+    prunes nothing; children pop in family order, so rows come in
+    tree-walk order.  A node carries its cards, the arrangement they
+    reach by :func:`jugglecards.cards.apply_card`, their crossings (per
+    card, the inversions of its level map) and the balls they threw.
+    Each of the six filters is tested once, at the leaf.
+    """
+    q = query
+    cards = [(c, inversions(card_permutation(c))) for c in throw_cards(q.b, q.m, q.ordered)]
+    cards.reverse()  # pushed last, the first card pops first
+    bottom, top = Card(q.b, (1,)), Card(q.b, (q.b,))
+    target = inverse(q.perm) if q.perm is not None else None
+    found = []
+    stack = [((), identity_perm(q.b), 0, frozenset())]
+    while stack:
+        row, arr, cr, thrown = stack.pop()
+        if len(row) < q.n:
+            thrown = thrown.union(arr[: q.m])
+            stack.extend(
+                (row + (card,), apply_card(arr, card), cr + delta, thrown)
+                for card, delta in cards
             )
-            prefix.pop()
-
-    walk(0, identity_perm(query.b), 0, False, False, set(), [])
-    return tuple(found) if collect else count
+        elif (
+            (target is None or arr == target)
+            and (q.crossings is None or cr == q.crossings)
+            and (q.max_crossings is None or cr <= q.max_crossings)
+            and (q.primitive is None or q.primitive == (bottom not in row))
+            and (q.uses_top is None or q.uses_top == (top in row))
+            and (q.thrown is None or len(thrown) == q.thrown)
+        ):
+            found.append(row)
+    return tuple(CardSequence(q.b, row) for row in found) if collect else len(found)
 
 
 class _Census:
@@ -227,7 +203,8 @@ class _Census:
         self.query = query
         self.cards = throw_cards(query.b, query.m, query.ordered)
         self.start = (identity_perm(query.b), 0, False, False, 0)
-        self.budget = _budget(query)
+        limits = [c for c in (query.crossings, query.max_crossings) if c is not None]
+        self.budget = min(limits) if limits else None  # no row may cross more often
         self.track_top = query.uses_top is True
         self.track_bottom = query.primitive is False
         self.track_thrown = track_thrown or query.thrown is not None
@@ -521,23 +498,26 @@ def cycle_census(b: int, n: int) -> dict[int, int]:
 
 
 def enumerate_set_partitions(n: int, k: int | None = None):
-    """All partitions of 1..n (into ``k`` blocks if given), blocks by minima."""
+    """All partitions of 1..n (into ``k`` blocks if given), blocks by minima.
 
-    def extend(x, blocks):
+    A depth-first walk on an explicit stack places 1, 2, ..., n in turn,
+    each into the open blocks in order and then into a new block, and
+    drops a branch as soon as it can no longer end with ``k`` blocks.
+
+    >>> list(enumerate_set_partitions(3, 2))
+    [((1, 2), (3,)), ((1, 3), (2,)), ((1,), (2, 3))]
+    """
+    stack = [(1, ())]
+    while stack:
+        x, blocks = stack.pop()
+        if k is not None and not len(blocks) <= k <= len(blocks) + n + 1 - x:
+            continue
         if x > n:
-            if k is None or len(blocks) == k:
-                yield tuple(tuple(block) for block in blocks)
-            return
-        for block in blocks:
-            block.append(x)
-            yield from extend(x + 1, blocks)
-            block.pop()
-        if k is None or len(blocks) < k:
-            blocks.append([x])
-            yield from extend(x + 1, blocks)
-            blocks.pop()
-
-    yield from extend(1, [])
+            yield blocks
+            continue
+        stack.append((x + 1, blocks + ((x,),)))
+        for i in reversed(range(len(blocks))):
+            stack.append((x + 1, blocks[:i] + (blocks[i] + (x,),) + blocks[i + 1 :]))
 
 
 def enumerate_noncrossing_partitions(n: int, k: int | None = None):
@@ -545,19 +525,27 @@ def enumerate_noncrossing_partitions(n: int, k: int | None = None):
     from jugglecards.bijections import is_noncrossing
 
     for blocks in enumerate_set_partitions(n, k):
-        if is_noncrossing(blocks):
+        if not blocks or is_noncrossing(blocks):
             yield blocks
 
 
 def enumerate_dyck_words(n: int):
-    """All balanced-parenthesis words with ``n`` opening brackets."""
-    if n == 0:
-        yield ""
-        return
-    for inner in range(n):
-        for left in enumerate_dyck_words(inner):
-            for right in enumerate_dyck_words(n - 1 - inner):
-                yield "(" + left + ")" + right
+    """All balanced-parenthesis words with ``n`` opening brackets, in
+    lexicographic order with ``(`` first.
+
+    >>> list(enumerate_dyck_words(3))
+    ['((()))', '(()())', '(())()', '()(())', '()()()']
+    """
+    stack = [("", 0)]  # a prefix and its opening brackets
+    while stack:
+        word, opened = stack.pop()
+        if len(word) == 2 * n:
+            yield word
+            continue
+        if 2 * opened > len(word):
+            stack.append((word + ")", opened))
+        if opened < n:
+            stack.append((word + "(", opened + 1))
 
 
 def enumerate_2covers(n: int, k: int):

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
@@ -207,6 +211,10 @@ def test_brute_js_examples():
         assert brute_js(sigma, 2, 3, m=2) == want, sigma
 
 
+def test_brute_js_walks_long_rows_without_recursion():
+    assert brute_js((1,), 5000, 1) == 1
+
+
 def test_enumerate_plus_examples():
     assert len(enumerate_plus(2, 6, 2)) == 15 == plus_two_count(2, 6)
     assert len(enumerate_plus(2, 6, 4, primitive=True)) == 1
@@ -259,6 +267,43 @@ def test_dyck_generator_matches_catalan():
     for n in range(0, 9):
         words = list(enumerate_dyck_words(n))
         assert len(words) == len(set(words)) == math.comb(2 * n, n) // (n + 1)
+
+
+def test_set_partitions_come_in_restricted_growth_order():
+    # point x goes to block a[x-1], a new block being one past the largest so far
+    for n in range(8):
+        growth = [
+            a
+            for a in itertools.product(*(range(x) for x in range(1, n + 1)))
+            if all(a[i] <= max(a[:i], default=-1) + 1 for i in range(n))
+        ]
+        for k in [None, *range(n + 2)]:
+            want = [
+                tuple(tuple(x + 1 for x in range(n) if a[x] == j) for j in range(blocks))
+                for a in growth
+                if k in (None, blocks := max(a, default=-1) + 1)
+            ]
+            assert list(enumerate_set_partitions(n, k)) == want, (n, k)
+
+
+def test_listings_answer_deep_inputs_without_recursion():
+    one_block = (tuple(range(1, 1201)),)
+    assert next(enumerate_set_partitions(1200, 1)) == one_block
+    assert next(enumerate_noncrossing_partitions(1200, 1)) == one_block
+    assert next(enumerate_dyck_words(1200)) == "(" * 1200 + ")" * 1200
+    assert list(enumerate_noncrossing_partitions(0)) == [()]
+
+
+def test_a_listing_skips_branches_that_cannot_end_with_k_blocks():
+    # 1..14 has 190899322 partitions, and a walk that tried them all would
+    # run for hours; the one into 14 blocks comes at once
+    src = pathlib.Path(enumeration.__file__).parents[1]
+    code = "from jugglecards.enumeration import *; print(list(enumerate_set_partitions(14, 14)))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=20,
+    )
+    assert done.stdout == str([tuple((x,) for x in range(1, 15))]) + "\n"
 
 
 def test_cover_generator_shapes():

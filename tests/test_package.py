@@ -1,3 +1,4 @@
+import ast
 import doctest
 import importlib
 import pathlib
@@ -103,3 +104,19 @@ def test_readme_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
     test = doctest.DocTestParser().get_doctest("\n".join(blocks), {}, "README", str(readme), 0)
     assert doctest.DocTestRunner().run(test) == (0, 13)
+
+
+def test_no_function_calls_itself():
+    # legal inputs must never meet the interpreter's recursion limit
+    calls = []
+    for path in sorted(pathlib.Path(jugglecards.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                calls += [
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == func.name
+                ]
+    assert calls == []

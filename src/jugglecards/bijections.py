@@ -7,6 +7,10 @@ multigraphs (order-preserving throws), and Dyck paths (fewest-crossing
 sequences).  Each correspondence here comes as a pair of maps; the test
 suite drives them around in both directions over exhaustive small ranges.
 
+A partition is read as its canonical throw pattern, and the stack scan
+that writes a pattern's Dyck word runs to the end exactly on the
+Narayana family: noncrossing partitions and fewest-crossing patterns.
+
 Conventions: patterns and partitions index card positions from 1;
 arrangements list balls bottom to top; a "canonical" pattern or family
 names its balls 1..k in order of first appearance.
@@ -55,25 +59,24 @@ def sequence_to_partition(seq: CardSequence) -> Blocks:
     )
 
 
-def _validate_blocks(blocks: Blocks) -> int:
-    if not blocks:
-        raise ValueError("partition needs at least one block")
-    seen: set[int] = set()
-    total = 0
-    for block in blocks:
+def _blocks_to_pattern(blocks: Blocks) -> tuple[int, ...]:
+    """The canonical throw pattern: position ``j`` holds its block's number.
+    Blocks must be nonempty and sorted, partition 1..n and come in the
+    order of their minima, which is the pattern being canonical."""
+    owner: dict[int, int] = {}
+    for i, block in enumerate(blocks, start=1):
         if not block:
             raise ValueError("empty block in partition")
         if list(block) != sorted(block):
             raise ValueError(f"block {block} is not sorted")
-        seen.update(block)
-        total += len(block)
-    n = max(seen)
-    if len(seen) != total or seen != set(range(1, n + 1)):
+        owner.update(dict.fromkeys(block, i))
+    n = max(owner, default=0)
+    if len(owner) != sum(map(len, blocks)) or owner.keys() != set(range(1, n + 1)):
         raise ValueError("blocks must partition 1..n")
-    mins = [block[0] for block in blocks]
-    if mins != sorted(mins):
+    pattern = tuple(owner[j] for j in range(1, n + 1))
+    if pattern != canonical_pattern(pattern):
         raise ValueError("blocks must be ordered by their minima")
-    return n
+    return pattern
 
 
 def _rebuild(
@@ -113,39 +116,24 @@ def partition_to_sequence(
     increasing-suffix length of the target's level map; outside that
     range no sequence exists and a ValueError is raised.
     """
-    ball_at = [0] * _validate_blocks(blocks)
-    for i, block in enumerate(blocks, start=1):
-        for j in block:
-            ball_at[j - 1] = i
-    return _rebuild(tuple((i,) for i in ball_at), target, b, "blocks")
+    if not blocks:
+        raise ValueError("partition needs at least one block")
+    return _rebuild(tuple((i,) for i in _blocks_to_pattern(blocks)), target, b, "blocks")
 
 
 def is_noncrossing(blocks: Blocks) -> bool:
     """No two blocks interleave as a < b < c < d with a,c and b,d split.
 
-    Scans 1..n keeping a stack of open blocks; a block touched while not
-    on top witnesses a crossing.
+    That is the Dyck scan of its throw pattern running to the end: the
+    scan stacks open balls by latest throw, so a ball coming back after
+    a later-thrown one closed over it is such an a < b < c < d.
 
     >>> is_noncrossing(((1, 4), (2, 3)))
     True
     >>> is_noncrossing(((1, 3), (2, 4)))
     False
     """
-    n = _validate_blocks(blocks)
-    owner = {}
-    for i, block in enumerate(blocks):
-        for j in block:
-            owner[j] = i
-    stack: list[int] = []
-    for x in range(1, n + 1):
-        i = owner[x]
-        if x == blocks[i][0]:
-            stack.append(i)
-        elif stack[-1] != i:
-            return False
-        if x == blocks[i][-1]:
-            stack.pop()
-    return True
+    return _pattern_to_dyck(_blocks_to_pattern(blocks)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -163,18 +151,16 @@ def canonicalize_family(family: Family, k: int | None = None) -> Family:
     """
     if not family:
         raise ValueError("family needs at least one entry")
-    relabel: dict[int, int] = {}
     for entry in family:
         if not entry:
             raise ValueError("empty entry in family")
         if len(set(entry)) != len(entry):
             raise ValueError(f"repeated symbol in entry {entry}")
-        for sym in entry:
-            if sym not in relabel:
-                relabel[sym] = len(relabel) + 1
-    if k is not None and len(relabel) != k:
-        raise ValueError(f"family uses {len(relabel)} of {k} declared symbols")
-    return tuple(tuple(relabel[sym] for sym in entry) for entry in family)
+    pattern = canonical_pattern(tuple(sym for entry in family for sym in entry))
+    if k is not None and max(pattern) != k:
+        raise ValueError(f"family uses {max(pattern)} of {k} declared symbols")
+    labels = iter(pattern)
+    return tuple(tuple(next(labels) for _ in entry) for entry in family)
 
 
 def sequence_to_family(seq: CardSequence) -> Family:
@@ -429,8 +415,9 @@ def is_minimal(seq: CardSequence) -> bool:
 def _pattern_to_dyck(pattern: tuple[int, ...]) -> str | None:
     """The stack scan of :func:`minimal_to_dyck` on a throw pattern, or
     None when a ball comes back after its card was closed.  A canonical
-    pattern is fewest-crossing exactly when :func:`dyck_to_pattern` turns
-    the word back into the pattern."""
+    pattern is fewest-crossing exactly when the scan finishes: ``)`` only
+    closes down to a ball thrown again at once, and new balls come in
+    first-use order, so :func:`dyck_to_pattern` gives the pattern back."""
     open_: dict[int, bool] = {}  # balls seen, True while their card is open
     stack: list[int] = []  # balls of the open cards, each at most once
     out: list[str] = []
@@ -592,10 +579,11 @@ def compose_plus_two(
 ) -> tuple[int, ...]:
     """Inverse of :func:`decompose_plus_two`.
 
-    Takes four canonical fewest-crossing patterns and the cut position
-    ``1 <= i1 <= len(p0)``.  The ball at ``p0[i1-1]`` is identified with
-    the last ball of ``p2``, and the last balls of ``p1`` and ``p3`` with
-    each other, producing the four-crossing pair of the result.
+    Takes four canonical patterns that the Dyck scan runs through
+    (fewest-crossing) and the cut position ``1 <= i1 <= len(p0)``.  The
+    ball at ``p0[i1-1]`` is identified with the last ball of ``p2``, and
+    the last balls of ``p1`` and ``p3`` with each other, producing the
+    four-crossing pair of the result.
 
     >>> compose_plus_two((1,), (1,), (1,), (1,), 1)
     (1, 2, 1, 2)
@@ -606,8 +594,7 @@ def compose_plus_two(
             raise ValueError("all four patterns must be nonempty")
         if part != canonical_pattern(part):
             raise ValueError(f"pattern {part} is not canonical")
-        word = _pattern_to_dyck(part)
-        if word is None or dyck_to_pattern(word) != part:
+        if _pattern_to_dyck(part) is None:
             raise ValueError(f"pattern {part} is not a fewest-crossing pattern")
     if not 1 <= i1 <= len(p0):
         raise ValueError(f"cut position {i1} outside 1..{len(p0)}")

@@ -406,18 +406,15 @@ def siteswap_of(seq: CardSequence) -> tuple[int, ...]:
             raise MultiplexError(f"siteswap is undefined for multiplex card {c}")
     perms = [card_permutation(c) for c in seq.cards]
     n = seq.n
-    cap = seq.b * n
     heights = []
     for i in range(n):
         level = 1
         t = 0
-        while True:
+        while True:  # every n cards permute the levels: 1 is back within b*n
             level = perms[(i + t) % n][level - 1]
             t += 1
             if level == 1:
                 break
-            if t > cap:  # cannot happen: orbits of a permutation are finite
-                raise RuntimeError(f"ball thrown by card {i + 1} never returned")
         heights.append(t)
     return tuple(heights)
 
@@ -438,10 +435,8 @@ def verify_siteswap(heights: tuple[int, ...]) -> tuple[bool, int | None]:
     landings = {(i + t) % n for i, t in enumerate(heights)}
     if len(landings) != n:
         return False, None
-    total = sum(heights)
-    if total % n:  # unreachable once landings are distinct, kept as a guard
-        return False, None
-    return True, total // n
+    # distinct landings are 0..n-1 mod n, so the heights sum to 0 mod n
+    return True, sum(heights) // n
 
 
 # ---------------------------------------------------------------------------

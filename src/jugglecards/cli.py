@@ -255,16 +255,15 @@ def _siteswap_report(text: str) -> tuple[bool, str | None, dict]:
     valid, balls = verify_siteswap(heights)
     if valid:
         return True, None, {"balls": balls}
+    # an invalid list has two throws landing together: stop at the first
     n = len(heights)
     seen: dict[int, int] = {}
     for i, t in enumerate(heights):
         slot = (i + t) % n
         if slot in seen:
-            return False, (
-                f"throws {seen[slot] + 1} and {i + 1} land together (mod {n})"
-            ), {}
+            break
         seen[slot] = i
-    raise AssertionError("invalid siteswap must have a collision")
+    return False, f"throws {seen[slot] + 1} and {i + 1} land together (mod {n})", {}
 
 
 def _dyck_report(word: str) -> tuple[bool, str | None, dict]:

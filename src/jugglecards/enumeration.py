@@ -524,9 +524,7 @@ def enumerate_noncrossing_partitions(n: int, k: int | None = None):
     """The partitions from :func:`enumerate_set_partitions` with no crossing."""
     from jugglecards.bijections import is_noncrossing
 
-    for blocks in enumerate_set_partitions(n, k):
-        if not blocks or is_noncrossing(blocks):
-            yield blocks
+    yield from filter(is_noncrossing, enumerate_set_partitions(n, k))
 
 
 def enumerate_dyck_words(n: int):
@@ -548,33 +546,51 @@ def enumerate_dyck_words(n: int):
             stack.append((word + "(", opened + 1))
 
 
+def _product_prefixes(choices, n: int, keep):
+    """The tuples of ``itertools.product(choices, repeat=n)``, in order,
+    whose every prefix passes ``keep``; a failing prefix is not extended."""
+    stack = [()]
+    while stack:
+        prefix = stack.pop()
+        if not keep(prefix):
+            continue
+        if len(prefix) == n:
+            yield prefix
+            continue
+        stack.extend(prefix + (choice,) for choice in reversed(choices))
+
+
 def enumerate_2covers(n: int, k: int):
     """Canonical 2-covers of ``n`` columns by ``k`` rows.
 
     Columns have weight two and no row is zero; one representative (rows
     sorted) per row multiset, since relabeling the virtual balls only
-    permutes rows.
+    permutes rows.  A prefix of columns is dropped once its rows are out
+    of order or more rows are still zero than two per column left.
     """
     from jugglecards.bijections import CoverMatrix
 
+    def rows(cols):
+        return tuple(tuple(1 if i in col else 0 for col in cols) for i in range(k))
+
+    def keep(cols):
+        prefix = rows(cols)
+        zero = prefix.count((0,) * len(cols))
+        return zero <= 2 * (n - len(cols)) and prefix == tuple(sorted(prefix))
+
     pairs = list(itertools.combinations(range(k), 2))
-    for cols in itertools.product(pairs, repeat=n):
-        rows = tuple(
-            tuple(1 if i in col else 0 for col in cols) for i in range(k)
-        )
-        if any(not any(row) for row in rows):
-            continue
-        if rows != tuple(sorted(rows)):
-            continue
-        yield CoverMatrix(rows)
+    for cols in _product_prefixes(pairs, n, keep):
+        yield CoverMatrix(rows(cols))
 
 
 def enumerate_labeled_digraphs(n: int, k: int):
-    """All loopless multi-digraphs with arcs labeled 1..n covering 1..k."""
+    """All loopless multi-digraphs with arcs labeled 1..n covering 1..k; a
+    prefix of arcs is dropped once it leaves over two vertices per arc left."""
     from jugglecards.bijections import LabeledDigraph
 
+    def keep(combo):
+        return k - len({v for arc in combo for v in arc}) <= 2 * (n - len(combo))
+
     arcs = [(t, h) for t in range(1, k + 1) for h in range(1, k + 1) if t != h]
-    for combo in itertools.product(arcs, repeat=n):
-        used = {v for arc in combo for v in arc}
-        if len(used) == k:
-            yield LabeledDigraph(k, combo)
+    for combo in _product_prefixes(arcs, n, keep):
+        yield LabeledDigraph(k, combo)

@@ -113,6 +113,7 @@ def test_is_noncrossing_spot_values():
     assert is_noncrossing(((1, 4), (2, 3)))
     assert not is_noncrossing(((1, 3), (2, 4)))
     assert is_noncrossing(((1, 2, 3),))
+    assert is_noncrossing(())
 
 
 def test_is_noncrossing_matches_pairwise_definition():

@@ -559,3 +559,142 @@ def test_each_subcommand_loads_only_the_modules_it_runs(argv, unused):
     assert set(loaded) - {"jugglecards", "jugglecards.cli"} <= {
         "jugglecards." + name for name in SUBMODULES - unused
     }
+
+
+# A hypothesis fuzz of main over malformed argv and payloads, for every
+# subcommand: a valid command with some flags or payload fields replaced by
+# junk.  Sizes stay at b, n <= 6; census takes m <= 2 and n <= 3, so a
+# --collect lists at most 30**3 rows.
+_FUZZ = r"""
+import contextlib, io, json, sys
+from hypothesis import HealthCheck, given, settings, strategies as st
+from jugglecards.cli import main
+
+size = st.sampled_from(["1", "2", "3", "4", "5", "6", "0", "-1"])
+junk = st.sampled_from([
+    "", "x", "1.5", "id", "0,0", "1,2", "2,1,3", "3,1,2", "3,4,5", "5,3,1",
+    "C1", "C2 C1", "C3 C1 C2", "C2,3 C1", "C9", "C0", "((", "(())()", ")(",
+    "{", "[1]", "null", "{}",
+])
+value = size | size | size | junk
+leaf = (
+    st.integers(1, 6) | st.integers(1, 6) | st.integers(-1, 0)
+    | st.none() | st.booleans() | st.just(1.5) | junk
+)
+field = st.recursive(leaf, lambda inner: st.lists(inner, max_size=4), max_leaves=10)
+keys = [
+    "blocks", "target", "b", "cards", "dyck", "k", "arcs", "rows", "terminal", "initial", "edges",
+]
+payloads = {  # a valid payload for each converter, and a pair with no converter
+    ("partition", "sequence"): {
+        "blocks": [[1, 4, 9], [2, 6], [3, 5, 8], [7]], "target": [3, 1, 4, 2],
+    },
+    ("sequence", "partition"): {"b": 4, "cards": "C3 C3 C2 C4 C3 C4 C3 C2 C2"},
+    ("dyck", "sequence"): {"dyck": "(()())()"},
+    ("sequence", "dyck"): {"b": 5, "cards": "C3 C5 C1 C5 C2 C5 C2 C5"},
+    ("digraph", "sequence"): {"k": 3, "arcs": [[1, 2], [3, 1]], "target": [1, 2, 3]},
+    ("sequence", "digraph"): {"b": 3, "cards": "C3,2 C2,3"},
+    ("cover", "sequence"): {"rows": [[1, 0], [0, 1], [1, 1]], "terminal": [1, 2, 3]},
+    ("sequence", "cover"): {"b": 2, "cards": "C1,2 C2,1"},
+    ("cover", "multigraph"): {"rows": [[1, 0], [0, 1], [1, 1]]},
+    ("multigraph", "cover"): {"k": 3, "edges": [[1, 2], [2, 3]]},
+    ("cover", "cover"): {},
+}
+texts = {  # a valid object for each check
+    "siteswap": "5,3,1", "dyck": "(()())", "minimal": "C3 C5 C1 C5 C2 C5 C2 C5",
+    "cover": '{"rows": [[1, 0], [0, 1], [1, 1]]}',
+}
+counts = [
+    "stirling2", "gen-stirling", "js", "narayana", "g", "p0", "p2", "p4", "qd", "stirling1", "nope",
+]
+
+
+def payload(pair):
+    edits = st.dictionaries(st.sampled_from(keys), field, max_size=2)
+    return edits.map(lambda edit: json.dumps({**payloads[pair], **edit})) | junk
+
+
+def flags(*names, values=value):
+    return st.tuples(*(st.tuples(st.just(name), values) for name in names)).map(
+        lambda pairs: [x for pair in pairs for x in pair]
+    )
+
+
+family = {"--b": value, "--human": None, "--unordered": None}
+draws = {**family, "--m": value, "--weights": value, "--seed": value}
+# each subcommand: a strategy for its leading arguments, and its optional
+# flags with a strategy for each value (None for a switch)
+commands = {
+    "count": (
+        st.tuples(
+            st.sampled_from(counts).map(lambda kind: [kind]),
+            flags("--n", "--k", "--b", "--m", "--d"),
+        ),
+        {"--arrangement": value, "--n": value},
+    ),
+    "convert": (
+        st.sampled_from(sorted(payloads)).flatmap(
+            lambda pair: st.tuples(st.just(list(pair)), flags("--payload", values=payload(pair)))
+        ),
+        {"--human": None},
+    ),
+    "verify": (
+        st.sampled_from(sorted(texts)).flatmap(
+            lambda kind: st.tuples(
+                st.just([kind]), st.lists(st.just(texts[kind]) | junk, max_size=1)
+            )
+        ),
+        {"--b": value, "--human": None},
+    ),
+    "render": (
+        st.tuples((st.just("C3 C3 C2 C4") | junk).map(lambda cards: [cards]), st.just([])),
+        {"--b": value, "--card-width": value, "--level-spacing": value, "--no-ball-labels": None},
+    ),
+    "census": (
+        st.tuples(
+            flags("--b"), flags("--n", values=st.sampled_from(["1", "2", "3", "0", "-1"]) | junk)
+        ),
+        {
+            **family, "--m": st.sampled_from(["1", "2", "0", "-1"]) | junk, "--perm": value,
+            "--crossings": value, "--max-crossings": value, "--thrown": value,
+            "--primitive": None, "--no-uses-top": None, "--collect": None,
+        },
+    ),
+    "sample": (st.tuples(flags("--b"), flags("--n")), draws),
+    "walk": (st.tuples(flags("--b"), flags("--steps")), {**draws, "--trials": value}),
+}
+
+
+def argv(name):
+    head, options = commands[name]
+    option = st.sampled_from(sorted(options)).flatmap(
+        lambda flag: st.just([flag]) if options[flag] is None else flags(flag, values=options[flag])
+    )
+    return st.tuples(head, st.lists(option, max_size=4)).map(
+        lambda t: [name, *t[0][0], *t[0][1], *(x for opt in t[1] for x in opt)]
+    )
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=list(HealthCheck))
+@given(st.sampled_from(sorted(commands)).flatmap(argv), junk)
+def fuzz(args, stdin):
+    out, err = io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(stdin)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse refuses with 2
+            code = exc.code
+    assert code in (0, 1, 2), (args, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (args, err.getvalue())
+
+
+fuzz()
+print("ok")
+"""
+
+
+def test_malformed_argv_and_payloads_exit_0_1_or_2_without_a_traceback():
+    done = fresh("-c", _FUZZ, cap_mb=512)
+    assert (done.returncode, done.stdout) == (0, "ok\n"), done.stderr[-3000:]

@@ -41,6 +41,7 @@ from jugglecards.enumeration import (
     cycle_census,
     enumerate_2covers,
     enumerate_dyck_words,
+    enumerate_labeled_digraphs,
     enumerate_noncrossing_partitions,
     enumerate_plus,
     enumerate_set_partitions,
@@ -304,6 +305,42 @@ def test_a_listing_skips_branches_that_cannot_end_with_k_blocks():
         capture_output=True, text=True, timeout=20,
     )
     assert done.stdout == str([tuple((x,) for x in range(1, 15))]) + "\n"
+
+
+def test_cover_and_digraph_listings_skip_prefixes_that_cannot_cover():
+    # 12 rows are covered by 6 disjoint pairs, but trying all 66**6 column
+    # tuples (132**6 arc tuples) before filtering gives no answer for hours
+    src = pathlib.Path(enumeration.__file__).parents[1]
+    code = (
+        "from jugglecards.enumeration import *; "
+        "print(next(enumerate_2covers(6, 12)).rows[::2]); "
+        "print(next(enumerate_labeled_digraphs(6, 12)).arcs)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=20,
+    )
+    pairs = [tuple(int(i == j) for i in range(6)) for j in reversed(range(6))]
+    arcs = [(i, i + 1) for i in range(1, 12, 2)]
+    assert done.stdout == f"{tuple(pairs)}\n{tuple(arcs)}\n"
+
+
+def test_cover_and_digraph_listings_are_the_filtered_products():
+    for n in range(1, 4):
+        for k in range(1, 6):
+            pairs = list(itertools.combinations(range(k), 2))
+            covers = []
+            for cols in itertools.product(pairs, repeat=n):
+                rows = tuple(tuple(int(i in col) for col in cols) for i in range(k))
+                if all(map(any, rows)) and rows == tuple(sorted(rows)):
+                    covers.append(rows)
+            assert [M.rows for M in enumerate_2covers(n, k)] == covers, (n, k)
+            arcs = [(t, h) for t in range(1, k + 1) for h in range(1, k + 1) if t != h]
+            graphs = [
+                combo for combo in itertools.product(arcs, repeat=n)
+                if {v for arc in combo for v in arc} == set(range(1, k + 1))
+            ]
+            assert [g.arcs for g in enumerate_labeled_digraphs(n, k)] == graphs, (n, k)
 
 
 def test_cover_generator_shapes():

@@ -20,6 +20,7 @@ from jugglecards.cards import (
 _MARGIN = 20
 _GUTTER = 18
 _LABEL_STRIP = 20
+_MAX_PX = 10**6  # the largest card dimension a render accepts
 _PALETTE = (
     "#4269d0",
     "#efb118",
@@ -38,7 +39,9 @@ class RenderSpec:
 
     ``card_width`` and ``card_height`` size each card's frame in pixels;
     ``level_spacing`` is the vertical gap between adjacent ball tracks,
-    which sit centered inside the frame.
+    which sit centered inside the frame.  A frame is ``card_height``
+    tall, or as tall as its tracks need when they span more.  Each
+    dimension is a whole number of pixels, at most a million.
     """
 
     card_width: int = 70
@@ -49,12 +52,29 @@ class RenderSpec:
 
     def __post_init__(self):
         for field in ("card_width", "card_height", "level_spacing"):
-            if getattr(self, field) <= 0:
+            value = getattr(self, field)
+            if not isinstance(value, int):
+                raise ValueError(f"{field} must be a whole number of pixels, got {value!r}")
+            if value <= 0:
                 raise ValueError(f"{field} must be positive")
+            if value > _MAX_PX:
+                raise ValueError(f"{field} must be at most {_MAX_PX} px, got {value}")
 
 
-def _fmt(v) -> str:
-    return f"{v:g}"
+_QUARTERS = ("", ".25", ".5", ".75")
+
+
+def _fmt(q: int) -> str:
+    """A nonnegative coordinate given in quarter pixels, printed exactly.
+
+    Every coordinate is a multiple of 1/4, so it prints as an integer or
+    with a ``.25``, ``.5`` or ``.75`` tail.
+
+    >>> _fmt(400), _fmt(185), _fmt(400342)
+    ('100', '46.25', '100085.5')
+    """
+    whole, quarter = divmod(q, 4)
+    return f"{whole}{_QUARTERS[quarter]}"
 
 
 def _style() -> str:
@@ -78,15 +98,21 @@ def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
     crossing number.
     """
     b, n = seq.b, seq.n
+    w, s = spec.card_width, spec.level_spacing
     gutter = _GUTTER if spec.ball_labels else 0
-    width = 2 * _MARGIN + 2 * gutter + n * spec.card_width
-    height = 2 * _MARGIN + spec.card_height
+    frame_height = max(spec.card_height, (b - 1) * s)
+    width = 2 * _MARGIN + 2 * gutter + n * w
+    height = 2 * _MARGIN + frame_height
     if spec.thrown_labels:
         height += _LABEL_STRIP
-    top_pad = (spec.card_height - (b - 1) * spec.level_spacing) / 2
 
-    def track_y(level: int) -> float:
-        return _MARGIN + top_pad + (b - level) * spec.level_spacing
+    # coordinates in quarter pixels: the top pad is half a pixel count,
+    # and the bends sit a quarter of a card width in from its edges
+    top = 4 * _MARGIN + 2 * (frame_height - (b - 1) * s)
+    track_q = [top + 4 * (b - level) * s for level in range(1, b + 1)]
+    track_y = [_fmt(q) for q in track_q]
+    track_class = [f"track ball-{i % len(_PALETTE) + 1}" for i in range(b)]
+    exits = {}  # each distinct card's exit y per entry level
 
     history = arrangement_history(seq)
     meta = {
@@ -102,50 +128,40 @@ def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
         f"  <metadata>{json.dumps(meta, sort_keys=True)}</metadata>",
         _style(),
     ]
+    text_y = _MARGIN + frame_height + 15
     for i, card in enumerate(seq.cards, start=1):
-        x0 = _MARGIN + gutter + (i - 1) * spec.card_width
-        x1 = x0 + spec.card_width
-        bend0 = x0 + spec.card_width / 4
-        bend1 = x1 - spec.card_width / 4
-        perm = card_permutation(card)
+        q0 = 4 * (_MARGIN + gutter + (i - 1) * w)
+        q1 = q0 + 4 * w
+        x0, bend0, bend1, x1 = _fmt(q0), _fmt(q0 + w), _fmt(q1 - w), _fmt(q1)
+        out = exits.get(card.targets)
+        if out is None:
+            out = exits[card.targets] = [track_y[t - 1] for t in card_permutation(card)]
+        arrangement = history[i - 1]
         lines.append(f'  <g id="card-{i}">')
         lines.append(
-            f'    <rect class="frame" x="{_fmt(x0)}" y="{_MARGIN}"'
-            f' width="{spec.card_width}" height="{spec.card_height}"/>'
+            f'    <rect class="frame" x="{x0}" y="{_MARGIN}"'
+            f' width="{w}" height="{frame_height}"/>'
         )
-        for level in range(1, b + 1):
-            ball = history[i - 1][level - 1]
-            y_in = track_y(level)
-            y_out = track_y(perm[level - 1])
-            points = (
-                f"{_fmt(x0)},{_fmt(y_in)} {_fmt(bend0)},{_fmt(y_in)}"
-                f" {_fmt(bend1)},{_fmt(y_out)} {_fmt(x1)},{_fmt(y_out)}"
-            )
-            color = (ball - 1) % len(_PALETTE) + 1
+        for ball, y_in, y_out in zip(arrangement, track_y, out):
             lines.append(
-                f'    <polyline class="track ball-{color}" points="{points}"/>'
+                f'    <polyline class="{track_class[ball - 1]}" points="{x0},{y_in}'
+                f' {bend0},{y_in} {bend1},{y_out} {x1},{y_out}"/>'
             )
         if spec.thrown_labels:
-            label = ",".join(str(ball) for ball in history[i - 1][: card.m])
-            y_text = _MARGIN + spec.card_height + 15
+            label = ",".join(str(ball) for ball in arrangement[: card.m])
             lines.append(
-                f'    <text class="thrown" x="{_fmt((x0 + x1) / 2)}"'
-                f' y="{y_text}">{label}</text>'
+                f'    <text class="thrown" x="{_fmt((q0 + q1) // 2)}"'
+                f' y="{text_y}">{label}</text>'
             )
         lines.append("  </g>")
     if spec.ball_labels:
         left = _MARGIN + gutter - 6
-        right = _MARGIN + gutter + n * spec.card_width + 6
+        right = _MARGIN + gutter + n * w + 6
         lines.append('  <g id="ball-labels">')
-        for level in range(1, b + 1):
-            y = track_y(level) + 4
-            lines.append(
-                f'    <text text-anchor="end" x="{left}"'
-                f' y="{_fmt(y)}">{history[0][level - 1]}</text>'
-            )
-            lines.append(
-                f'    <text x="{right}" y="{_fmt(y)}">{history[-1][level - 1]}</text>'
-            )
+        for q, first, last in zip(track_q, history[0], history[-1]):
+            y = _fmt(q + 16)
+            lines.append(f'    <text text-anchor="end" x="{left}" y="{y}">{first}</text>')
+            lines.append(f'    <text x="{right}" y="{y}">{last}</text>')
         lines.append("  </g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -343,6 +343,15 @@ def test_render_rejects_nonpositive_dimensions(capsys):
     assert code == 2 and "card_width" in err
 
 
+@pytest.mark.parametrize("value", [10**400, 10**6 + 1])
+@pytest.mark.parametrize("flag", ["--card-width", "--card-height", "--level-spacing"])
+def test_render_refuses_a_dimension_past_a_million_pixels(capsys, flag, value):
+    code, out, err = run(capsys, "render", "C3", "--b", "4", flag, str(value))
+    assert (code, out) == (2, "")
+    field = flag[2:].replace("-", "_")
+    assert err == f"error: {field} must be at most 1000000 px, got {value}\n"
+
+
 def test_render_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
     target = tmp_path / "missing" / "row.svg"
     code, out, err = run(capsys, "render", "C2", "--b", "2", "--output", str(target))
@@ -648,7 +657,10 @@ commands = {
     ),
     "render": (
         st.tuples((st.just("C3 C3 C2 C4") | junk).map(lambda cards: [cards]), st.just([])),
-        {"--b": value, "--card-width": value, "--level-spacing": value, "--no-ball-labels": None},
+        {
+            "--b": value, "--card-width": value, "--card-height": value,
+            "--level-spacing": value, "--no-ball-labels": None,
+        },
     ),
     "census": (
         st.tuples(

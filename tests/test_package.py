@@ -90,7 +90,7 @@ def test_unknown_names_raise_attribute_error():
     assert jugglecards.__version__ == "0.1.0"
 
 
-@pytest.mark.parametrize("module", ["cards", "bijections", "counting", "enumeration"])
+@pytest.mark.parametrize("module", ["cards", "bijections", "counting", "enumeration", "svg"])
 def test_module_doctests_pass(module):
     result = doctest.testmod(importlib.import_module("jugglecards." + module))
     assert result.failed == 0

@@ -24,7 +24,7 @@ from jugglecards.cards import (
     Card,
     CardSequence,
     _check_perm,
-    backward_step,
+    _unthrow,
     crossings,
     identity_perm,
     increasing_suffix_length,
@@ -79,11 +79,19 @@ def _blocks_to_pattern(blocks: Blocks) -> tuple[int, ...]:
     return pattern
 
 
+def _row(b: int, steps: list[tuple[int, ...]]) -> CardSequence:
+    """The row over ``b`` balls whose cards, read right to left, have the
+    targets ``steps``; one :class:`Card` per distinct targets tuple."""
+    card = {targets: Card(b, targets) for targets in set(steps)}
+    return CardSequence(b, tuple(card[targets] for targets in reversed(steps)))
+
+
 def _rebuild(
     family: Family, target: tuple[int, ...], b: int, counted: str
 ) -> CardSequence:
     """The row over ``b`` balls throwing ``family[j-1]`` at card ``j`` and
-    ending at ``target``, built right to left with :func:`backward_step`.
+    ending at ``target``, built right to left one
+    :func:`~jugglecards.cards.backward_step` at a time.
 
     ``family`` names its balls 1..k.  The count ``k`` must satisfy
     ``b - L <= k <= b`` where ``L`` is the increasing-suffix length of the
@@ -98,12 +106,12 @@ def _rebuild(
             f"{k} {counted} cannot reach this arrangement; need {max(low, 1)}..{b}"
         )
     right = tuple(target)
-    cards: list[Card] = []
+    steps = []
     for entry in reversed(family):
-        right, card = backward_step(right, entry)
-        cards.append(card)
+        right, targets = _unthrow(right, entry)
+        steps.append(targets)
     assert right == identity_perm(b), "backward construction must end sorted"
-    return CardSequence(b, tuple(reversed(cards)))
+    return _row(b, steps)
 
 
 def partition_to_sequence(
@@ -252,16 +260,13 @@ class CoverMatrix:
         for row in self.rows:
             if len(row) != n:
                 raise ValueError("ragged cover matrix")
-            if any(x not in (0, 1) for x in row):
+            if row.count(0) + row.count(1) != n:
                 raise ValueError("cover entries must be 0 or 1")
             if not any(row):
                 raise ValueError("cover has an all-zero row")
-        sums = {sum(row[j] for row in self.rows) for j in range(n)}
+        sums = set(map(sum, zip(*self.rows)))
         if len(sums) != 1:
             raise ValueError(f"column sums differ: {sorted(sums)}")
-        (m,) = sums
-        if m < 1:
-            raise ValueError("columns must each contain at least one 1")
 
     @property
     def k(self) -> int:
@@ -334,11 +339,11 @@ def cover_to_sequence(
                     f"equivalent balls {u} and {v} cannot change relative order"
                 )
     right = tuple(terminal)
-    cards: list[Card] = []
+    steps = []
     for j in range(M.n - 1, -1, -1):
         thrown = tuple(ball for ball in right if M.rows[ball - 1][j])
-        right, card = backward_step(right, thrown)
-        cards.append(card)
+        right, targets = _unthrow(right, thrown)
+        steps.append(targets)
     start = right
     expected = tuple(
         x for cls in order for x in sorted(cls, key=terminal.index)
@@ -346,7 +351,7 @@ def cover_to_sequence(
     assert start == expected, "start must follow the cover's order"
     if initial is not None and initial != tuple(start):
         raise ValueError(f"cover forces the start {start}, not {tuple(initial)}")
-    return CardSequence(k, tuple(reversed(cards))), start
+    return _row(k, steps), start
 
 
 def sequence_to_cover(seq: CardSequence) -> CoverMatrix:
@@ -355,12 +360,11 @@ def sequence_to_cover(seq: CardSequence) -> CoverMatrix:
     Requires every ball to be thrown at least once and all cards to
     throw the same number of balls.
     """
-    pattern = throw_pattern(seq)
-    rows = tuple(
-        tuple(1 if ball in entry else 0 for entry in pattern)
-        for ball in range(1, seq.b + 1)
-    )
-    return CoverMatrix(rows)
+    rows = [[0] * seq.n for _ in range(seq.b)]
+    for j, entry in enumerate(throw_pattern(seq)):
+        for ball in entry:
+            rows[ball - 1][j] = 1
+    return CoverMatrix(tuple(map(tuple, rows)))
 
 
 def cover_to_multigraph(M: CoverMatrix) -> tuple[tuple[int, int], ...]:

@@ -17,6 +17,7 @@ print without ceremony.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import operator
 import re
@@ -194,7 +195,7 @@ class Card:
         return len(self.targets) == 1
 
     def __str__(self) -> str:
-        return "C" + ",".join(str(t) for t in self.targets)
+        return "C" + ",".join(map(str, self.targets))
 
 
 def single_throw(b: int, i: int) -> Card:
@@ -268,7 +269,9 @@ class CardSequence:
         return len(self.cards)
 
     def __str__(self) -> str:
-        return " ".join(str(c) for c in self.cards)
+        keys = [c.targets for c in self.cards]
+        text = {t: str(c) for t, c in dict(zip(keys, self.cards)).items()}
+        return " ".join(map(text.__getitem__, keys))
 
 
 def sequence_of(b: int, *throws) -> CardSequence:
@@ -290,7 +293,8 @@ def parse_sequence(text: str, b: int) -> CardSequence:
     names = text.split()
     if not names:
         raise ValueError("empty card sequence")
-    return CardSequence(b, tuple(parse_card(t, b) for t in names))
+    card = {name: parse_card(name, b) for name in dict.fromkeys(names)}
+    return CardSequence(b, tuple(card[name] for name in names))
 
 
 def _highest_target(text: str) -> int:
@@ -302,24 +306,21 @@ def _highest_target(text: str) -> int:
 
 def sequence_permutation(seq: CardSequence) -> tuple[int, ...]:
     """The level map of the whole row, leftmost card applied first."""
-    p = identity_perm(seq.b)
-    for card in seq.cards:
-        p = compose(p, card_permutation(card))
-    return p
+    return inverse(final_arrangement(seq))
 
 
 def apply_card(arrangement: tuple[int, ...], card: Card) -> tuple[int, ...]:
-    """Push one arrangement (balls listed bottom to top) through a card."""
-    b = card.b
-    if len(arrangement) != b:
+    """Push one arrangement (balls listed bottom to top) through a card.
+
+    The unthrown balls are copied and each of the ``m`` thrown balls is
+    inserted at its target, lowest first: O(m log m) Python steps, and
+    O(m·b) element moves done inside list operations.
+    """
+    if len(arrangement) != card.b:
         raise ValueError("arrangement size does not match card")
-    new = [0] * b
-    for j, t in enumerate(card.targets):
-        new[t - 1] = arrangement[j]
-    rest = iter(arrangement[card.m:])
-    for lv in range(b):
-        if new[lv] == 0:
-            new[lv] = next(rest)
+    new = list(arrangement[card.m:])
+    for t, ball in sorted(zip(card.targets, arrangement)):
+        new.insert(t - 1, ball)
     return tuple(new)
 
 
@@ -329,21 +330,18 @@ def arrangement_history(seq: CardSequence) -> tuple[tuple[int, ...], ...]:
     Starts from the sorted stack (ball ``j`` at level ``j``), so the entry
     after the last card is ``final_arrangement(seq)``.
     """
-    arr = identity_perm(seq.b)
-    out = [arr]
-    for card in seq.cards:
-        arr = apply_card(arr, card)
-        out.append(arr)
-    return tuple(out)
+    return tuple(itertools.accumulate(seq.cards, apply_card, initial=identity_perm(seq.b)))
 
 
 def final_arrangement(seq: CardSequence) -> tuple[int, ...]:
     """Ball order, bottom to top, after the last card.
 
     Equals the inverse of ``sequence_permutation`` read as a tuple: the
-    ball at level ``j`` is the one whose start level maps to ``j``.
+    ball at level ``j`` is the one whose start level maps to ``j``.  A
+    fold of :func:`apply_card` that keeps no history: O(n) Python steps
+    for n single-throw cards, whatever ``b``.
     """
-    return arrangement_history(seq)[-1]
+    return functools.reduce(apply_card, seq.cards, identity_perm(seq.b))
 
 
 def throw_pattern(seq: CardSequence) -> tuple[tuple[int, ...], ...]:
@@ -442,6 +440,25 @@ def verify_siteswap(heights: tuple[int, ...]) -> tuple[bool, int | None]:
 # ---------------------------------------------------------------------------
 # reconstruction, one card at a time
 
+def _unthrow(
+    right: tuple[int, ...], thrown: tuple[int, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The left side and the targets of the card that throws ``thrown``
+    and leaves ``right``; see :func:`backward_step`."""
+    if len(set(thrown)) != len(thrown):
+        raise ValueError(f"thrown balls must be distinct, got {thrown}")
+    targets = []
+    for ball in thrown:
+        try:
+            targets.append(right.index(ball) + 1)
+        except ValueError:
+            raise ValueError(f"ball {ball} does not appear on the right side") from None
+    rest = list(right)
+    for t in sorted(targets, reverse=True):
+        del rest[t - 1]
+    return tuple(thrown) + tuple(rest), tuple(targets)
+
+
 def backward_step(
     right: tuple[int, ...], thrown: tuple[int, ...]
 ) -> tuple[tuple[int, ...], Card]:
@@ -453,15 +470,8 @@ def backward_step(
     and the unthrown balls keep their relative order below the thrown
     ones removed.  Listing ``thrown`` in level order (bottom to top in
     ``right``) gives the order-preserving card, whose targets are sorted.
+    Each thrown ball is found and removed by list operations: O(m log m)
+    Python steps and O(m·b) element moves.
     """
-    b = len(right)
-    pos = {ball: lv + 1 for lv, ball in enumerate(right)}
-    if len(set(thrown)) != len(thrown):
-        raise ValueError(f"thrown balls must be distinct, got {thrown}")
-    for ball in thrown:
-        if ball not in pos:
-            raise ValueError(f"ball {ball} does not appear on the right side")
-    targets = tuple(pos[ball] for ball in thrown)
-    thrown_set = set(thrown)
-    left = tuple(thrown) + tuple(ball for ball in right if ball not in thrown_set)
-    return left, Card(b, targets)
+    left, targets = _unthrow(right, thrown)
+    return left, Card(len(right), targets)

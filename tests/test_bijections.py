@@ -262,6 +262,28 @@ def test_cover_matrix_validation():
         CoverMatrix(((1, 2), (1, 0)))  # non-binary entry
 
 
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ((), "cover needs at least one row"),
+        (((),), "cover needs at least one column"),
+        (((1, 0), (1,)), "ragged cover matrix"),
+        (((1, 2), (1, 0)), "cover entries must be 0 or 1"),
+        ((([1],),), "cover entries must be 0 or 1"),
+        ((("1",),), "cover entries must be 0 or 1"),
+        (((None,),), "cover entries must be 0 or 1"),
+        (((1, 0), (0, 0), (0, 1)), "cover has an all-zero row"),
+        (((0, 1), (1, 0), (0, 0), (1,)), "cover has an all-zero row"),
+        (((1, 1), (1, 0)), "column sums differ: [1, 2]"),
+        (((1, 1, 1), (0, 1, 1), (0, 0, 1)), "column sums differ: [1, 2, 3]"),
+    ],
+)
+def test_cover_matrix_names_each_refusal(rows, reason):
+    with pytest.raises(ValueError) as exc:
+        CoverMatrix(rows)
+    assert str(exc.value) == reason
+
+
 def test_worked_cover_partial_order():
     assert cover_partial_order(WORKED_COVER) == ((1,), (3,), (2, 4), (5,))
     assert cover_canonical_order(WORKED_COVER) == (1, 3, 2, 4, 5)

@@ -13,6 +13,7 @@ from jugglecards.cards import (
     card_crossings,
     card_permutation,
     compose,
+    composer,
     crossings,
     cycle_string,
     cycles,
@@ -244,6 +245,31 @@ def test_parse_sequence_round_trip():
     assert parse_sequence(str(RUNNING), 4) == RUNNING
 
 
+@pytest.mark.parametrize(
+    "text", ["C2 C2 C2", "C3 C2,4 C3 C2,4 C1", "C02 C2 C4,1 C1,4 C4,1", "  C1\tC4\nC1 "]
+)
+def test_parse_sequence_reads_repeated_names_card_by_card(text):
+    seq = parse_sequence(text, 4)
+    assert seq.cards == tuple(parse_card(name, 4) for name in text.split())
+
+
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("C2 C9 C2 Cx", "target level 9 outside 1..4"),
+        ("C2 Cx C2 C9", "cannot parse card 'Cx'"),
+        ("C2 C2 C3,3 Cx C3,3", "target level"),
+        ("Cx C9 Cx", "cannot parse card 'Cx'"),
+        ("C1 C1 C0 C1", "target level 0 outside 1..4"),
+        ("C1 C2 C1,2,3,4,1 C9", "card throws 5 balls"),
+    ],
+)
+def test_parse_sequence_names_the_first_bad_card_in_row_order(text, fault):
+    with pytest.raises(ValueError) as exc:
+        parse_sequence(text, 4)
+    assert str(exc.value).startswith(fault)
+
+
 @st.composite
 def sequences(draw, max_b=5, max_n=6, single=False):
     b = draw(st.integers(1, max_b))
@@ -258,7 +284,47 @@ def sequences(draw, max_b=5, max_n=6, single=False):
 
 @given(sequences())
 def test_arrangement_matches_permutation_inverse(seq):
-    assert final_arrangement(seq) == inverse(sequence_permutation(seq))
+    # the level map folded card by card, as the definition reads; the
+    # library reads it off the final arrangement instead
+    p = identity_perm(seq.b)
+    for card in seq.cards:
+        p = compose(p, card_permutation(card))
+    assert sequence_permutation(seq) == p
+    assert final_arrangement(seq) == inverse(p)
+
+
+@given(st.data())
+def test_apply_card_moves_balls_by_the_card_level_map(data):
+    b = data.draw(st.integers(1, 12))
+    m = data.draw(st.integers(1, b))
+    card = Card(b, tuple(data.draw(st.permutations(range(1, b + 1)))[:m]))
+    arr = tuple(data.draw(st.permutations(range(1, b + 1))))
+    # level j of the result holds the ball that entered at the level mapping to j
+    assert apply_card(arr, card) == composer(inverse(card_permutation(card)))(arr)
+
+
+@given(sequences(max_b=8, max_n=20))
+def test_sequence_text_joins_the_card_names(seq):
+    assert str(seq) == " ".join(str(c) for c in seq.cards)
+
+
+def test_a_three_card_row_over_a_hundred_thousand_balls():
+    b = 10**5
+    h = b // 2
+    seq = sequence_of(b, b, (2, b - 1), (h, 1, 3))
+    # C_b lifts ball 1 to the top
+    after_1 = tuple(range(2, b + 1)) + (1,)
+    # C_{2,b-1} sends balls 2 and 3 to levels 2 and b-1; 4.., 1 fill the rest
+    after_2 = (4, 2) + tuple(range(5, b + 1)) + (3, 1)
+    # C_{h,1,3} sends balls 4, 2, 5 to levels h, 1, 3; 6.., 3, 1 fill the rest
+    after_3 = (2, 6, 5) + tuple(range(7, h + 3)) + (4,) + tuple(range(h + 3, b + 1)) + (3, 1)
+    assert final_arrangement(seq) == after_3
+    assert arrangement_history(seq) == (identity_perm(b), after_1, after_2, after_3)
+    level = {ball: lv for lv, ball in enumerate(after_3, start=1)}
+    assert sequence_permutation(seq) == tuple(level[x] for x in range(1, b + 1))
+    assert backward_step(after_3, (4, 2, 5)) == (after_2, Card(b, (h, 1, 3)))
+    assert backward_step(after_2, (2, 3)) == (after_1, Card(b, (2, b - 1)))
+    assert backward_step(after_1, (1,)) == (identity_perm(b), Card(b, (b,)))
 
 
 @given(sequences())

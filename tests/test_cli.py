@@ -197,6 +197,9 @@ def test_convert_decodes_a_deeply_nested_dyck_word(capsys):
         ["convert", "multigraph", "cover", "--payload", '{"k": [2], "edges": [[1, 2]]}'],
         ["convert", "sequence", "dyck", "--payload", '{"b": 2, "cards": 5}'],
         ["convert", "dyck", "sequence", "--payload", '{"dyck": 5}'],
+        ["verify", "cover", '{"rows": [[[1]]]}'],
+        ["verify", "cover", '{"rows": [["1"]]}'],
+        ["verify", "cover", '{"rows": [[null]]}'],
     ],
 )
 def test_malformed_payloads_are_usage_errors(capsys, argv):
@@ -311,6 +314,23 @@ def test_verify_cover(capsys):
     assert code == 0 and json.loads(out) == {
         "kind": "cover", "valid": True, "reason": None, "k": 3, "n": 2, "m": 2,
     }
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        ([], "cover needs at least one row"),
+        ([[]], "cover needs at least one column"),
+        ([[1, 0], [1]], "ragged cover matrix"),
+        ([[1, 2], [1, 0]], "cover entries must be 0 or 1"),
+        ([[1, 0], [0, 0], [0, 1]], "cover has an all-zero row"),
+        ([[1, 1], [1, 0]], "column sums differ: [1, 2]"),
+    ],
+)
+def test_verify_cover_names_each_refusal(capsys, rows, reason):
+    code, out, err = run(capsys, "verify", "cover", json.dumps({"rows": rows}))
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"kind": "cover", "valid": False, "reason": reason}
 
 
 def test_verify_minimal(capsys):

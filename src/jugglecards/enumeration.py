@@ -6,8 +6,10 @@ states (arrangement, crossings so far, top seen, bottom seen, balls
 thrown), so its cost grows with the reachable states per layer instead
 of the ``b^n`` rows.  Collecting (:func:`census_rows`) runs the same
 layers, keeps only the moves into states that can still reach an
-accepted row, and streams the rows depth-first in tree-walk order, so
-memory holds the move graph and one row.
+accepted row, and streams the rows in tree-walk order: a depth-first
+walk to a split depth, each prefix followed by the completions listed
+backwards from the accepted states (:func:`_tails`).  Memory holds the
+move graph, tails no larger than it, and one row.
 
 Rows of uniform ordered ``m``-throw cards that reach a permutation
 depend only on the length of its increasing suffix, so the
@@ -271,36 +273,54 @@ class _Census:
     def count(self) -> int:
         return sum(ways for state, ways in self.final_layer().items() if self.accepts(state))
 
-    def rows(self):
-        """Accepted rows in tree-walk order, one at a time.
-
-        Runs the forward layers, keeps the moves into states that can
-        still reach an accepted row, then walks those moves depth-first
-        with a stack of iterators (no recursion, so any ``n`` works) and
-        one shared prefix: memory holds the move graph and one row.
+    def move_graph(self) -> tuple[list, set]:
+        """``(graph, accepted)``: per depth, each reached state's moves as
+        ``(card, child)`` pairs in family order, kept only into states
+        that can still reach an accepted row, and the accepted final
+        states.  A state with no move left cannot reach one.
         """
-        graph = []  # per depth: state -> its moves, (card, child) once pruned
+        graph = []
         frontier = {self.start}
         for depth in range(self.query.n):
             left = self.left(depth)
             edges = {state: self.children(state, left) for state in frontier}
             graph.append(edges)
             frontier = {c for kids in edges.values() for _, c in kids}
-        live = {s for s in frontier if self.accepts(s)}
+        accepted = live = {s for s in frontier if self.accepts(s)}
         for edges in reversed(graph):
             for state, kids in edges.items():
                 kids[:] = [(self.cards[i], c) for i, c in kids if c in live]
             live = {s for s, kids in edges.items() if kids}
-        if self.start not in live:
+        return graph, accepted
+
+    def rows(self):
+        """Accepted rows in tree-walk order, one at a time.
+
+        Builds :meth:`move_graph`, and :func:`_tails` lists every
+        completion of the states at a split depth.  A depth-first walk
+        over the moves down to that depth, with a stack of iterators (no
+        recursion, so any ``n`` works) and one shared prefix, yields the
+        prefix followed by each tail of the state it reaches.  Memory
+        holds the move graph, tails no larger than it, and one row.
+        """
+        graph, accepted = self.move_graph()
+        if not graph[0][self.start]:
             return
-        b, n = self.query.b, self.query.n
+        b = self.query.b
+        split, tails = _tails(graph, accepted)
+        if split == 0:
+            for tail in tails[self.start]:
+                yield CardSequence(b, tail)
+            return
         prefix = []
         stack = [iter(graph[0][self.start])]
         while stack:
             for card, child in stack[-1]:
                 prefix.append(card)
-                if len(prefix) == n:
-                    yield CardSequence(b, tuple(prefix))
+                if len(prefix) == split:
+                    head = tuple(prefix)
+                    for tail in tails[child]:
+                        yield CardSequence(b, head + tail)
                     prefix.pop()
                 else:
                     stack.append(iter(graph[len(prefix)][child]))
@@ -311,13 +331,46 @@ class _Census:
                     prefix.pop()
 
 
+def _tails(graph: list, accepted) -> tuple[int, dict]:
+    """``(split, tails)``: every completion, in family order, of each live
+    state at depth ``split`` of a pruned :meth:`_Census.move_graph`.
+
+    ``tails`` maps each such state to the card tuples that take it to
+    an ``accepted`` final state, built backwards one depth at a time.
+    A cell is one card in one built tail, and every level built counts.
+    The build stops before the depth whose cells would take the running
+    total past the number of moves in ``graph``, so the tails never
+    outgrow the graph (a bound on the number of tails alone would let
+    one ball build n²/2 cells).
+    """
+    room = sum(len(kids) for edges in graph for kids in edges.values())
+    split = len(graph)
+    tails = dict.fromkeys(accepted, ((),))
+    while split:
+        edges = graph[split - 1]
+        cells = (len(graph) - split + 1) * sum(
+            len(tails[child]) for kids in edges.values() for _, child in kids
+        )
+        if cells > room:
+            break
+        room -= cells
+        split -= 1
+        tails = {
+            state: [(card,) + tail for card, child in kids for tail in tails[child]]
+            for state, kids in edges.items()
+            if kids
+        }
+    return split, tails
+
+
 def census_rows(query: CensusQuery):
     """Yield the sequences matching ``query`` one at a time.
 
     Rows come in tree-walk order (cards in family order at each
     position), the order of :func:`_census_from`.  The search runs
-    before the first row; after it, memory holds the move graph and one
-    row, so listings far larger than memory can be streamed.
+    before the first row; after it, memory holds the move graph, tails
+    no larger than it, and one row, so listings far larger than memory
+    can be streamed.
     """
     return _Census(query).rows()
 
@@ -327,9 +380,10 @@ def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):
 
     Both run the state-transfer engine in this process.  Collecting
     returns ``tuple(census_rows(query))``: the walk streams rows in
-    tree-walk order, holding the move graph and one row.  ``jobs`` is
-    ignored (it must still be nonnegative); it stays only for the
-    benchmark's ``jobs2_speedup`` probe and goes with it.
+    tree-walk order, holding the move graph, tails no larger than it,
+    and one row.  ``jobs`` is ignored (it must still be nonnegative); it
+    stays only for the benchmark's ``jobs2_speedup`` probe and goes with
+    it.
     """
     if jobs is not None and jobs < 0:
         raise ValueError(f"jobs must be nonnegative, got {jobs}")

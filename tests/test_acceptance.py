@@ -99,6 +99,15 @@ FOUR_EXTRA_TABLE = {
 }
 
 
+# P_d(k, 5) for k = 5, 6, ...: primitive five-ball rows of k + d/2 cards
+# that fix the sorted stack, use the top card and cross 20 + d times;
+# the k past each row's end (and k = 4) have none
+SURPLUS_ROWS_B5 = {
+    6: (28, 432, 2205, 5665, 8052, 6006, 1820),
+    8: (90, 1605, 8800, 23265, 35529, 33761, 19110, 4900),
+}
+
+
 def test_c01_single_throw_census_matches_stirling_sums():
     start = time.perf_counter()
     for sigma in itertools.permutations((1, 2, 3)):
@@ -165,6 +174,22 @@ def test_c06_primitive_four_extra_enumeration_matches_reference_counts():
         found = len(enumerate_plus(b, n, 4, primitive=True))
         assert found == FOUR_EXTRA_TABLE[(n, b)], (n, b, found)
     assert time.perf_counter() - start < 300.0
+
+
+def test_c06b_six_and_eight_extra_crossings_match_reference_rows():
+    start = time.perf_counter()
+    b = 5
+    for d, row in SURPLUS_ROWS_B5.items():
+        for k, expected in enumerate((0,) + row + (0,), start=b - 1):
+            n = k + d // 2
+            query = CensusQuery(
+                b=b, n=n, perm=identity_perm(b), crossings=b * (b - 1) + d,
+                uses_top=True, primitive=True,
+            )
+            assert census(query) == expected, (d, k)
+            if expected <= 10**4:
+                assert len(enumerate_plus(b, n, d, primitive=True)) == expected, (d, k)
+    assert time.perf_counter() - start < 20.0
 
 
 def test_c07_four_extra_closed_form_matches_reference_table():

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from unittest import mock
@@ -33,6 +34,7 @@ from jugglecards.enumeration import (
     _census_by_permutation,
     _census_from,
     _check_family,
+    _tails,
     all_sequences,
     brute_js,
     census,
@@ -194,6 +196,73 @@ def test_census_rows_are_lazy():
 def test_census_rows_walk_long_rows_without_recursion():
     rows = census(CensusQuery(b=2, n=5000, crossings=0), collect=True)
     assert rows == (CardSequence(2, (Card(2, (1,)),) * 5000),)
+
+
+def completion_counts(graph, accepted):
+    """Per depth of a pruned move graph, the accepted rows completing
+    each live state, counted forward from nothing but the moves."""
+    ways = [dict.fromkeys(accepted, 1)]
+    for edges in reversed(graph):
+        later = ways[-1]
+        ways.append({s: sum(later[c] for _, c in kids) for s, kids in edges.items() if kids})
+    return ways[::-1]
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        CensusQuery(b=1, n=100_000),
+        CensusQuery(b=3, n=40),
+        CensusQuery(b=3, n=11, perm=identity_perm(3), crossings=8, uses_top=True),
+        CensusQuery(b=4, n=6, m=2, ordered=False, thrown=3),
+        CensusQuery(b=4, n=1),
+        CensusQuery(b=2, n=3, perm=identity_perm(2), crossings=99),
+    ],
+)
+def test_tails_never_outgrow_the_move_graph(query):
+    graph, accepted = _Census(query).move_graph()
+    moves = sum(len(kids) for edges in graph for kids in edges.values())
+    ways = completion_counts(graph, accepted)
+    # the level built at depth d holds one tail of n - d cards per completion
+    cells = [(query.n - d) * sum(ways[d].values()) for d in range(query.n)]
+    split, tails = _tails(graph, accepted)
+    assert sum(cells[split:]) <= moves
+    assert split == 0 or sum(cells[split - 1 :]) > moves
+    assert {s: len(ts) for s, ts in tails.items()} == ways[split]
+    assert all(len(t) == query.n - split for ts in tails.values() for t in ts)
+
+
+@pytest.mark.parametrize(
+    "query, whole",
+    [
+        # every move carries at least one completion, so the cells of all
+        # n levels reach the move count only when n = 1
+        (CensusQuery(b=4, n=1), True),
+        (CensusQuery(b=3, n=1, m=2, ordered=False, thrown=2), True),
+        (CensusQuery(b=1, n=5000), False),
+        (CensusQuery(b=3, n=11, perm=identity_perm(3), crossings=8, uses_top=True), False),
+        (CensusQuery(b=4, n=6, m=2, ordered=False, thrown=3), False),
+        (CensusQuery(b=2, n=3, perm=identity_perm(2), crossings=99), True),
+    ],
+)
+def test_census_rows_are_walked_prefixes_and_their_tails(query, whole):
+    split, _ = _tails(*_Census(query).move_graph())
+    assert (split == 0) == whole
+    assert tuple(census_rows(query)) == _census_from(query, True)
+
+
+def test_census_rows_match_the_tree_walk_on_seeded_queries():
+    rng = random.Random(20151)
+    for _ in range(300):
+        b = rng.randint(1, 4)
+        m = rng.randint(1, min(2, b))
+        ordered = rng.random() < 0.5
+        family = len(throw_cards(b, m, ordered))
+        n = rng.randint(1, max(k for k in range(7) if family**k <= 2000))
+        values = filter_values(b, n, m, ordered)
+        filters = {name: rng.choice(values[name]) for name in sorted(values) if rng.random() < 0.5}
+        q = CensusQuery(b=b, n=n, m=m, ordered=ordered, **filters)
+        assert tuple(census_rows(q)) == _census_from(q, True), q
 
 
 def test_census_parallel_matches_serial():

@@ -18,11 +18,10 @@ names its balls 1..k in order of first appearance.
 
 from __future__ import annotations
 
-import dataclasses
-
 from jugglecards.cards import (
     Card,
     CardSequence,
+    _Value,
     _check_perm,
     _unthrow,
     crossings,
@@ -194,14 +193,13 @@ def family_to_sequence(family: Family, target: tuple[int, ...], b: int) -> CardS
 # edge-labeled digraphs
 
 
-@dataclasses.dataclass(frozen=True)
-class LabeledDigraph:
+class LabeledDigraph(_Value):
     """Loopless multi-digraph on vertices 1..k with arcs in label order."""
 
-    k: int
-    arcs: tuple[tuple[int, int], ...]
+    __slots__ = ("k", "arcs")
 
-    def __post_init__(self):
+    def __init__(self, k: int, arcs: tuple[tuple[int, int], ...]):
+        super().__init__(k, arcs)
         if self.k < 1:
             raise ValueError("need at least one vertex")
         if not self.arcs:
@@ -240,8 +238,7 @@ def family_to_digraph(family: Family) -> LabeledDigraph:
 # cover matrices and order-preserving sequences
 
 
-@dataclasses.dataclass(frozen=True)
-class CoverMatrix:
+class CoverMatrix(_Value):
     """0/1 matrix whose column ``j`` marks the balls thrown at time ``j``.
 
     Rows are virtual balls, columns card positions; every column sums to
@@ -249,9 +246,10 @@ class CoverMatrix:
     all zero (every virtual ball is thrown eventually).
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        super().__init__(rows)
         if not self.rows:
             raise ValueError("cover needs at least one row")
         n = len(self.rows[0])

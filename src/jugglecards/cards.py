@@ -16,7 +16,6 @@ print without ceremony.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import operator
@@ -159,8 +158,42 @@ def increasing_suffix_length(p: tuple[int, ...]) -> int:
 # cards
 
 
-@dataclasses.dataclass(frozen=True)
-class Card:
+class _Value:
+    """Base of the package's immutable records.  A subclass lists its fields
+    in ``__slots__``, in constructor order, and sets them once: through
+    ``_Value.__init__``, or with one ``object.__setattr__`` each where rows
+    build many.  Records of one class with equal fields are equal, and copy
+    and pickle through the constructor, so its checks run again."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return self.__class__, tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.__reduce__() == other.__reduce__()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self.__slots__, self.__reduce__()[1])
+        return f"{self.__class__.__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Card(_Value):
     """One juggling card over ``b`` balls.
 
     ``targets`` lists where the bottom ``m`` balls go: the ball entering at
@@ -169,22 +202,23 @@ class Card:
     levels, and so is every row, since a row holds at least one card.
     """
 
-    b: int
-    targets: tuple[int, ...]
+    __slots__ = ("b", "targets")
 
-    def __post_init__(self):
-        m = len(self.targets)
-        if self.b < 1:
-            raise ValueError(f"need at least one ball, got b={self.b}")
-        if self.b > _MAX_LEVELS:
-            raise ValueError(f"cards hold at most {_MAX_LEVELS} balls, got b={self.b}")
-        if not 1 <= m <= self.b:
-            raise ValueError(f"card throws {m} balls, must be between 1 and {self.b}")
-        if len(set(self.targets)) != m:
-            raise ValueError(f"target levels must be distinct, got {self.targets}")
-        for t in self.targets:
-            if not 1 <= t <= self.b:
-                raise ValueError(f"target level {t} outside 1..{self.b}")
+    def __init__(self, b: int, targets: tuple[int, ...]):
+        m = len(targets)
+        if b < 1:
+            raise ValueError(f"need at least one ball, got b={b}")
+        if b > _MAX_LEVELS:
+            raise ValueError(f"cards hold at most {_MAX_LEVELS} balls, got b={b}")
+        if not 1 <= m <= b:
+            raise ValueError(f"card throws {m} balls, must be between 1 and {b}")
+        if len(set(targets)) != m:
+            raise ValueError(f"target levels must be distinct, got {targets}")
+        for t in targets:
+            if not 1 <= t <= b:
+                raise ValueError(f"target level {t} outside 1..{b}")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "targets", targets)
 
     @property
     def m(self) -> int:
@@ -250,19 +284,19 @@ def card_crossings(card: Card) -> int:
 # sequences
 
 
-@dataclasses.dataclass(frozen=True)
-class CardSequence:
+class CardSequence(_Value):
     """A nonempty left-to-right row of cards over the same ``b`` balls."""
 
-    b: int
-    cards: tuple[Card, ...]
+    __slots__ = ("b", "cards")
 
-    def __post_init__(self):
-        if not self.cards:
+    def __init__(self, b: int, cards: tuple[Card, ...]):
+        if not cards:
             raise ValueError("card sequence must hold at least one card")
-        for c in self.cards:
-            if c.b != self.b:
-                raise ValueError(f"card {c} is over {c.b} balls, sequence over {self.b}")
+        for c in cards:
+            if c.b != b:
+                raise ValueError(f"card {c} is over {c.b} balls, sequence over {b}")
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "cards", cards)
 
     @property
     def n(self) -> int:

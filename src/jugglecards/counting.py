@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 from functools import cache
 
 
@@ -347,6 +346,8 @@ def convolved_pair_identity(b: int, n: int) -> tuple[Fraction, Fraction]:
     over ``1 <= i <= b-1`` and ``1 <= j <= n-2`` against
     ``(2/b) C(n-1,b-2) C(n-2,b-1)``.
     """
+    from fractions import Fraction  # here, so that no other count loads fractions
+
     if b < 2 or n < 3:
         raise ValueError(f"need b >= 2 and n >= 3, got b={b}, n={n}")
     lhs = Fraction(0)

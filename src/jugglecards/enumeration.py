@@ -38,7 +38,6 @@ never loads it.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
@@ -46,6 +45,7 @@ import operator
 from jugglecards.cards import (
     _MAX_LEVELS,
     _MAX_ROW,
+    _Value,
     _check_perm,
     Card,
     CardSequence,
@@ -117,8 +117,7 @@ def all_sequences(b, n, cards=None):
         yield CardSequence(b, combo)
 
 
-@dataclasses.dataclass(frozen=True)
-class CensusQuery:
+class CensusQuery(_Value):
     """Filters for a census over all sequences of ``n`` cards on ``b`` balls.
 
     ``m`` and ``ordered`` pick the card family.  The remaining fields are
@@ -130,18 +129,17 @@ class CensusQuery:
     than ``_MAX_ROW`` cards is refused before any layer is built.
     """
 
-    b: int
-    n: int
-    m: int = 1
-    ordered: bool = True
-    perm: tuple[int, ...] | None = None
-    crossings: int | None = None
-    max_crossings: int | None = None
-    primitive: bool | None = None
-    uses_top: bool | None = None
-    thrown: int | None = None
+    __slots__ = ("b", "n", "m", "ordered", "perm", "crossings", "max_crossings", "primitive",
+                 "uses_top", "thrown")
 
-    def __post_init__(self):
+    def __init__(
+        self, b: int, n: int, m: int = 1, ordered: bool = True,
+        perm: tuple[int, ...] | None = None, crossings: int | None = None,
+        max_crossings: int | None = None, primitive: bool | None = None,
+        uses_top: bool | None = None, thrown: int | None = None,
+    ):
+        super().__init__(b, n, m, ordered, perm, crossings, max_crossings, primitive, uses_top,
+                         thrown)
         _check_family(self.b, self.m, self.ordered)
         if self.n < 1:
             raise ValueError(f"need at least one card, got n={self.n}")

@@ -12,7 +12,6 @@ streams from :mod:`jugglecards.rng`.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 from bisect import bisect_right
@@ -21,6 +20,7 @@ from fractions import Fraction
 
 from jugglecards.cards import (
     _MAX_ROW,
+    _Value,
     CardSequence,
     card_permutation,
     composer,
@@ -42,13 +42,13 @@ from jugglecards.rng import RandomStream
 _BLOCK = 4096  # draws per batch, which bounds the size of the packed ints
 
 
-@dataclasses.dataclass(frozen=True)
-class GroupDistribution:
+class GroupDistribution(_Value):
     """Exact probabilities over permutations of a common degree."""
 
-    prob: dict
+    __slots__ = ("prob",)
 
-    def __post_init__(self):
+    def __init__(self, prob: dict):
+        super().__init__(prob)
         if not self.prob:
             raise ValueError("empty distribution")
         sizes = {len(g) for g in self.prob}

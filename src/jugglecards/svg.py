@@ -7,10 +7,10 @@ byte-identical output, so diagrams can be diffed and pinned as golden
 files.
 """
 
-import dataclasses
 import json
 
 from jugglecards.cards import (
+    _Value,
     CardSequence,
     arrangement_history,
     card_permutation,
@@ -33,8 +33,7 @@ _PALETTE = (
 )
 
 
-@dataclasses.dataclass(frozen=True)
-class RenderSpec:
+class RenderSpec(_Value):
     """Geometry and label options for :func:`render_svg`.
 
     ``card_width`` and ``card_height`` size each card's frame in pixels;
@@ -44,13 +43,13 @@ class RenderSpec:
     dimension is a whole number of pixels, at most a million.
     """
 
-    card_width: int = 70
-    card_height: int = 120
-    level_spacing: int = 24
-    ball_labels: bool = True
-    thrown_labels: bool = True
+    __slots__ = ("card_width", "card_height", "level_spacing", "ball_labels", "thrown_labels")
 
-    def __post_init__(self):
+    def __init__(
+        self, card_width: int = 70, card_height: int = 120, level_spacing: int = 24,
+        ball_labels: bool = True, thrown_labels: bool = True,
+    ):
+        super().__init__(card_width, card_height, level_spacing, ball_labels, thrown_labels)
         for field in ("card_width", "card_height", "level_spacing"):
             value = getattr(self, field)
             if not isinstance(value, int):

@@ -120,3 +120,20 @@ def test_no_function_calls_itself():
                     and node.func.id == func.name
                 ]
     assert calls == []
+
+
+def test_no_module_imports_dataclasses():
+    # dataclasses pulls in inspect, which would cost every CLI run milliseconds
+    # of import; the records are plain __slots__ classes instead
+    found = []
+    for path in sorted(pathlib.Path(jugglecards.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

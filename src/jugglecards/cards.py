@@ -200,6 +200,7 @@ class Card(_Value):
     level ``j`` leaves at level ``targets[j-1]``.  A card of more than
     ``_MAX_LEVELS`` balls is refused before anything is built over its
     levels, and so is every row, since a row holds at least one card.
+    Any sequence of targets is stored as a tuple.
     """
 
     __slots__ = ("b", "targets")
@@ -218,7 +219,7 @@ class Card(_Value):
             if not 1 <= t <= b:
                 raise ValueError(f"target level {t} outside 1..{b}")
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "targets", tuple(targets))
 
     @property
     def m(self) -> int:
@@ -285,7 +286,8 @@ def card_crossings(card: Card) -> int:
 
 
 class CardSequence(_Value):
-    """A nonempty left-to-right row of cards over the same ``b`` balls."""
+    """A nonempty left-to-right row of cards over the same ``b`` balls,
+    stored as a tuple."""
 
     __slots__ = ("b", "cards")
 
@@ -296,7 +298,7 @@ class CardSequence(_Value):
             if c.b != b:
                 raise ValueError(f"card {c} is over {c.b} balls, sequence over {b}")
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "cards", cards)
+        object.__setattr__(self, "cards", tuple(cards))
 
     @property
     def n(self) -> int:

@@ -43,12 +43,13 @@ _BLOCK = 4096  # draws per batch, which bounds the size of the packed ints
 
 
 class GroupDistribution(_Value):
-    """Exact probabilities over permutations of a common degree."""
+    """Exact probabilities over permutations of a common degree, kept in a
+    copy of the caller's mapping."""
 
     __slots__ = ("prob",)
 
     def __init__(self, prob: dict):
-        super().__init__(prob)
+        super().__init__(dict(prob))
         if not self.prob:
             raise ValueError("empty distribution")
         sizes = {len(g) for g in self.prob}
@@ -297,13 +298,16 @@ def sample_sequence(
     cards = throw_cards(b, m, ordered)
     cumulative = _cumulative_weights(cards, weights)
     draws = RandomStream(seed).randrange_many(cumulative[-1], n)
-    return CardSequence(b, tuple(_picks(cards, cumulative, draws)))
+    return CardSequence(b, tuple(map(cards.__getitem__, _picks(cumulative, draws))))
 
 
-def _picks(items, cumulative, draws):
-    """The item each draw selects: the first whose cumulative weight
-    exceeds it."""
-    return map(items.__getitem__, map(bisect_right, itertools.repeat(cumulative), draws))
+def _picks(cumulative, draws):
+    """The index each draw selects: the first whose cumulative weight
+    exceeds it.  Under unit weights, which total their count, that is
+    the draw itself."""
+    if cumulative[-1] == len(cumulative):
+        return draws
+    return map(bisect_right, itertools.repeat(cumulative), draws)
 
 
 def _trial_draws(root: RandomStream, trials: range, bound: int, n: int):
@@ -317,6 +321,30 @@ def _trial_draws(root: RandomStream, trials: range, bound: int, n: int):
         stream = root.split(t)
         for done in range(0, n, _BLOCK):
             yield stream.randrange_many(bound, min(_BLOCK, n - done))
+
+
+def _arrangement_table(moves, start, n: int):
+    """The arrangements that at most ``n`` moves reach from ``start``, in
+    the order a breadth-first walk finds them, and the flat table of the
+    moves between them: ``table[k*i + c] == k*j`` when ``moves[c]`` takes
+    arrangement ``i`` to arrangement ``j``, ``k`` being ``len(moves)``.
+    Arrangements first reached by the ``n``-th move are listed without a
+    row, since no trial moves on from them."""
+    k = len(moves)
+    arrangements, ids, table = [start], {start: 0}, []
+    for _ in range(n):
+        layer = arrangements[len(table) // k:]
+        if not layer:
+            break
+        for current in layer:
+            for move in moves:
+                after = move(current)
+                j = ids.get(after)
+                if j is None:
+                    j = ids[after] = len(arrangements)
+                    arrangements.append(after)
+                table.append(k * j)
+    return arrangements, table
 
 
 def estimate_single_cycle_probability(
@@ -333,9 +361,13 @@ def estimate_single_cycle_probability(
     Every trial runs on its own child stream of ``seed``, so estimates
     are reproducible and the first ``t`` trials do not depend on the
     total trial count.  A trial follows the arrangement, the inverse of
-    the permutation, which has the same cycles; each card acts on it as
-    one ``itemgetter``.  Trials run in blocks of about ``_BLOCK`` draws,
-    and each distinct final arrangement of a block is tested once.
+    the permutation, which has the same cycles.  When the table of
+    :func:`_arrangement_table` holds at most half as many entries as the
+    trials take card steps, and at most
+    ``jugglecards.enumeration._MAX_SUPPORT``, each card is one lookup in
+    it; otherwise each card acts on the arrangement as one
+    ``itemgetter``.  Trials run in blocks of about ``_BLOCK`` draws, and
+    each distinct final arrangement of a block is tested once.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -346,17 +378,30 @@ def estimate_single_cycle_probability(
     cumulative = _cumulative_weights(cards, weights)
     root = RandomStream(seed)
     start = identity_perm(b)
+    k = len(moves)
+    entries = k * _support_bound(b, n, m)
+    table = None
+    if 2 * entries <= trials * n and entries <= _MAX_SUPPORT:
+        arrangements, table = _arrangement_table(moves, start, n)
     per_block = max(1, _BLOCK // max(n, 1))
     hits = 0
     for first in range(0, trials, per_block):
         block = range(first, min(first + per_block, trials))
-        steps = _picks(moves, cumulative, itertools.chain.from_iterable(
+        picks = _picks(cumulative, itertools.chain.from_iterable(
             _trial_draws(root, block, cumulative[-1], n)))
         ends = []
-        for _ in block:
-            current = start
-            for move in itertools.islice(steps, n):
-                current = move(current)
-            ends.append(current)
-        hits += sum(k for end, k in Counter(ends).items() if cycle_count(end) == 1)
+        if table is None:
+            steps = map(moves.__getitem__, picks)
+            for _ in block:
+                current = start
+                for move in itertools.islice(steps, n):
+                    current = move(current)
+                ends.append(current)
+        else:
+            for _ in block:
+                state = 0
+                for c in itertools.islice(picks, n):
+                    state = table[state + c]
+                ends.append(arrangements[state // k])
+        hits += sum(count for end, count in Counter(ends).items() if cycle_count(end) == 1)
     return Fraction(hits, trials)

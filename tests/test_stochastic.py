@@ -12,9 +12,11 @@ from jugglecards.cards import (
     CardSequence,
     card_permutation,
     compose,
+    composer,
     cycle_count,
     identity_perm,
     increasing_suffix_length,
+    inverse,
 )
 from jugglecards.enumeration import count_by_permutation, cycle_census, throw_cards
 from jugglecards.rng import RandomStream, mix, mix_many
@@ -476,6 +478,12 @@ def test_estimates_keep_their_values():
         5, 6, m=2, ordered=False, weights=[1, 2, 3, 4, 5, 6, 7, 8, 9, 1],
         trials=1500, seed=11,
     ) == Fraction(101, 500)
+    # these three walk the arrangement table; the values were read before it existed
+    assert estimate_single_cycle_probability(5, 8, trials=5000, seed=0) == Fraction(1017, 5000)
+    assert estimate_single_cycle_probability(
+        4, 8, m=2, trials=2000, seed=7) == Fraction(513, 2000)
+    assert estimate_single_cycle_probability(
+        3, 6, m=2, ordered=False, weights=[1, 2, 3], trials=3000, seed=5) == Fraction(7, 20)
 
 
 def _scalar_draw(stream, cumulative):
@@ -508,7 +516,7 @@ def _scalar_sample(b, n, m, ordered, weights, seed):
 
 @st.composite
 def walk_cases(draw):
-    b = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 6))
     m = draw(st.integers(1, b))
     ordered = draw(st.booleans())
     family = len(throw_cards(b, m, ordered))
@@ -532,6 +540,81 @@ def test_batched_walk_is_the_scalar_walk(case, trials, block):
             **case, trials=trials)
     if case["n"] > 0:
         assert sample_sequence(**case) == _scalar_sample(**case)
+
+
+def _built_tables(b, n, m=1, ordered=True, weights=None, trials=10_000, seed=0):
+    """The estimate, and how many arrangement tables it built."""
+    with mock.patch.object(
+            stochastic, "_arrangement_table", wraps=stochastic._arrangement_table) as table:
+        estimate = estimate_single_cycle_probability(
+            b, n, m=m, ordered=ordered, weights=weights, trials=trials, seed=seed)
+    return estimate, table.call_count
+
+
+@pytest.mark.parametrize("case, trials, tables", [
+    # 2 * cards * _support_bound(b, n, m) table entries against trials * n steps
+    (dict(b=4, n=10), 10, 0),  # 192 > 100
+    (dict(b=4, n=10), 20, 1),  # 192 <= 200
+    (dict(b=5, n=8, m=2, ordered=False, weights=[1, 2, 3, 4, 5, 6, 7, 8, 9, 1]), 300, 1),  # 2400 <= 2400
+    (dict(b=6, n=12, m=3), 40, 0),  # 172800 > 480
+    (dict(b=6, n=2, weights=[3, 1, 4, 1, 5, 9]), 400, 1),  # 360 <= 800
+    (dict(b=1, n=7), 1, 1),  # 2 <= 7
+    (dict(b=3, n=0), 50, 0),  # 6 > 0
+])
+def test_the_table_walk_is_the_scalar_walk(case, trials, tables):
+    case = dict(dict(m=1, ordered=True, weights=None, seed=2**64 - 3), **case)
+    for block in (7, stochastic._BLOCK):
+        with mock.patch.object(stochastic, "_BLOCK", block):
+            estimate, built = _built_tables(**case, trials=trials)
+        assert built == tables
+        assert estimate == _scalar_estimate(**case, trials=trials)
+
+
+def test_the_table_is_bounded_by_max_support():
+    # four single throws on four balls reach 24 arrangements: 96 entries
+    with mock.patch.object(stochastic, "_MAX_SUPPORT", 96):
+        assert _built_tables(4, 10, trials=1000, seed=3) == (Fraction(28, 125), 1)
+    with mock.patch.object(stochastic, "_MAX_SUPPORT", 95):
+        assert _built_tables(4, 10, trials=1000, seed=3) == (Fraction(28, 125), 0)
+
+
+def test_a_large_state_space_never_builds_a_table():
+    with mock.patch.object(stochastic, "_arrangement_table", side_effect=AssertionError):
+        estimate = estimate_single_cycle_probability(52, 20, trials=50)
+    assert estimate == _scalar_estimate(52, 20, 1, True, None, trials=50, seed=0)
+
+
+def _arrangement_moves(b):
+    perms = [inverse(card_permutation(c)) for c in throw_cards(b)]
+    return perms, [composer(p) for p in perms]
+
+
+def test_the_arrangement_table_lists_every_reachable_arrangement():
+    perms, moves = _arrangement_moves(4)
+    arrangements, table = stochastic._arrangement_table(moves, identity_perm(4), 100)
+    assert arrangements[0] == identity_perm(4)
+    assert sorted(arrangements) == sorted(itertools.permutations(range(1, 5)))
+    assert len(table) == 4 * 24
+    for i, current in enumerate(arrangements):
+        for c, perm in enumerate(perms):
+            assert table[4 * i + c] % 4 == 0
+            assert arrangements[table[4 * i + c] // 4] == compose(perm, current)
+
+
+def test_the_arrangement_table_stops_at_n_cards():
+    perms, moves = _arrangement_moves(8)
+    start = identity_perm(8)
+    arrangements, table = stochastic._arrangement_table(moves, start, 2)
+    assert len(arrangements) == stochastic._support_bound(8, 2, 1) == 56
+    two_cards = {compose(q, compose(p, start)) for p in perms for q in perms}
+    assert set(arrangements) == two_cards
+    # rows for the identity and the seven arrangements one card away
+    one_card = {compose(p, start) for p in perms}
+    assert set(arrangements[:len(table) // 8]) == one_card and len(table) == 8 * 8
+    for i, current in enumerate(arrangements[:8]):
+        for c, perm in enumerate(perms):
+            assert arrangements[table[8 * i + c] // 8] == compose(perm, current)
+    assert stochastic._arrangement_table(moves, start, 0) == ([start], [])
 
 
 def test_estimate_rejects_bad_families_and_negative_steps():

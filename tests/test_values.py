@@ -84,6 +84,26 @@ def test_group_distributions_compare_by_law_and_do_not_hash():
         hash(GroupDistribution(HALVES))
 
 
+def test_a_group_distribution_keeps_its_own_copy_of_the_law():
+    d = {(1, 2): Fraction(1)}
+    g = GroupDistribution(d)
+    d[(2, 1)] = Fraction(5)
+    assert g.prob == {(1, 2): Fraction(1)} and g.prob is not d
+    assert copy.copy(g) == g
+    with pytest.raises(TypeError):
+        hash(g)
+
+
+def test_cards_and_rows_built_from_lists_store_tuples():
+    assert Card(4, [3]) == Card(4, (3,)) and Card(4, [3]).targets == (3,)
+    assert hash(Card(4, [2, 4])) == hash(Card(4, (2, 4)))
+    row = CardSequence(4, [C3])
+    assert row == CardSequence(4, (C3,)) and row.cards == (C3,)
+    assert hash(row) == hash(CardSequence(4, (C3,)))
+    cards = (C3, C2)
+    assert CardSequence(4, cards).cards is cards  # a tuple is kept, not copied
+
+
 def test_records_of_different_classes_or_tuples_are_never_equal():
     seq = CardSequence(4, (C3,))
     assert C3 != seq and seq != C3

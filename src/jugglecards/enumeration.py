@@ -8,8 +8,8 @@ of the ``b^n`` rows.  Collecting (:func:`census_rows`) runs the same
 layers, keeps only the moves into states that can still reach an
 accepted row, and streams the rows in tree-walk order: a depth-first
 walk to a split depth, each prefix followed by the completions listed
-backwards from the accepted states (:func:`_tails`).  Memory holds the
-move graph, tails no larger than it, and one row.
+backwards from the accepted states as the moves are pruned.  Memory
+holds the move graph, tails no larger than it as built, and one row.
 
 Rows of uniform ordered ``m``-throw cards that reach a permutation
 depend only on the length of its increasing suffix, so the
@@ -271,45 +271,59 @@ class _Census:
     def count(self) -> int:
         return sum(ways for state, ways in self.final_layer().items() if self.accepts(state))
 
-    def move_graph(self) -> tuple[list, set]:
-        """``(graph, accepted)``: per depth, each reached state's moves as
-        ``(card, child)`` pairs in family order, kept only into states
-        that can still reach an accepted row, and the accepted final
-        states.  A state with no move left cannot reach one.
+    def move_graph(self) -> tuple[list, int, dict]:
+        """``(graph, split, tails)``: per depth, each reached state's moves as
+        ``(card, child)`` pairs in family order, kept only into states that
+        can still reach an accepted row, and every completion of each live
+        state at depth ``split`` (at least 1), listed in the same backward
+        pass.  A cell is one card in one listed tail; listing stops before
+        the level whose cells would take the running total past the moves
+        built, so the tails never outgrow the graph (a bound on the tails
+        alone would let one ball list n²/2 cells).
         """
+        n = self.query.n
         graph = []
         frontier = {self.start}
-        for depth in range(self.query.n):
+        for depth in range(n):
             left = self.left(depth)
             edges = {state: self.children(state, left) for state in frontier}
             graph.append(edges)
             frontier = {c for kids in edges.values() for _, c in kids}
-        accepted = live = {s for s in frontier if self.accepts(s)}
-        for edges in reversed(graph):
+        room = sum(len(kids) for edges in graph for kids in edges.values())
+        live = {s for s in frontier if self.accepts(s)}
+        split, tails = n, dict.fromkeys(live, ((),))
+        for depth in reversed(range(n)):
+            edges = graph[depth]
             for state, kids in edges.items():
                 kids[:] = [(self.cards[i], c) for i, c in kids if c in live]
             live = {s for s, kids in edges.items() if kids}
-        return graph, accepted
+            if split == depth + 1 and depth:
+                cells = (n - depth) * sum(
+                    len(tails[child]) for kids in edges.values() for _, child in kids
+                )
+                if cells <= room:
+                    room -= cells
+                    split = depth
+                    tails = {
+                        state: [(card,) + tail for card, child in kids for tail in tails[child]]
+                        for state, kids in edges.items()
+                        if kids
+                    }
+        return graph, split, tails
 
     def rows(self):
         """Accepted rows in tree-walk order, one at a time.
 
-        Builds :meth:`move_graph`, and :func:`_tails` lists every
-        completion of the states at a split depth.  A depth-first walk
-        over the moves down to that depth, with a stack of iterators (no
+        Builds :meth:`move_graph`, which lists every completion of the
+        states at a split depth.  A depth-first walk over the moves from
+        the root down to that depth, with a stack of iterators (no
         recursion, so any ``n`` works) and one shared prefix, yields the
         prefix followed by each tail of the state it reaches.  Memory
-        holds the move graph, tails no larger than it, and one row.
+        holds the move graph, tails no larger than it as built, and one
+        row.
         """
-        graph, accepted = self.move_graph()
-        if not graph[0][self.start]:
-            return
+        graph, split, tails = self.move_graph()
         b = self.query.b
-        split, tails = _tails(graph, accepted)
-        if split == 0:
-            for tail in tails[self.start]:
-                yield CardSequence(b, tail)
-            return
         prefix = []
         stack = [iter(graph[0][self.start])]
         while stack:
@@ -329,46 +343,14 @@ class _Census:
                     prefix.pop()
 
 
-def _tails(graph: list, accepted) -> tuple[int, dict]:
-    """``(split, tails)``: every completion, in family order, of each live
-    state at depth ``split`` of a pruned :meth:`_Census.move_graph`.
-
-    ``tails`` maps each such state to the card tuples that take it to
-    an ``accepted`` final state, built backwards one depth at a time.
-    A cell is one card in one built tail, and every level built counts.
-    The build stops before the depth whose cells would take the running
-    total past the number of moves in ``graph``, so the tails never
-    outgrow the graph (a bound on the number of tails alone would let
-    one ball build n²/2 cells).
-    """
-    room = sum(len(kids) for edges in graph for kids in edges.values())
-    split = len(graph)
-    tails = dict.fromkeys(accepted, ((),))
-    while split:
-        edges = graph[split - 1]
-        cells = (len(graph) - split + 1) * sum(
-            len(tails[child]) for kids in edges.values() for _, child in kids
-        )
-        if cells > room:
-            break
-        room -= cells
-        split -= 1
-        tails = {
-            state: [(card,) + tail for card, child in kids for tail in tails[child]]
-            for state, kids in edges.items()
-            if kids
-        }
-    return split, tails
-
-
 def census_rows(query: CensusQuery):
     """Yield the sequences matching ``query`` one at a time.
 
     Rows come in tree-walk order (cards in family order at each
     position), the order of :func:`_census_from`.  The search runs
     before the first row; after it, memory holds the move graph, tails
-    no larger than it, and one row, so listings far larger than memory
-    can be streamed.
+    no larger than it as built, and one row, so listings far larger than
+    memory can be streamed.
     """
     return _Census(query).rows()
 
@@ -378,8 +360,8 @@ def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):
 
     Both run the state-transfer engine in this process.  Collecting
     returns ``tuple(census_rows(query))``: the walk streams rows in
-    tree-walk order, holding the move graph, tails no larger than it,
-    and one row.  ``jobs`` is ignored (it must still be nonnegative); it
+    tree-walk order, holding the move graph, tails no larger than it as
+    built, and one row.  ``jobs`` is ignored (it must still be nonnegative); it
     stays only for the benchmark's ``jobs2_speedup`` probe and goes with
     it.
     """

@@ -367,12 +367,16 @@ def estimate_single_cycle_probability(
     ``jugglecards.enumeration._MAX_SUPPORT``, each card is one lookup in
     it; otherwise each card acts on the arrangement as one
     ``itemgetter``.  Trials run in blocks of about ``_BLOCK`` draws, and
-    each distinct final arrangement of a block is tested once.
+    each distinct final arrangement of a block is tested once.  A trial
+    is a sampled row, so one of more than ``jugglecards.cards._MAX_ROW``
+    cards is refused before any draw; the trial count has no bound.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
+    if n > _MAX_ROW:
+        raise ValueError(f"sampled rows hold at most {_MAX_ROW} cards, got n={n}")
     cards = throw_cards(b, m, ordered)
     moves = [composer(inverse(card_permutation(c))) for c in cards]
     cumulative = _cumulative_weights(cards, weights)

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -270,6 +271,14 @@ def test_a_huge_sampled_row_is_refused_before_any_draw():
     assert done.stderr == "error: sampled rows hold at most 1000000 cards, got n=1000000000\n"
 
 
+def test_a_huge_monte_carlo_trial_is_refused_before_any_draw():
+    # a trial of 10**8 cards would run for minutes; trials stay unbounded
+    argv = ["walk", "--b", "3", "--steps", str(10**8), "--trials", "1"]
+    done = fresh("-m", "jugglecards.cli", *argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: sampled rows hold at most 1000000 cards, got n=100000000\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -435,6 +444,27 @@ def test_census_collect_streams_the_bytes_of_the_whole_list(capsys, argv, query,
     argv = ["census", "--b", "2", "--n", "3", *argv, "--collect"]
     assert run(capsys, *argv) == (0, json.dumps(rows, sort_keys=True) + "\n", "")
     assert run(capsys, *argv, "--human") == (0, "\n".join(rows) + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["--b", "4", "--n", "9", "--crossings", "12"],
+         "20f83fc7e42772bba51f79b102ad61b6bf1ef2511fad1578ee9ac0567d9e3f98"),
+        (["--b", "4", "--n", "9", "--crossings", "12", "--human"],
+         "23978a1ba079acc9a3da832472873b9f8f410b5b33fda25d953875f4f316e02c"),
+        (["--b", "4", "--n", "8", "--crossings", "14"],
+         "2d3651f093335f81292fa7b072fa2b2c8a41e672805ead9c3f277f1cc4f7779a"),
+        (["--b", "4", "--n", "8", "--crossings", "14", "--human"],
+         "40e0d96e3433d0600581708c8c8f3a89f94d3dde85cd31052d7144daf06f4d3a"),
+    ],
+)
+def test_census_collect_bytes_are_pinned_where_tails_start_mid_row(capsys, argv, digest):
+    # rows are a walked prefix of a few cards and a listed tail; these row
+    # spaces (4**9 and 4**8) are past the seeded comparison with the oracle
+    code, out, err = run(capsys, "census", *argv, "--perm", "id", "--uses-top", "--collect")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("human", [[], ["--human"]])

@@ -34,7 +34,6 @@ from jugglecards.enumeration import (
     _census_by_permutation,
     _census_from,
     _check_family,
-    _tails,
     all_sequences,
     brute_js,
     census,
@@ -220,14 +219,21 @@ def completion_counts(graph, accepted):
     ],
 )
 def test_tails_never_outgrow_the_move_graph(query):
-    graph, accepted = _Census(query).move_graph()
-    moves = sum(len(kids) for edges in graph for kids in edges.values())
+    engine = _Census(query)
+    # the moves the forward pass builds, counted here one depth at a time
+    moves, frontier = 0, {engine.start}
+    for depth in range(query.n):
+        kids = [c for s in frontier for _, c in engine.children(s, engine.left(depth))]
+        moves += len(kids)
+        frontier = set(kids)
+    graph, split, tails = engine.move_graph()
+    accepted = {c for kids in graph[-1].values() for _, c in kids}
     ways = completion_counts(graph, accepted)
-    # the level built at depth d holds one tail of n - d cards per completion
+    # the level listed at depth d holds one tail of n - d cards per completion
     cells = [(query.n - d) * sum(ways[d].values()) for d in range(query.n)]
-    split, tails = _tails(graph, accepted)
+    assert 1 <= split <= query.n
     assert sum(cells[split:]) <= moves
-    assert split == 0 or sum(cells[split - 1 :]) > moves
+    assert split == 1 or sum(cells[split - 1 :]) > moves
     assert {s: len(ts) for s, ts in tails.items()} == ways[split]
     assert all(len(t) == query.n - split for ts in tails.values() for t in ts)
 
@@ -235,8 +241,8 @@ def test_tails_never_outgrow_the_move_graph(query):
 @pytest.mark.parametrize(
     "query, whole",
     [
-        # every move carries at least one completion, so the cells of all
-        # n levels reach the move count only when n = 1
+        # split 1: every level below the root fits in the moves built; at
+        # n = 1 there is no such level, and an empty census lists no cell
         (CensusQuery(b=4, n=1), True),
         (CensusQuery(b=3, n=1, m=2, ordered=False, thrown=2), True),
         (CensusQuery(b=1, n=5000), False),
@@ -246,8 +252,8 @@ def test_tails_never_outgrow_the_move_graph(query):
     ],
 )
 def test_census_rows_are_walked_prefixes_and_their_tails(query, whole):
-    split, _ = _tails(*_Census(query).move_graph())
-    assert (split == 0) == whole
+    _, split, _ = _Census(query).move_graph()
+    assert (split == 1) == whole
     assert tuple(census_rows(query)) == _census_from(query, True)
 
 

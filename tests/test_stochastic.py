@@ -632,6 +632,17 @@ def test_estimate_rejects_bad_families_and_negative_steps():
         card_distribution(3, m=0)
 
 
+def test_a_trial_past_the_row_limit_is_refused_before_any_draw():
+    # a trial is a sampled row, so it meets the row limit of sample_sequence
+    with mock.patch.object(stochastic, "_trial_draws", side_effect=AssertionError("drew")):
+        with pytest.raises(ValueError) as refused:
+            estimate_single_cycle_probability(3, 10**6 + 1, trials=1)
+    assert str(refused.value) == "sampled rows hold at most 1000000 cards, got n=1000001"
+    with pytest.raises(ValueError) as sampled:
+        sample_sequence(3, 10**6 + 1)
+    assert str(sampled.value) == str(refused.value)
+
+
 def test_weight_totals_past_one_word_name_the_weights():
     # one random word covers weight totals up to 2**64; a larger total is
     # refused before any draw, in terms of the weights

@@ -52,22 +52,28 @@ class GroupDistribution(_Value):
         super().__init__(dict(prob))
         if not self.prob:
             raise ValueError("empty distribution")
-        sizes = {len(g) for g in self.prob}
+        sizes = set(map(len, self.prob))
         if len(sizes) != 1:
             raise ValueError(f"mixed permutation sizes {sorted(sizes)}")
         (b,) = sizes
-        points = list(range(1, b + 1))
-        numerators: dict[int, int] = {}  # summed per denominator
-        get = numerators.get
-        for g, p in self.prob.items():
-            if sorted(g) != points:
+        points = set(range(1, b + 1))
+        for g in self.prob:
+            if set(g) != points:  # b entries, so exactly when not a permutation
                 raise ValueError(f"{g} is not a permutation of 1..{b}")
+        # a lumped walk shares one mass object among many keys: check each
+        # object once, in order of first use, counted as often as it occurs
+        values = self.prob.values()
+        masses = dict(zip(map(id, values), values))
+        uses = Counter(map(id, values)) if len(masses) < len(values) else None
+        numerators: dict[int, int] = {}  # summed per denominator
+        for key, p in masses.items():
             if not isinstance(p, (int, Fraction)):
                 raise ValueError(f"probabilities must be exact rationals, got {p!r}")
-            top, bottom = p.numerator, p.denominator
+            top, bottom = p.as_integer_ratio()
             if top < 0:
+                g = next(g for g, q in self.prob.items() if q is p)
                 raise ValueError(f"negative probability {p} at {g}")
-            numerators[bottom] = get(bottom, 0) + top
+            numerators[bottom] = numerators.get(bottom, 0) + top * (uses[key] if uses else 1)
         scale = math.lcm(*numerators)
         if sum(top * (scale // bottom) for bottom, top in numerators.items()) != scale:
             raise ValueError("probabilities must sum to exactly 1")

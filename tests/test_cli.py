@@ -24,8 +24,9 @@ def run(capsys, *argv):
 
 
 def fresh(*args, cap_mb=None):
-    """A fresh interpreter on this checkout's ``src`` running ``args``,
-    its address space capped at ``cap_mb`` megabytes when given."""
+    """A fresh interpreter running ``args``, with this checkout's ``src``
+    ahead of the inherited ``PYTHONPATH`` and its address space capped at
+    ``cap_mb`` megabytes when given."""
 
     def cap():
         import resource
@@ -33,8 +34,9 @@ def fresh(*args, cap_mb=None):
         limit = cap_mb * 2**20
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=str(SRC)),
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
         capture_output=True, text=True, timeout=30,
         preexec_fn=cap if cap_mb else None,
     )

@@ -146,6 +146,74 @@ def test_bounds_above_two_to_the_64_are_rejected():
     assert RandomStream(5).randrange(1 << 64) == RandomStream(5).next_word()
 
 
+# every kind of bound the lane kernel treats apart: 1, powers of two up to
+# 2**64, small odd and even bounds, and large ones that reject many words
+KERNEL_BOUNDS = [
+    1, 2, 3, 4, 5, 12, 255, 256, 257, 2**32 + 1, 7 * 2**40 + 1,
+    2**63, 2**63 + 1, 2**64 - 1, 2**64,
+]
+
+
+@pytest.mark.parametrize("bound", KERNEL_BOUNDS)
+def test_lane_residues_are_the_remainders(bound):
+    limit = rng._limit(bound)
+    edges = [0, bound - 1, bound, limit - 1, 2**64 - 1]
+    source = random.Random(bound)
+    words = [w for w in edges if w < 2**64] + [source.getrandbits(64) for _ in range(300)]
+    assert rng._residues(rng._pack(words), len(words), bound) == [w % bound for w in words]
+    assert rng._residues(rng._pack([]), 0, bound) == []
+
+
+@pytest.mark.parametrize("bound", KERNEL_BOUNDS)
+def test_a_word_at_the_limit_is_rejected(bound):
+    limit = rng._limit(bound)
+
+    def rejects(*words):
+        return rng._rejects(rng._pack(words), len(words), bound)
+
+    assert not rejects(0, limit - 1, limit - 1, 0)
+    assert not rejects(*[limit - 1] * 7)
+    if limit == 2**64:  # a power of two takes every word
+        assert not rejects(2**64 - 1, 2**64 - 1)
+    else:
+        for at in range(3):  # first, middle and last lane
+            block = [limit - 1] * 3
+            block[at] = limit
+            assert rejects(*block)
+        assert rejects(2**64 - 1)
+
+
+@pytest.mark.parametrize("bound", KERNEL_BOUNDS)
+def test_split_draws_over_progressions_are_the_per_child_draws(bound):
+    root = RandomStream(2**64 - 7)
+    for children in (range(3, 40), range(3, 40, 7)):
+        for k in (1, 4):
+            assert root.split_randrange_many(children, bound, k) == [
+                x for j in children for x in _one_by_one(root.split(j), bound, k)
+            ]
+
+
+def test_child_keys_in_lanes_are_the_split_keys():
+    # at bound 2**64 a draw is the word itself: each child's first word
+    root = RandomStream(11)
+    for children in (
+        range(0), range(5), range(3, 40, 7), range(40, 3, -5),
+        range(2**64 - 3, 2**64 + 3), range(2**64 + 2, 2**64 - 4, -1),
+        range(2**70, 2**70 + 9, 4),
+    ):
+        assert root.split_randrange_many(children, 2**64, 1) == [
+            root.split(j).next_word() for j in children
+        ]
+
+
+@pytest.mark.parametrize("bound", KERNEL_BOUNDS)
+def test_draws_across_a_batch_boundary_are_the_one_by_one_draws(bound):
+    for k in (rng._BATCH, rng._BATCH + 1):
+        one, many = RandomStream(21), RandomStream(21)
+        assert many.randrange_many(bound, k) == _one_by_one(one, bound, k)
+        assert many.next_word() == one.next_word()
+
+
 def test_randrange_is_roughly_uniform():
     r = RandomStream(99)
     counts = [0] * 5
@@ -175,6 +243,26 @@ def test_group_distribution_validation():
     # integer and mixed-denominator masses are summed exactly
     GroupDistribution({(1, 2): Fraction(1, 3), (2, 1): Fraction(2, 3)})
     GroupDistribution({(2, 1, 3): 1})
+
+
+def test_group_distribution_checks_each_key_and_each_shared_mass():
+    with pytest.raises(ValueError, match=r"\(1, 1, 3\) is not a permutation of 1\.\.3"):
+        GroupDistribution({(1, 2, 3): Fraction(1, 2), (1, 1, 3): Fraction(1, 2)})
+    with pytest.raises(ValueError, match=r"\(1, 2, 4\) is not a permutation"):
+        GroupDistribution({(1, 2, 4): Fraction(1)})
+    perms = list(itertools.permutations(range(1, 4)))
+    # one mass object shared by many keys counts once per key
+    assert GroupDistribution(dict.fromkeys(perms, Fraction(1, 6))).prob[(3, 2, 1)] == Fraction(1, 6)
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        GroupDistribution(dict.fromkeys(perms[:5], Fraction(1, 6)))
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        GroupDistribution(dict.fromkeys(perms, Fraction(1, 3)))
+    half, minus = Fraction(1, 2), Fraction(-1, 4)
+    law = {perms[0]: half, perms[1]: minus, perms[2]: half, perms[3]: minus, perms[4]: half}
+    with pytest.raises(ValueError, match=r"negative probability -1/4 at \(1, 3, 2\)"):
+        GroupDistribution(law)
+    with pytest.raises(ValueError, match="exact rationals, got 0.25"):
+        GroupDistribution({perms[0]: half, perms[1]: Fraction(1, 4), perms[2]: 0.25})
 
 
 def test_card_distribution_weights():

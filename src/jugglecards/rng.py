@@ -71,7 +71,7 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _LEAP = 0xD1B54A32D192ED03
 _BIG_ENDIAN = sys.byteorder == "big"
-_BATCH = 4096  # most words randrange_many mixes in one kernel call
+_BATCH = 4096  # most words mixed in one kernel call, and draws in one Monte Carlo block
 
 
 def mix(z: int) -> int:
@@ -139,12 +139,6 @@ def _mix_lanes(x: int, lanes: int) -> int:
     x ^= x >> 27
     x = (x & low) * 0x94D049BB133111EB & low
     return x ^ x >> 31
-
-
-def mix_many(words) -> list[int]:
-    """``[mix(z) for z in words]`` for 64-bit words, in one batch."""
-    lanes = len(words)
-    return _unpack(_mix_lanes(_pack(words), lanes), lanes)
 
 
 @lru_cache(maxsize=4)

@@ -18,11 +18,13 @@ from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
+from jugglecards import rng
 from jugglecards.cards import (
     _MAX_ROW,
     _Value,
     CardSequence,
     card_permutation,
+    compose,
     composer,
     cycle_count,
     identity_perm,
@@ -38,8 +40,6 @@ from jugglecards.enumeration import (
     transfer,
 )
 from jugglecards.rng import RandomStream
-
-_BLOCK = 4096  # draws per batch, which bounds the size of the packed ints
 
 
 class GroupDistribution(_Value):
@@ -114,28 +114,16 @@ def card_distribution(
     )
 
 
-def _walk_moves(pairs):
-    """Moves for :func:`jugglecards.enumeration.transfer`: the current
-    element goes to ``compose(current, g)`` with weight ``w``, for each
-    ``(g, w)`` of ``pairs``."""
-    pairs = list(pairs)
-
-    def moves(current):
-        then = composer(current)
-        return [(then(g), w) for g, w in pairs]
-
-    return moves
-
-
 def step_distribution(d: GroupDistribution, step: GroupDistribution) -> GroupDistribution:
     """One walk step: right-multiply by a permutation drawn from ``step``.
 
-    The new element is "current, then step", matching how appending a
-    card extends a sequence.
+    The new element is ``compose(current, g)``, "current, then step",
+    matching how appending a card extends a sequence.
     """
     if d.degree != step.degree:
         raise ValueError(f"distribution on {d.degree} points, step on {step.degree}")
-    return GroupDistribution(transfer(d.prob, _walk_moves(step.prob.items())))
+    pairs = step.prob.items()
+    return GroupDistribution(transfer(d.prob, lambda h: [(compose(h, g), p) for g, p in pairs]))
 
 
 def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistribution:
@@ -150,7 +138,7 @@ def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistributio
     top-to-random lumping of Diaconis, Fill and Pitman (1992), so the
     walk computes ``b`` counts instead of pushing weights over up to
     ``b!`` states for every step.  Every other law (weighted, unordered,
-    any other support) runs the transfer walk over permutation states.
+    any other support) runs the transfer walk over arrangements.
 
     Either way the result is exact.  A walk that would hold more than
     ``jugglecards.enumeration._MAX_SUPPORT`` permutations raises
@@ -196,12 +184,15 @@ def _lumped_walk(b: int, n: int, m: int) -> GroupDistribution:
 
 
 def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
-    """The walk over permutation states, one transfer per step.
+    """The walk over arrangements, the inverses of the permutations, one
+    transfer per step.
 
-    It runs on integer weights over the common denominator of the
-    masses, which must be positive, and divides once at the end.  The
-    walk stays inside the support of the uniform walk on cards of
-    :func:`_throws` throws.
+    Each level map ``g`` moves an arrangement by one fixed
+    ``composer(inverse(g))``, the move of the census and the Monte Carlo
+    trials, and each final arrangement is inverted once.  The walk runs
+    on integer weights over the common denominator of the masses, which
+    must be positive, and divides once at the end.  It stays inside the
+    support of the uniform walk on cards of :func:`_throws` throws.
     """
     b, count = step.degree, len(step.prob)
     # for two or more permutations, count ** n passes _MAX_SUPPORT exactly
@@ -209,12 +200,12 @@ def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
     reachable = count ** min(n, _MAX_SUPPORT.bit_length())
     _check_support(b, n, min(_support_bound(b, n, _throws(step)), reachable))
     ints = _integer_weights(step.prob, step.prob.values())
-    moves = _walk_moves(zip(step.prob, ints))
+    moves = [(composer(inverse(g)), w) for g, w in zip(step.prob, ints)]
     layer = {identity_perm(b): 1}
     for _ in range(n):
-        layer = transfer(layer, moves)
+        layer = transfer(layer, lambda a: [(move(a), w) for move, w in moves])
     total = sum(ints) ** n
-    return GroupDistribution({g: Fraction(ways, total) for g, ways in layer.items()})
+    return GroupDistribution({inverse(a): Fraction(ways, total) for a, ways in layer.items()})
 
 
 def cycle_count_distribution(d: GroupDistribution) -> dict[int, Fraction]:
@@ -319,14 +310,15 @@ def _picks(cumulative, draws):
 def _trial_draws(root: RandomStream, trials: range, bound: int, n: int):
     """Batches of draws, ``n`` from each trial's child stream in turn; a
     batch holds whole trials, or part of one trial longer than
-    ``_BLOCK``."""
-    if n <= _BLOCK:
+    ``jugglecards.rng._BATCH``."""
+    block = rng._BATCH
+    if n <= block:
         yield root.split_randrange_many(trials, bound, n)
         return
     for t in trials:
         stream = root.split(t)
-        for done in range(0, n, _BLOCK):
-            yield stream.randrange_many(bound, min(_BLOCK, n - done))
+        for done in range(0, n, block):
+            yield stream.randrange_many(bound, min(block, n - done))
 
 
 def _arrangement_table(moves, start, n: int):
@@ -372,10 +364,11 @@ def estimate_single_cycle_probability(
     trials take card steps, and at most
     ``jugglecards.enumeration._MAX_SUPPORT``, each card is one lookup in
     it; otherwise each card acts on the arrangement as one
-    ``itemgetter``.  Trials run in blocks of about ``_BLOCK`` draws, and
-    each distinct final arrangement of a block is tested once.  A trial
-    is a sampled row, so one of more than ``jugglecards.cards._MAX_ROW``
-    cards is refused before any draw; the trial count has no bound.
+    ``itemgetter``.  Trials run in blocks of about
+    ``jugglecards.rng._BATCH`` draws, and each distinct final arrangement
+    of a block is tested once.  A trial is a sampled row, so one of more
+    than ``jugglecards.cards._MAX_ROW`` cards is refused before any draw;
+    the trial count has no bound.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -393,7 +386,7 @@ def estimate_single_cycle_probability(
     table = None
     if 2 * entries <= trials * n and entries <= _MAX_SUPPORT:
         arrangements, table = _arrangement_table(moves, start, n)
-    per_block = max(1, _BLOCK // max(n, 1))
+    per_block = max(1, rng._BATCH // max(n, 1))
     hits = 0
     for first in range(0, trials, per_block):
         block = range(first, min(first + per_block, trials))

@@ -354,6 +354,16 @@ def test_siteswap_rejects_multiplex():
         siteswap_of(sequence_of(5, (2, 5), 1))
 
 
+def test_single_throws_rejects_a_multiplex_entry():
+    with pytest.raises(MultiplexError, match=r"^throw \(2, 3\) is not a single throw$"):
+        single_throws(((1,), (2, 3), (1,)))
+
+
+def test_apply_card_rejects_an_arrangement_of_another_size():
+    with pytest.raises(ValueError, match="^arrangement size does not match card$"):
+        apply_card((1, 2), Card(3, (2,)))
+
+
 def test_verify_siteswap_classics():
     assert verify_siteswap((5, 3, 1)) == (True, 3)
     assert verify_siteswap((4, 4, 1)) == (True, 3)

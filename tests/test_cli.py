@@ -120,6 +120,14 @@ def test_convert_digraph_to_sequence(capsys):
     assert json.loads(out) == {"b": 5, "cards": "C2,4 C2,5 C2,3 C5,4 C5,2 C4,2"}
 
 
+def test_convert_sequence_to_digraph(capsys):
+    payload = json.dumps({"b": 3, "cards": "C3,2 C2,3"})
+    code, out, _ = run(capsys, "convert", "sequence", "digraph", "--payload", payload)
+    assert (code, out) == (0, '{"arcs": [[1, 2], [3, 2]], "k": 3, "target": [1, 3, 2]}\n')
+    code, out, _ = run(capsys, "convert", "sequence", "digraph", "--human", "--payload", payload)
+    assert (code, out) == (0, "1->2 3->2\n")
+
+
 def test_convert_cover_to_sequence_reports_the_forced_start(capsys):
     payload = json.dumps(
         {
@@ -209,6 +217,23 @@ def test_malformed_payloads_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "siteswap", "3,x"], "expected comma-separated integers, got '3,x'\n"),
+        (["convert", "dyck", "sequence", "--payload", '{"dyck": '], "payload is not valid JSON: "),
+        (["convert", "dyck", "sequence", "--payload", "[1]"], "payload must be a JSON object\n"),
+        (["convert", "dyck", "sequence", "--payload", "{}"], "payload is missing 'dyck'\n"),
+        (["convert", "dyck", "sequence", "--payload", '{"dyck": ""}'],
+         "the empty word has no cards\n"),
+    ],
+)
+def test_unusable_input_is_refused_in_one_line_naming_why(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + message) and err.count("\n") == 1
 
 
 def test_convert_names_the_violated_precondition(capsys):

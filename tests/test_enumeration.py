@@ -95,6 +95,12 @@ def test_census_query_rejects_bad_fields(fields):
         CensusQuery(**fields)
 
 
+def test_census_query_refuses_a_row_past_a_million_cards():
+    assert CensusQuery(b=1, n=10**6).n == 10**6
+    with pytest.raises(ValueError, match="^rows hold at most 1000000 cards, got n=1000001$"):
+        CensusQuery(b=1, n=10**6 + 1)
+
+
 @pytest.mark.parametrize("b, m", [(0, 1), (-1, 1), (3, 0), (3, 4)])
 def test_throw_cards_rejects_families_outside_one_to_b(b, m):
     for ordered in (True, False):

@@ -137,3 +137,32 @@ def test_no_module_imports_dataclasses():
             if any(name.split(".")[0] == "dataclasses" for name in names):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_every_top_level_function_or_class_is_used():
+    # a helper that no module names, that the package does not export and
+    # that is no CLI entry point is dead code
+    trees = {
+        path.name: ast.parse(path.read_text())
+        for path in sorted(pathlib.Path(jugglecards.__file__).parent.glob("*.py"))
+    }
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    exported = {name for names in jugglecards._EXPORTS.values() for name in names}
+    kept = {*exported, "main", "build_parser", "__getattr__", "__dir__"}
+    unused = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in kept | named
+        and not node.name.startswith("cmd_")
+    ]
+    assert unused == []

@@ -19,7 +19,7 @@ from jugglecards.cards import (
     inverse,
 )
 from jugglecards.enumeration import count_by_permutation, cycle_census, throw_cards
-from jugglecards.rng import RandomStream, mix, mix_many
+from jugglecards.rng import RandomStream, mix
 from jugglecards.stochastic import (
     GroupDistribution,
     card_distribution,
@@ -74,13 +74,6 @@ def test_randrange_bounds_and_frozen_draws():
         RandomStream(5).randrange(0)
     with pytest.raises(ValueError):
         RandomStream(5).split(-1)
-
-
-def test_mix_many_is_mix_word_for_word():
-    source = random.Random(5)
-    words = [0, 1, 2, (1 << 63), (1 << 64) - 1] + [source.getrandbits(64) for _ in range(500)]
-    assert mix_many(words) == [mix(z) for z in words]
-    assert mix_many([]) == []
 
 
 def _one_by_one(stream, bound, k):
@@ -431,17 +424,36 @@ def test_the_state_guard_is_the_support_bound():
 
 
 def test_any_generators_stay_inside_the_card_support_bound():
-    # a generator with increasing suffix k acts as a card of b - k throws
+    # a generator with increasing suffix k acts as a card of b - k throws;
+    # under any positive weights the walk is the one-step oracle
     stream = RandomStream(77)
     for trial in range(60):
         b = 3 + trial % 3
         perms = list(itertools.permutations(range(1, b + 1)))
         gens = tuple({perms[stream.randrange(len(perms))] for _ in range(1 + stream.randrange(4))})
-        gd = GroupDistribution(dict.fromkeys(gens, Fraction(1, len(gens))))
+        raw = [1 + stream.randrange(9) for _ in gens]
+        gd = GroupDistribution({g: Fraction(w, sum(raw)) for g, w in zip(gens, raw)})
         throws = b - min(map(increasing_suffix_length, gens))
         for n in range(5):
-            held = len(exact_step_distribution(gd, n).prob)
-            assert held <= stochastic._support_bound(b, n, throws), (gens, n)
+            walked = exact_step_distribution(gd, n)
+            assert len(walked.prob) <= stochastic._support_bound(b, n, throws), (gens, n)
+            assert walked == _stepped(gd, n), (gd, n)
+
+
+def test_a_step_is_the_current_permutation_then_the_step():
+    # walks of one law from the identity read the same either way round,
+    # so the order shows only from another start
+    h, g = (2, 1, 3), (1, 3, 2)
+    at_h, to_g = GroupDistribution({h: Fraction(1)}), GroupDistribution({g: Fraction(1)})
+    stepped = step_distribution(at_h, to_g)
+    assert stepped.prob == {compose(h, g): 1} == {(3, 1, 2): 1}
+
+
+def test_walk_steps_refuse_bad_arguments():
+    with pytest.raises(ValueError, match="^distribution on 3 points, step on 4$"):
+        step_distribution(point_distribution(3), card_distribution(4))
+    with pytest.raises(ValueError, match="^step count must be nonnegative, got -1$"):
+        exact_step_distribution(card_distribution(3), -1)
 
 
 def test_exact_walk_matches_cycle_census():
@@ -619,11 +631,11 @@ def walk_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(walk_cases(), st.integers(1, 30), st.sampled_from([1, 5, 64, stochastic._BLOCK]))
+@given(walk_cases(), st.integers(1, 30), st.sampled_from([1, 5, 64, rng._BATCH]))
 def test_batched_walk_is_the_scalar_walk(case, trials, block):
     """Small blocks split trials across batches, and walks longer than a
     block draw in several batches per trial."""
-    with mock.patch.object(stochastic, "_BLOCK", block):
+    with mock.patch.object(rng, "_BATCH", block):
         assert estimate_single_cycle_probability(**case, trials=trials) == _scalar_estimate(
             **case, trials=trials)
     if case["n"] > 0:
@@ -651,8 +663,8 @@ def _built_tables(b, n, m=1, ordered=True, weights=None, trials=10_000, seed=0):
 ])
 def test_the_table_walk_is_the_scalar_walk(case, trials, tables):
     case = dict(dict(m=1, ordered=True, weights=None, seed=2**64 - 3), **case)
-    for block in (7, stochastic._BLOCK):
-        with mock.patch.object(stochastic, "_BLOCK", block):
+    for block in (7, rng._BATCH):
+        with mock.patch.object(rng, "_BATCH", block):
             estimate, built = _built_tables(**case, trials=trials)
         assert built == tables
         assert estimate == _scalar_estimate(**case, trials=trials)

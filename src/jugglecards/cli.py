@@ -537,6 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # count, census and walk read only argv, so their exact integers print at
+    # any size; convert and verify keep the limit on the digits they parse
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and args.command in ("count", "census", "walk"):
+        sys.set_int_max_str_digits(0)
     try:
         code = args.run(args, parser)
         sys.stdout.flush()  # so a closed pipe raises here, not at exit
@@ -550,6 +555,9 @@ def main(argv=None) -> int:
 
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
     return code
 
 

@@ -43,7 +43,7 @@ def falling_factorial(x, m: int):
 # Stirling numbers, classical and throw-m generalization
 
 
-_MAX_BAND = 10**6  # entries a Stirling band may hold
+_MAX_BAND = 10**6  # entries times column step s that a Stirling band may hold
 
 
 def _band_area(s: int, n: int, k: int) -> int:
@@ -64,13 +64,13 @@ def _band(weights, s: int, n: int, k: int) -> int:
     ``k - s(n-i) .. min(k, s i)`` of row ``i``, so that band is built
     bottom up, one row at a time, keeping only the row before.  Nothing
     recurses, so ``n`` is not bounded by the recursion limit.  A band
-    of more than ``_MAX_BAND`` entries raises ``ValueError`` before any
-    is built.
+    of more than ``_MAX_BAND // s`` entries, each a sum of ``s + 1``
+    terms, raises ``ValueError`` before any weight is built.
     """
-    area = _band_area(s, n, k)
-    if area > _MAX_BAND:
+    area, bound = _band_area(s, n, k), _MAX_BAND // s
+    if area > bound:
         raise ValueError(
-            f"the Stirling band for n={n}, k={k} holds {area} entries, more than {_MAX_BAND}"
+            f"the Stirling band for n={n}, k={k} holds {area} entries, more than {bound}"
         )
     first, row = 0, [1]  # the band of the row before, from column first
     for i in range(1, n + 1):
@@ -86,36 +86,15 @@ def _band(weights, s: int, n: int, k: int) -> int:
     return row[k - first]
 
 
-def _stirling2_weights(i, lo, hi):
-    return itertools.repeat(1), range(lo, hi)
-
-
-@cache
 def stirling2(n: int, k: int) -> int:
-    """Partitions of an ``n``-set into ``k`` nonempty blocks.
+    """Partitions of an ``n``-set into ``k`` nonempty blocks: :func:`gen_stirling` at ``m = 1``.
 
     >>> stirling2(4, 2)
     7
     """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    return _band(_stirling2_weights, 1, n, k)
-
-
-@cache
-def _gen_stirling_weights(m: int):
-    # columns[j][c] = C(c+j-m, j) m_(j), the weight of T(n-1, c+j-m) in T(n, c)
-    columns: list[list[int]] = [[] for _ in range(m + 1)]
-
-    def weights(i, lo, hi):
-        for j, column in enumerate(columns):
-            column += [
-                binomial(c + j - m, j) * falling_factorial(m, j)
-                for c in range(len(column), hi)
-            ]
-        return [column[lo:hi] for column in columns]
-
-    return weights
+    if n < 1:
+        return int(n == k == 0)
+    return gen_stirling(n, k, 1)
 
 
 @cache
@@ -138,7 +117,14 @@ def gen_stirling(n: int, k: int, m: int) -> int:
         raise ValueError(f"need at least one card, got n={n}")
     if k < m or k > m * n:
         return 0
-    return _band(_gen_stirling_weights(m), m, n, k)
+    falling = list(itertools.accumulate(range(m, 0, -1), operator.mul, initial=1))  # m_(j)
+
+    @cache
+    def column(c):
+        # the weight C(c+j-m, j) m_(j) of T(n-1, c+j-m) in T(n, c), j = 0..m
+        return [binomial(c + j - m, j) * f for j, f in enumerate(falling)]
+
+    return _band(lambda i, lo, hi: zip(*map(column, range(lo, hi))), m, n, k)
 
 
 def gen_stirling_explicit(n: int, k: int, m: int) -> int:

@@ -284,6 +284,28 @@ def test_cover_matrix_names_each_refusal(rows, reason):
     assert str(exc.value) == reason
 
 
+@pytest.mark.parametrize(
+    "call, args, reason",
+    [
+        (partition_to_sequence, (((1,), ()), (1, 2, 3), 3), "empty block in partition"),
+        (partition_to_sequence, ((), (1, 2, 3), 3), "partition needs at least one block"),
+        (sequence_from_pattern, ((), 2), "partition needs at least one block"),
+        (canonicalize_family, ((),), "family needs at least one entry"),
+        (canonicalize_family, (((1,), ()),), "empty entry in family"),
+        (LabeledDigraph, (0, ((1, 2),)), "need at least one vertex"),
+        (LabeledDigraph, (2, ()), "need at least one arc"),
+        (family_to_digraph, (((2, 1),),), "family must be canonical"),
+        (family_to_digraph, (((1, 2, 3),),), "entry (1, 2, 3) is not a pair"),
+        (multigraph_to_cover, (2, ()), "need at least one edge"),
+        (multigraph_to_cover, (2, ((1, 3),)), "edge (1,3) outside vertices 1..2"),
+    ],
+)
+def test_bijections_name_each_refusal(call, args, reason):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    assert str(exc.value) == reason
+
+
 def test_worked_cover_partial_order():
     assert cover_partial_order(WORKED_COVER) == ((1,), (3,), (2, 4), (5,))
     assert cover_canonical_order(WORKED_COVER) == (1, 3, 2, 4, 5)

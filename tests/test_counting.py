@@ -11,7 +11,6 @@ from jugglecards.cards import cycle_count, increasing_suffix_length
 from jugglecards.counting import (
     _band,
     _band_area,
-    _stirling2_weights,
     binomial,
     convolved_pair_identity,
     count_suffix_at_least,
@@ -161,6 +160,7 @@ def test_stirling_numbers_far_past_the_recursion_limit():
         for n, k in ((6, 2 * m), (9, 3 * m + 1), (4, 4 * m), (12, 5 * m), (7, m)):
             assert gen_stirling(n, k, m) == gen_stirling_explicit(n, k, m), (n, k, m)
     assert [stirling2(n, k) for n, k in ((10, 9), (3, 7), (12, 11))] == [45, 0, 66]
+    assert [stirling2(n, k) for n, k in ((0, 0), (0, 1), (-1, 0), (4, -1))] == [1, 0, 0, 0]
     assert [stirling1(b, l) for b, l in ((0, 0), (5, 0), (-1, 0), (3, -1))] == [1, 0, 0, 0]
 
 
@@ -178,11 +178,51 @@ def test_stirling_bands_past_the_bound_are_refused_before_they_start():
     with mock.patch.object(counting, "_stirling1_weights", **untouched):
         with pytest.raises(ValueError, match="n=4000, k=2000 holds 4004000 entries"):
             stirling1(4000, 2000)
+    # 10**6 entries, each a sum of 1001 weighted terms: the bound is 10**6 // m entries
+    with mock.patch.object(counting, "binomial", **untouched):
+        with pytest.raises(ValueError, match="holds 1000000 entries, more than 1000$"):
+            gen_stirling(1000, 1000, 1000)
     area = _band_area(1, 10, 3)
     with mock.patch.object(counting, "_MAX_BAND", area):
-        assert _band(_stirling2_weights, 1, 10, 3) == 9330
+        assert _band(counting._stirling1_weights, 1, 10, 3) == 1172700
     with mock.patch.object(counting, "_MAX_BAND", area - 1), pytest.raises(ValueError):
-        _band(_stirling2_weights, 1, 10, 3)
+        _band(counting._stirling1_weights, 1, 10, 3)
+
+
+def test_gen_stirling_builds_weights_only_for_the_band_columns():
+    assert gen_stirling(2, 2000, 1000) == gen_stirling_explicit(2, 2000, 1000) == 1
+    assert gen_stirling(1, 1000, 1000) == 1
+    # the band of T(2, 2000) is column 1000 of row 1 and column 2000 of row 2
+    with mock.patch.object(counting, "binomial", wraps=binomial) as spy:
+        assert gen_stirling.__wrapped__(2, 2000, 1000) == 1
+    assert spy.call_count <= 2 * 1001
+
+
+@pytest.mark.parametrize(
+    "call, args, reason",
+    [
+        (falling_factorial, (3, -1), "falling factorial needs m >= 0, got -1"),
+        (gen_stirling, (2, 2, 0), "throw size must be at least 1, got m=0"),
+        (gen_stirling, (0, 2, 1), "need at least one card, got n=0"),
+        (gen_stirling_explicit, (2, 2, 0), "throw size must be at least 1, got m=0"),
+        (gen_stirling_explicit, (0, 2, 1), "need at least one card, got n=0"),
+        (js_count, (0, 3, 2, 1), "suffix length 0 outside 1..2"),
+        (js_count, (1, 0, 2, 1), "need at least one card, got n=0"),
+        (js_count, (1, 3, 2, 3), "throw size 3 outside 1..2"),
+        (narayana, (0, 3), "need at least one ball, got b=0"),
+        (narayana, (2, 0), "need at least one card, got n=0"),
+        (plus_two_count, (0, 3), "need b, n >= 1, got b=0, n=3"),
+        (convolved_pair_identity, (1, 5), "need b >= 2 and n >= 3, got b=1, n=5"),
+        (p0, (2, 3), "need n >= b >= 1, got n=2, b=3"),
+        (p2, (2, 0), "need n >= b >= 1, got n=2, b=0"),
+        (p4, (1, 2), "need n >= b >= 1, got n=1, b=2"),
+        (q_from_p, (0, 0, 3), "need b, n >= 1, got b=3, n=0"),
+    ],
+)
+def test_counts_name_each_refusal(call, args, reason):
+    with pytest.raises(ValueError) as exc:
+        call(*args)
+    assert str(exc.value) == reason
 
 
 def test_count_suffix_at_least_against_brute():

@@ -161,9 +161,10 @@ def increasing_suffix_length(p: tuple[int, ...]) -> int:
 class _Value:
     """Base of the package's immutable records.  A subclass lists its fields
     in ``__slots__``, in constructor order, and sets them once: through
-    ``_Value.__init__``, or with one ``object.__setattr__`` each where rows
-    build many.  Records of one class with equal fields are equal, and copy
-    and pickle through the constructor, so its checks run again."""
+    ``_Value.__init__``, or with one ``object.__setattr__`` or slot setter
+    each where rows build many.  Records of one class with equal fields are
+    equal, and copy and pickle through the constructor, so its checks run
+    again."""
 
     __slots__ = ()
 
@@ -308,6 +309,19 @@ class CardSequence(_Value):
         keys = [c.targets for c in self.cards]
         text = {t: str(c) for t, c in dict(zip(keys, self.cards)).items()}
         return " ".join(map(text.__getitem__, keys))
+
+
+def _sequences(b: int, rows):
+    """A :class:`CardSequence` over ``b`` balls for each tuple of cards in
+    ``rows``, one at a time, built without the per-card check: for rows
+    whose cards all come from one family over ``b``.  Copies and pickles
+    still go through the checked constructor."""
+    new, set_b, set_cards = object.__new__, CardSequence.b.__set__, CardSequence.cards.__set__
+    for cards in rows:
+        seq = new(CardSequence)
+        set_b(seq, b)
+        set_cards(seq, cards)
+        yield seq
 
 
 def sequence_of(b: int, *throws) -> CardSequence:

@@ -334,7 +334,7 @@ def cmd_render(args, parser) -> int:
 
 
 def cmd_census(args, parser) -> int:
-    from jugglecards.enumeration import CensusQuery, _check_family, census, census_rows
+    from jugglecards.enumeration import CensusQuery, _Census, _check_family, census
 
     _check_family(args.b, args.m, not args.unordered)  # before --perm id lists 1..b
     query = CensusQuery(
@@ -352,9 +352,11 @@ def cmd_census(args, parser) -> int:
     if not args.collect:
         print(census(query))
         return 0
-    # Stream the rows; the bytes equal _emit of the whole list: a JSON list
-    # of strings, or one row per line and a lone newline when there are none.
-    rows = map(str, census_rows(query))
+    # Stream the rows, written from one name per card of the family; the
+    # bytes equal _emit of the whole list: a JSON list of strings, or one
+    # row per line and a lone newline when there are none.
+    engine = _Census(query)
+    rows = map(" ".join, engine.rows([str(card) for card in engine.cards]))
     first = next(rows, "")
     write = sys.stdout.write
     if args.human:

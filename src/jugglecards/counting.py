@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from functools import cache
+from functools import cache, partial
 
 
 def binomial(n: int, k: int) -> int:
@@ -59,13 +59,16 @@ def _band(weights, s: int, n: int, k: int) -> int:
     ``T(i, c) = sum_j w_j(i, c) T(i-1, c-s+j)`` over ``j = 0..s`` with
     ``T(0, c) = [c == 0]``.
 
-    ``weights(i, lo, hi)`` gives the ``s + 1`` weight sequences for
-    columns ``lo..hi-1`` of row ``i``.  ``T(n, k)`` needs only columns
+    ``weights(i, j, lo, hi)`` gives ``w_j(i, c)`` for columns
+    ``c = lo..hi-1`` of row ``i``.  ``T(n, k)`` needs only columns
     ``k - s(n-i) .. min(k, s i)`` of row ``i``, so that band is built
-    bottom up, one row at a time, keeping only the row before.  Nothing
-    recurses, so ``n`` is not bounded by the recursion limit.  A band
-    of more than ``_MAX_BAND // s`` entries, each a sum of ``s + 1``
-    terms, raises ``ValueError`` before any weight is built.
+    bottom up, one row at a time, keeping only the row before; each
+    ``w_j`` is asked for only over the columns whose term lies inside
+    the band of the row before, so no weight is built for a term outside
+    it.  Nothing recurses, so ``n`` is not bounded by the recursion
+    limit.  A band of more than ``_MAX_BAND // s`` entries, each a sum
+    of ``s + 1`` terms, raises ``ValueError`` before any weight is
+    built.
     """
     area, bound = _band_area(s, n, k), _MAX_BAND // s
     if area > bound:
@@ -75,13 +78,13 @@ def _band(weights, s: int, n: int, k: int) -> int:
     first, row = 0, [1]  # the band of the row before, from column first
     for i in range(1, n + 1):
         lo, hi = max(0, k - s * (n - i)), min(k, s * i) + 1
-        # columns lo-s .. hi-1 of the row before; zero outside its band
-        start = max(lo - s, 0)
-        prev = [0] * (start - lo + s) + row[start - first:hi - first]
-        prev += [0] * (hi - lo + s - len(prev))
         total = [0] * (hi - lo)
-        for j, w in enumerate(weights(i, lo, hi)):
-            total = list(map(operator.add, total, map(operator.mul, w, prev[j:])))
+        # the j whose term reaches the row before's band from some column
+        for j in range(max(0, first + s - hi + 1), min(s + 1, first + len(row) + s - lo)):
+            d = first + s - j  # term j of column c reads row[c - d]
+            a, z = max(lo, d), min(hi, d + len(row))
+            terms = map(operator.mul, weights(i, j, a, z), row[a - d:z - d])
+            total[a - lo:z - lo] = map(operator.add, total[a - lo:z - lo], terms)
         first, row = lo, total
     return row[k - first]
 
@@ -117,14 +120,16 @@ def gen_stirling(n: int, k: int, m: int) -> int:
         raise ValueError(f"need at least one card, got n={n}")
     if k < m or k > m * n:
         return 0
-    falling = list(itertools.accumulate(range(m, 0, -1), operator.mul, initial=1))  # m_(j)
+    falling = cache(partial(math.perm, m))  # m_(j), for the j a band reads
 
-    @cache
-    def column(c):
-        # the weight C(c+j-m, j) m_(j) of T(n-1, c+j-m) in T(n, c), j = 0..m
-        return [binomial(c + j - m, j) * f for j, f in enumerate(falling)]
+    def weights(i, j, lo, hi):
+        # the weight C(c+j-m, j) m_(j) of T(i-1, c+j-m) in T(i, c), c = lo..hi-1,
+        # built as it is multiplied; c+j-m is a column of the row before's
+        # band, so math.comb is binomial
+        choose = map(math.comb, range(lo + j - m, hi + j - m), itertools.repeat(j))
+        return map(operator.mul, choose, itertools.repeat(falling(j)))
 
-    return _band(lambda i, lo, hi: zip(*map(column, range(lo, hi))), m, n, k)
+    return _band(weights, m, n, k)
 
 
 def gen_stirling_explicit(n: int, k: int, m: int) -> int:
@@ -160,8 +165,8 @@ def falling_factorial_identity(n: int, m: int, x: int) -> tuple[int, int]:
     return lhs, rhs
 
 
-def _stirling1_weights(i, lo, hi):
-    return itertools.repeat(1), itertools.repeat(i - 1)
+def _stirling1_weights(i, j, lo, hi):
+    return itertools.repeat(i - 1 if j else 1)
 
 
 @cache

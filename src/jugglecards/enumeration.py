@@ -10,6 +10,11 @@ accepted row, and streams the rows in tree-walk order: a depth-first
 walk to a split depth, each prefix followed by the completions listed
 backwards from the accepted states as the moves are pruned.  Memory
 holds the move graph, tails no larger than it as built, and one row.
+The moves carry a label per card of the family, so a row is one tuple
+of labels: :func:`census_rows` labels with the family's cards and wraps
+each tuple as a :class:`CardSequence` without checking its cards again,
+and the command line labels with the cards' names and writes each row
+by joining them.
 
 Rows of uniform ordered ``m``-throw cards that reach a permutation
 depend only on the length of its increasing suffix, so the
@@ -47,6 +52,7 @@ from jugglecards.cards import (
     _MAX_ROW,
     _Value,
     _check_perm,
+    _sequences,
     Card,
     CardSequence,
     apply_card,
@@ -271,15 +277,16 @@ class _Census:
     def count(self) -> int:
         return sum(ways for state, ways in self.final_layer().items() if self.accepts(state))
 
-    def move_graph(self) -> tuple[list, int, dict]:
+    def move_graph(self, labels) -> tuple[list, int, dict]:
         """``(graph, split, tails)``: per depth, each reached state's moves as
-        ``(card, child)`` pairs in family order, kept only into states that
-        can still reach an accepted row, and every completion of each live
-        state at depth ``split`` (at least 1), listed in the same backward
-        pass.  A cell is one card in one listed tail; listing stops before
-        the level whose cells would take the running total past the moves
-        built, so the tails never outgrow the graph (a bound on the tails
-        alone would let one ball list n²/2 cells).
+        ``(label, child)`` pairs in family order, ``labels[i]`` standing for
+        the family's card ``i``, kept only into states that can still reach
+        an accepted row, and every completion of each live state at depth
+        ``split`` (at least 1) as a tuple of labels, listed in the same
+        backward pass.  A cell is one label in one listed tail; listing
+        stops before the level whose cells would take the running total
+        past the moves built, so the tails never outgrow the graph (a bound
+        on the tails alone would let one ball list n²/2 cells).
         """
         n = self.query.n
         graph = []
@@ -295,7 +302,7 @@ class _Census:
         for depth in reversed(range(n)):
             edges = graph[depth]
             for state, kids in edges.items():
-                kids[:] = [(self.cards[i], c) for i, c in kids if c in live]
+                kids[:] = [(labels[i], c) for i, c in kids if c in live]
             live = {s for s, kids in edges.items() if kids}
             if split == depth + 1 and depth:
                 cells = (n - depth) * sum(
@@ -305,14 +312,15 @@ class _Census:
                     room -= cells
                     split = depth
                     tails = {
-                        state: [(card,) + tail for card, child in kids for tail in tails[child]]
+                        state: [(label,) + tail for label, child in kids for tail in tails[child]]
                         for state, kids in edges.items()
                         if kids
                     }
         return graph, split, tails
 
-    def rows(self):
-        """Accepted rows in tree-walk order, one at a time.
+    def rows(self, labels):
+        """Accepted rows in tree-walk order, one tuple of labels at a time:
+        ``labels[i]`` wherever a row holds the family's card ``i``.
 
         Builds :meth:`move_graph`, which lists every completion of the
         states at a split depth.  A depth-first walk over the moves from
@@ -322,17 +330,16 @@ class _Census:
         holds the move graph, tails no larger than it as built, and one
         row.
         """
-        graph, split, tails = self.move_graph()
-        b = self.query.b
+        graph, split, tails = self.move_graph(labels)
         prefix = []
         stack = [iter(graph[0][self.start])]
         while stack:
-            for card, child in stack[-1]:
-                prefix.append(card)
+            for label, child in stack[-1]:
+                prefix.append(label)
                 if len(prefix) == split:
                     head = tuple(prefix)
                     for tail in tails[child]:
-                        yield CardSequence(b, head + tail)
+                        yield head + tail
                     prefix.pop()
                 else:
                     stack.append(iter(graph[len(prefix)][child]))
@@ -350,9 +357,11 @@ def census_rows(query: CensusQuery):
     position), the order of :func:`_census_from`.  The search runs
     before the first row; after it, memory holds the move graph, tails
     no larger than it as built, and one row, so listings far larger than
-    memory can be streamed.
+    memory can be streamed.  The walk yields tuples of the family's cards,
+    each wrapped without re-checking its cards' ``b``.
     """
-    return _Census(query).rows()
+    engine = _Census(query)
+    return _sequences(query.b, engine.rows(engine.cards))
 
 
 def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):

@@ -281,6 +281,21 @@ def test_a_huge_card_family_is_refused_before_it_is_listed(argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["-c", "from jugglecards.counting import gen_stirling as T; print(T(1, 20000, 20000))"],
+        ["-m", "jugglecards.cli", "count", "gen-stirling", "--n", "1", "--k", "100000",
+         "--m", "100000"],
+    ],
+)
+def test_gen_stirling_of_one_card_builds_one_weight(argv):
+    # all m + 1 weights of the one column would take gigabytes; the row
+    # before is column 0 alone, so only the weight of j = 0 is built
+    done = fresh(*argv, cap_mb=256)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["census", "--b", "1", "--n", str(10**7), "--collect"],
         ["census", "--b", "1", "--n", str(3 * 10**6)],
         ["census", "--b", "2", "--n", str(2 * 10**6), "--perm", "id", "--crossings", "2"],
@@ -462,16 +477,23 @@ def test_census_has_no_jobs_flag_or_variable(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv, query, size",
     [
-        (["--perm", "id", "--crossings", "99"],
+        (["--b", "2", "--n", "3", "--perm", "id", "--crossings", "99"],
          CensusQuery(b=2, n=3, perm=(1, 2), crossings=99), 0),
-        (["--crossings", "0"], CensusQuery(b=2, n=3, crossings=0), 1),
-        ([], CensusQuery(b=2, n=3), 8),
+        (["--b", "2", "--n", "3", "--crossings", "0"], CensusQuery(b=2, n=3, crossings=0), 1),
+        (["--b", "2", "--n", "3"], CensusQuery(b=2, n=3), 8),
+        # multiplex names such as C2,3, from ordered and unordered families
+        (["--b", "3", "--n", "2", "--m", "2"], CensusQuery(b=3, n=2, m=2), 36),
+        (["--b", "4", "--n", "3", "--m", "2", "--unordered", "--thrown", "3",
+          "--max-crossings", "4"],
+         CensusQuery(b=4, n=3, m=2, ordered=False, thrown=3, max_crossings=4), 43),
+        (["--b", "3", "--n", "2", "--m", "2", "--unordered", "--thrown", "1"],
+         CensusQuery(b=3, n=2, m=2, ordered=False, thrown=1), 0),
     ],
 )
 def test_census_collect_streams_the_bytes_of_the_whole_list(capsys, argv, query, size):
     rows = [str(seq) for seq in census(query, True)]
     assert len(rows) == size
-    argv = ["census", "--b", "2", "--n", "3", *argv, "--collect"]
+    argv = ["census", *argv, "--collect"]
     assert run(capsys, *argv) == (0, json.dumps(rows, sort_keys=True) + "\n", "")
     assert run(capsys, *argv, "--human") == (0, "\n".join(rows) + "\n", "")
 

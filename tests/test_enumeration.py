@@ -232,7 +232,7 @@ def test_tails_never_outgrow_the_move_graph(query):
         kids = [c for s in frontier for _, c in engine.children(s, engine.left(depth))]
         moves += len(kids)
         frontier = set(kids)
-    graph, split, tails = engine.move_graph()
+    graph, split, tails = engine.move_graph(engine.cards)
     accepted = {c for kids in graph[-1].values() for _, c in kids}
     ways = completion_counts(graph, accepted)
     # the level listed at depth d holds one tail of n - d cards per completion
@@ -258,7 +258,7 @@ def test_tails_never_outgrow_the_move_graph(query):
     ],
 )
 def test_census_rows_are_walked_prefixes_and_their_tails(query, whole):
-    _, split, _ = _Census(query).move_graph()
+    _, split, _ = _Census(query).move_graph(throw_cards(query.b, query.m, query.ordered))
     assert (split == 1) == whole
     assert tuple(census_rows(query)) == _census_from(query, True)
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from jugglecards.bijections import CoverMatrix, LabeledDigraph
-from jugglecards.cards import Card, CardSequence
-from jugglecards.enumeration import CensusQuery
+from jugglecards.cards import Card, CardSequence, _sequences
+from jugglecards.enumeration import CensusQuery, census_rows
 from jugglecards.stochastic import GroupDistribution
 from jugglecards.svg import RenderSpec
 
@@ -163,4 +163,28 @@ def test_copies_run_the_checks_again():
     object.__setattr__(bad, "targets", (3,))
     for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
         with pytest.raises(ValueError, match=r"target level 3 outside 1\.\.2"):
+            clone(bad)
+
+
+def test_collected_rows_are_sequences_like_checked_ones():
+    # census_rows wraps each row without checking its cards' b again; the
+    # rows must compare, hash, print and copy as checked sequences do
+    rows = list(census_rows(CensusQuery(b=4, n=3, m=2, ordered=False, thrown=3)))
+    assert len(rows) == 96
+    for seq in rows:
+        checked = CardSequence(seq.b, seq.cards)
+        assert type(seq) is CardSequence and seq == checked and hash(seq) == hash(checked)
+        assert (str(seq), repr(seq)) == (str(checked), repr(checked))
+        for twin in (copy.copy(seq), copy.deepcopy(seq), pickle.loads(pickle.dumps(seq))):
+            assert type(twin) is CardSequence and twin == seq
+
+
+def test_unchecked_sequences_copy_through_the_checked_constructor():
+    wrong = (Card(3, (1,)), Card(2, (2,)))
+    refusal = r"card C2 is over 2 balls, sequence over 3"
+    with pytest.raises(ValueError, match=refusal):
+        CardSequence(3, wrong)
+    (bad,) = _sequences(3, [wrong])
+    for clone in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        with pytest.raises(ValueError, match=refusal):
             clone(bad)

@@ -59,6 +59,15 @@ Python int from key to residue, so no 64-bit int is made per draw:
   a lane: ``w * m' < 2**128`` and the sum is below ``2**65``.  Masks
   drop what the shifts bring in from the next lane, and ``w - (w // n) * n``
   borrows from no lane.  Only the residues are unpacked.
+* byte residues: for ``n <= 256`` a residue fits in the low byte of its
+  lane, so lane ``i``'s residue is byte ``16 i`` of the residues'
+  ``to_bytes(16 * lanes, "little")`` on any machine, and
+  ``RandomStream._split_randrange_bytes`` returns the draws as one
+  ``bytes`` slice of them, with no int made per draw.
+* constants: a value repeated in every lane is built once in ``_BATCH``
+  lanes and the top lanes cut off for a smaller block, and the word
+  counters of a block are the low lanes of those of a ``_BATCH``-lane
+  block, so blocks of every size share them.
 """
 
 from __future__ import annotations
@@ -119,7 +128,17 @@ def _unpack(x: int, lanes: int) -> list[int]:
 
 @lru_cache(maxsize=8)
 def _lanes(value: int, lanes: int) -> int:
-    """The 128-bit ``value`` in each of ``lanes`` lanes."""
+    """The 128-bit ``value`` in each of ``lanes`` lanes.  Up to ``_BATCH``
+    lanes are cut from one copy of ``value`` in ``_BATCH`` lanes, so
+    blocks of different sizes share one build."""
+    width = max(lanes, _BATCH)
+    wide = _repeated(value, width)
+    return wide >> 128 * (width - lanes) if width > lanes else wide
+
+
+@lru_cache(maxsize=16)
+def _repeated(value: int, lanes: int) -> int:
+    """The 128-bit ``value`` in each of ``lanes`` lanes, built in bytes."""
     return int.from_bytes(value.to_bytes(16, "little") * lanes, "little")
 
 
@@ -141,7 +160,7 @@ def _mix_lanes(x: int, lanes: int) -> int:
     return x ^ x >> 31
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=8)
 def _counter_lanes(done: int, k: int, streams: int) -> int:
     """``(done + i) * _GOLDEN`` modulo ``2**64`` for ``i = 1..k``, once
     per stream."""
@@ -151,10 +170,19 @@ def _counter_lanes(done: int, k: int, streams: int) -> int:
 
 def _stream_lanes(keys, done: int, k: int) -> int:
     """Words ``done + 1 .. done + k`` of the stream with each key in
-    ``keys``, stream after stream, one per lane (upper halves zero)."""
-    lanes = len(keys) * k
+    ``keys``, stream after stream, one per lane (upper halves zero).
+
+    The counters are the low lanes of those for at least ``_BATCH``
+    lanes, more words of one stream or more streams, so blocks of any
+    size share them; the mask drops the rest of the sum."""
+    streams = len(keys)
+    lanes = streams * k
     low = _lanes(_MASK, lanes)
-    x = (_pack(keys, k) + _counter_lanes(done, k, len(keys))) & low
+    if streams == 1:
+        counters = _counter_lanes(done, max(k, _BATCH), 1)
+    else:
+        counters = _counter_lanes(done, k, max(streams, _BATCH // max(k, 1)))
+    x = (_pack(keys, k) + counters) & low
     return _mix_lanes(x, lanes) & low
 
 
@@ -176,15 +204,27 @@ def _rejects(x: int, lanes: int, n: int) -> bool:
         x + _lanes((1 << 64) % n, lanes) & _lanes(1 << 64, lanes))
 
 
-def _residues(x: int, lanes: int, n: int) -> list[int]:
-    """Each word of ``x`` (one per lane, upper halves zero) modulo ``n``."""
+def _residue_lanes(x: int, lanes: int, n: int) -> int:
+    """Each word of ``x`` (one per lane, upper halves zero) modulo ``n``,
+    in the same lanes (upper halves zero)."""
     if not n & (n - 1):
-        return _unpack(x & _lanes(n - 1, lanes), lanes)
+        return x & _lanes(n - 1, lanes)
     low = _lanes(_MASK, lanes)
     shift = n.bit_length()  # 2**(shift - 1) < n < 2**shift
     magic = (1 << 64 + shift) // n + 1 - (1 << 64)
     quotients = x + (x * magic >> 64 & low) >> shift & low
-    return _unpack(x - quotients * n, lanes)
+    return x - quotients * n
+
+
+def _residues(x: int, lanes: int, n: int) -> list[int]:
+    """Each word of ``x`` (one per lane, upper halves zero) modulo ``n``."""
+    return _unpack(_residue_lanes(x, lanes, n), lanes)
+
+
+def _low_bytes(x: int, lanes: int) -> bytes:
+    """The low byte of each of the first ``lanes`` lanes of ``x``: byte
+    ``16 i`` of its little-endian bytes, on any machine."""
+    return x.to_bytes(16 * lanes, "little")[::16]
 
 
 def _limit(n: int) -> int:
@@ -248,13 +288,26 @@ class RandomStream:
         All ``len(children) * k`` words go through one kernel call, so
         keep blocks to a few thousand words.
         """
+        return self._split_draws(children, n, k, _unpack)
+
+    def _split_randrange_bytes(self, children: range, n: int, k: int) -> bytes:
+        """:meth:`split_randrange_many` as ``bytes``, for ``n <= 256``: the
+        same kernel call and words, with no int made per draw."""
+        if n > 256:
+            raise ValueError(f"byte draws need a bound of at most 256, got n={n}")
+        return bytes(self._split_draws(children, n, k, _low_bytes))
+
+    def _split_draws(self, children: range, n: int, k: int, unpack):
+        """The draws of :meth:`split_randrange_many`: ``unpack`` of the
+        residue lanes, or a list for a block with a rejected word, which
+        is drawn word by word."""
         if min(children, default=0) < 0:
             raise ValueError(f"child indices must be nonnegative, got {children}")
         limit = _limit(n)
         lanes = len(children) * k
         block = _stream_lanes(_child_keys(self._key, children), 0, k)
         if not _rejects(block, lanes, n):
-            return _residues(block, lanes, n)
+            return unpack(_residue_lanes(block, lanes, n), lanes)
         words = _unpack(block, lanes)
         out: list[int] = []
         for j, first in zip(children, range(0, lanes, k)):

@@ -359,16 +359,19 @@ def estimate_single_cycle_probability(
     Every trial runs on its own child stream of ``seed``, so estimates
     are reproducible and the first ``t`` trials do not depend on the
     total trial count.  A trial follows the arrangement, the inverse of
-    the permutation, which has the same cycles.  When the table of
+    the permutation, which has the same cycles.  Trials run in blocks of
+    about ``jugglecards.rng._BATCH`` draws.  When the table of
     :func:`_arrangement_table` holds at most half as many entries as the
     trials take card steps, and at most
     ``jugglecards.enumeration._MAX_SUPPORT``, each card is one lookup in
     it; otherwise each card acts on the arrangement as one
-    ``itemgetter``.  Trials run in blocks of about
-    ``jugglecards.rng._BATCH`` draws, and each distinct final arrangement
-    of a block is tested once.  A trial is a sampled row, so one of more
-    than ``jugglecards.cards._MAX_ROW`` cards is refused before any draw;
-    the trial count has no bound.
+    ``itemgetter``.  When the table's codes and the integer weight total
+    both fit in a byte and a block holds at least 32 trials, every trial
+    of the block takes each card step at once, in bytes
+    (:func:`_byte_walk`).  Final arrangements are tallied over the whole
+    estimate, and each distinct one is tested once.  A trial is a sampled
+    row, so one of more than ``jugglecards.cards._MAX_ROW`` cards is
+    refused before any draw; the trial count has no bound.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -383,28 +386,66 @@ def estimate_single_cycle_probability(
     start = identity_perm(b)
     k = len(moves)
     entries = k * _support_bound(b, n, m)
-    table = None
+    per_block = max(1, rng._BATCH // max(n, 1))
+    blocks = (range(first, min(first + per_block, trials))
+              for first in range(0, trials, per_block))
+
+    def picks_of(block):
+        return _picks(cumulative, itertools.chain.from_iterable(
+            _trial_draws(root, block, cumulative[-1], n)))
+
     if 2 * entries <= trials * n and entries <= _MAX_SUPPORT:
         arrangements, table = _arrangement_table(moves, start, n)
-    per_block = max(1, rng._BATCH // max(n, 1))
-    hits = 0
-    for first in range(0, trials, per_block):
-        block = range(first, min(first + per_block, trials))
-        picks = _picks(cumulative, itertools.chain.from_iterable(
-            _trial_draws(root, block, cumulative[-1], n)))
-        ends = []
-        if table is None:
-            steps = map(moves.__getitem__, picks)
+        # below about 32 trials a block, the list loop steps faster
+        if k * len(arrangements) <= 256 and cumulative[-1] <= 256 and per_block >= 32:
+            codes = _byte_walk(root, blocks, n, cumulative, table)
+        else:
+            codes = Counter()
+            for block in blocks:
+                picks, finals = picks_of(block), []
+                for _ in block:
+                    state = 0
+                    for c in itertools.islice(picks, n):
+                        state = table[state + c]
+                    finals.append(state)
+                codes.update(finals)
+        ends = {arrangements[code // k]: count for code, count in codes.items()}
+    else:
+        ends = Counter()
+        for block in blocks:
+            steps = map(moves.__getitem__, picks_of(block))
+            finals = []
             for _ in block:
                 current = start
                 for move in itertools.islice(steps, n):
                     current = move(current)
-                ends.append(current)
-        else:
-            for _ in block:
-                state = 0
-                for c in itertools.islice(picks, n):
-                    state = table[state + c]
-                ends.append(arrangements[state // k])
-        hits += sum(count for end, count in Counter(ends).items() if cycle_count(end) == 1)
+                finals.append(current)
+            ends.update(finals)
+    hits = sum(count for end, count in ends.items() if cycle_count(end) == 1)
     return Fraction(hits, trials)
+
+
+def _byte_walk(root: RandomStream, blocks, n: int, cumulative, table) -> Counter:
+    """How many trials of ``blocks`` end at each code, stepping all
+    trials of a block at once in bytes.
+
+    Needs ``n >= 1``, every code ``k*j`` of ``table`` and every
+    ``k*j + c`` below 256, and a weight total of at most 256.  A block's
+    draws are one ``bytes`` (``RandomStream._split_randrange_bytes``),
+    taken to card indices by one ``translate``, and its states one
+    ``bytes`` of codes.  Card step ``s`` adds the ``s``-th picks of every
+    trial to the states as two big-endian ints, which carry across no
+    byte, and one ``translate`` through the table takes each sum to the
+    next code."""
+    bound = cumulative[-1]
+    to_card = bytes(_picks(cumulative, range(bound))).ljust(256, b"\0")
+    step = bytes(table).ljust(256, b"\0")
+    ends = Counter()
+    for block in blocks:
+        picks = root._split_randrange_bytes(block, bound, n).translate(to_card)
+        states = picks[::n].translate(step)  # from code 0, the first step
+        for s in range(1, n):
+            states = (int.from_bytes(states, "big") + int.from_bytes(picks[s::n], "big")
+                      ).to_bytes(len(block), "big").translate(step)
+        ends.update(states)
+    return ends

@@ -207,6 +207,54 @@ def test_draws_across_a_batch_boundary_are_the_one_by_one_draws(bound):
         assert many.next_word() == one.next_word()
 
 
+def test_lane_constants_are_the_value_in_every_lane():
+    for batch in (rng._BATCH, 5):
+        with mock.patch.object(rng, "_BATCH", batch):
+            rng._lanes.cache_clear()
+            for value in (0, 1, 2**64 - 1, 2**64, 2**128 - 1):
+                for lanes in (0, 1, 3, 5, 6, 4095, 4096, 4097):
+                    assert rng._lanes(value, lanes) == int.from_bytes(
+                        value.to_bytes(16, "little") * lanes, "little")
+    rng._lanes.cache_clear()
+
+
+def test_stream_lanes_share_counters_across_block_sizes():
+    keys = (5, 2**64 - 1, 0x9E3779B97F4A7C15)
+    for batch in (rng._BATCH, 5):
+        with mock.patch.object(rng, "_BATCH", batch):
+            rng._counter_lanes.cache_clear()
+            for streams, done, k in ((1, 0, 3), (1, 0, 9), (1, 4096, 2), (3, 0, 2), (2, 0, 4),
+                                     (3, 7, 1), (1, 0, 0), (3, 0, 0)):
+                lanes = rng._stream_lanes(keys[:streams], done, k)
+                assert rng._unpack(lanes, streams * k) == [
+                    mix(key + i * 0x9E3779B97F4A7C15) for key in keys[:streams]
+                    for i in range(done + 1, done + k + 1)]
+                assert lanes < 1 << 128 * streams * k
+    rng._counter_lanes.cache_clear()
+
+
+def test_byte_draws_are_the_split_draws():
+    root = RandomStream(2**64 - 11)
+    for batch in (rng._BATCH, 5):
+        with mock.patch.object(rng, "_BATCH", batch):
+            rng._lanes.cache_clear()
+            for bound in range(1, 257):
+                for children, k in ((range(3, 12, 2), 7), (range(40), 1), (range(0), 3)):
+                    assert root._split_randrange_bytes(children, bound, k) == bytes(
+                        root.split_randrange_many(children, bound, k))
+    rng._lanes.cache_clear()
+    with pytest.raises(ValueError, match="at most 256"):
+        root._split_randrange_bytes(range(2), 257, 3)
+
+
+def test_byte_draws_of_a_rejecting_block_are_drawn_word_by_word():
+    root = RandomStream(17)
+    with mock.patch.object(rng, "_rejects", return_value=True), \
+            mock.patch.object(rng, "_residue_lanes", side_effect=AssertionError):
+        drawn = root._split_randrange_bytes(range(5, 9), 6, 9)
+    assert drawn == bytes(x for j in range(5, 9) for x in _one_by_one(root.split(j), 6, 9))
+
+
 def test_randrange_is_roughly_uniform():
     r = RandomStream(99)
     counts = [0] * 5
@@ -682,6 +730,49 @@ def test_a_large_state_space_never_builds_a_table():
     with mock.patch.object(stochastic, "_arrangement_table", side_effect=AssertionError):
         estimate = estimate_single_cycle_probability(52, 20, trials=50)
     assert estimate == _scalar_estimate(52, 20, 1, True, None, trials=50, seed=0)
+
+
+def _stepped_in_bytes(case, trials):
+    """The estimate, and whether its trials were stepped in bytes."""
+    with mock.patch.object(stochastic, "_byte_walk", wraps=stochastic._byte_walk) as walk:
+        estimate = estimate_single_cycle_probability(**case, trials=trials)
+    return estimate, walk.called
+
+
+@pytest.mark.parametrize("case, trials, batch, in_bytes", [
+    # cards times arrangements: 15 * 15 is the most any family reaches under 256
+    (dict(b=6, n=1, m=2, ordered=False), 1000, None, True),
+    (dict(b=4, n=3, m=2), 500, None, False),  # 12 * 24 = 288
+    # the integer weight total
+    (dict(b=4, n=10, weights=[1, 2, 3, 250]), 300, None, True),  # 256
+    (dict(b=4, n=10, weights=[1, 2, 3, 251]), 300, None, False),  # 257
+    (dict(b=3, n=5, m=2, ordered=False, weights=[1, 2, 6]), 400, None, True),
+    # trials a block, _BATCH // n
+    (dict(b=4, n=128), 40, None, True),  # 32, then a block of 8
+    (dict(b=4, n=129), 40, None, False),  # 31
+    (dict(b=3, n=2), 100, 64, True),  # 32, 32, 32 and 4
+    (dict(b=3, n=3), 100, 64, False),  # 21
+    (dict(b=4, n=10), 300, 7, False),
+])
+def test_the_byte_walk_is_the_scalar_walk(case, trials, batch, in_bytes):
+    case = dict(dict(m=1, ordered=True, weights=None, seed=2**64 - 5), **case)
+    with mock.patch.object(rng, "_BATCH", batch or rng._BATCH):
+        estimate, stepped_in_bytes = _stepped_in_bytes(case, trials)
+    assert stepped_in_bytes == in_bytes
+    assert estimate == _scalar_estimate(**case, trials=trials)
+
+
+def test_each_distinct_end_is_tested_once_per_estimate():
+    # 24 arrangements at most, over 25 blocks of byte steps, 25 of list
+    # steps and 5 of itemgetter steps
+    for case, batch in ((dict(trials=10_000), None),
+                        (dict(trials=10_000, weights=[1, 2, 3, 251]), None),
+                        (dict(trials=10), 20)):
+        with mock.patch.object(rng, "_BATCH", batch or rng._BATCH), \
+                mock.patch.object(stochastic, "cycle_count", wraps=cycle_count) as tested:
+            estimate_single_cycle_probability(4, 10, seed=9, **case)
+        ends = [call.args[0] for call in tested.call_args_list]
+        assert len(ends) == len(set(ends)) <= 24
 
 
 def _arrangement_moves(b):

@@ -50,12 +50,12 @@ def sequence_to_partition(seq: CardSequence) -> Blocks:
     increasing order, so block ``i`` (holding the positions where ball
     ``i`` was thrown) automatically has the ``i``-th smallest minimum.
     """
-    pattern = single_throws(throw_pattern(seq))
-    thrown = sorted(set(pattern))
+    blocks: dict[int, list[int]] = {}
+    for j, ball in enumerate(single_throws(throw_pattern(seq)), start=1):
+        blocks.setdefault(ball, []).append(j)
+    thrown = sorted(blocks)
     assert thrown == list(range(1, len(thrown) + 1)), "balls must appear in order"
-    return tuple(
-        tuple(j + 1 for j, ball in enumerate(pattern) if ball == i) for i in thrown
-    )
+    return tuple(tuple(blocks[i]) for i in thrown)
 
 
 def _blocks_to_pattern(blocks: Blocks) -> tuple[int, ...]:

@@ -113,16 +113,6 @@ def cmd_count(args, parser) -> int:
 # convert
 
 
-def _seq_json(seq: CardSequence) -> dict:
-    return {"b": seq.b, "cards": str(seq)}
-
-
-def _load_sequence(data: dict) -> CardSequence:
-    from jugglecards.cards import parse_sequence
-
-    return parse_sequence(_load_text(data, "cards"), _load_int(data, "b"))
-
-
 def _is_int_list(value) -> bool:
     return isinstance(value, list) and all(type(x) is int for x in value)
 
@@ -155,76 +145,67 @@ def _load_int_lists(data: dict, key: str) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, value))
 
 
-def _convert(kind: tuple[str, str], data: dict):
-    from jugglecards.bijections import (
-        CoverMatrix,
-        LabeledDigraph,
-        cover_to_multigraph,
-        cover_to_sequence,
-        digraph_to_family,
-        dyck_to_minimal,
-        family_to_digraph,
-        family_to_sequence,
-        minimal_to_dyck,
-        multigraph_to_cover,
-        partition_to_sequence,
-        sequence_to_cover,
-        sequence_to_family,
-        sequence_to_partition,
-    )
-    from jugglecards.cards import final_arrangement
+def _read(source: str, data: dict) -> tuple[CardSequence, dict]:
+    """The card row a ``source`` payload names, and the fields the output
+    adds to the row's: only a cover's forced start."""
+    if source == "sequence":
+        from jugglecards.cards import parse_sequence
 
-    if kind == ("partition", "sequence"):
+        return parse_sequence(_load_text(data, "cards"), _load_int(data, "b")), {}
+    from jugglecards import bijections as bij
+
+    if source == "partition":
         target = _load_ints(data, "target")
         b = _load_int(data, "b") if "b" in data else len(target)
-        seq = partition_to_sequence(_load_int_lists(data, "blocks"), target, b)
-        return _seq_json(seq), str(seq)
-    if kind == ("sequence", "partition"):
-        seq = _load_sequence(data)
-        blocks = sequence_to_partition(seq)
-        out = {
-            "blocks": [list(block) for block in blocks],
-            "target": list(final_arrangement(seq)),
-        }
-        human = "/".join("{" + ",".join(map(str, block)) + "}" for block in blocks)
-        return out, human
-    if kind == ("dyck", "sequence"):
-        seq = dyck_to_minimal(_load_text(data, "dyck"))
+        return bij.partition_to_sequence(_load_int_lists(data, "blocks"), target, b), {}
+    if source == "dyck":
+        seq = bij.dyck_to_minimal(_load_text(data, "dyck"))
         if seq is None:
             raise ValueError("the empty word has no cards")
-        return _seq_json(seq), str(seq)
-    if kind == ("sequence", "dyck"):
-        word = minimal_to_dyck(_load_sequence(data))
-        return {"dyck": word}, word
-    if kind == ("digraph", "sequence"):
-        g = LabeledDigraph(_load_int(data, "k"), _load_int_lists(data, "arcs"))
+        return seq, {}
+    if source == "digraph":
+        g = bij.LabeledDigraph(_load_int(data, "k"), _load_int_lists(data, "arcs"))
         target = _load_ints(data, "target")
-        seq = family_to_sequence(digraph_to_family(g), target, len(target))
-        return _seq_json(seq), str(seq)
-    if kind == ("sequence", "digraph"):
-        seq = _load_sequence(data)
-        g = family_to_digraph(sequence_to_family(seq))
-        out = {
-            "k": g.k,
-            "arcs": [list(arc) for arc in g.arcs],
-            "target": list(final_arrangement(seq)),
-        }
+        return bij.family_to_sequence(bij.digraph_to_family(g), target, len(target)), {}
+    M = bij.CoverMatrix(_load_int_lists(data, "rows"))
+    initial = _load_ints(data, "initial") if data.get("initial") is not None else None
+    seq, start = bij.cover_to_sequence(M, _load_ints(data, "terminal"), initial)
+    return seq, {"start": list(start)}
+
+
+def _cover_text(M) -> str:
+    return "\n".join("".join(map(str, row)) for row in M.rows)
+
+
+def _write(dest: str, seq: CardSequence) -> tuple[dict, str]:
+    """The ``dest`` payload of the row ``seq`` and its ``--human`` text."""
+    if dest == "sequence":
+        return {"b": seq.b, "cards": str(seq)}, str(seq)
+    from jugglecards import bijections as bij
+    from jugglecards.cards import final_arrangement
+
+    if dest == "dyck":
+        word = bij.minimal_to_dyck(seq)
+        return {"dyck": word}, word
+    end = list(final_arrangement(seq))
+    if dest == "partition":
+        blocks = bij.sequence_to_partition(seq)
+        human = "/".join("{" + ",".join(map(str, block)) + "}" for block in blocks)
+        return {"blocks": [list(block) for block in blocks], "target": end}, human
+    if dest == "digraph":
+        g = bij.family_to_digraph(bij.sequence_to_family(seq))
         human = " ".join(f"{t}->{h}" for t, h in g.arcs)
-        return out, human
-    if kind == ("cover", "sequence"):
-        M = CoverMatrix(_load_int_lists(data, "rows"))
-        initial = _load_ints(data, "initial") if data.get("initial") is not None else None
-        seq, start = cover_to_sequence(M, _load_ints(data, "terminal"), initial)
-        return {**_seq_json(seq), "start": list(start)}, str(seq)
-    if kind == ("sequence", "cover"):
-        seq = _load_sequence(data)
-        M = sequence_to_cover(seq)
-        out = {
-            "rows": [list(row) for row in M.rows],
-            "terminal": list(final_arrangement(seq)),
-        }
-        human = "\n".join("".join(map(str, row)) for row in M.rows)
-        return out, human
+        return {"k": g.k, "arcs": [list(arc) for arc in g.arcs], "target": end}, human
+    M = bij.sequence_to_cover(seq)
+    return {"rows": [list(row) for row in M.rows], "terminal": end}, _cover_text(M)
+
+
+def _convert(kind: tuple[str, str], data: dict):
+    """Read the source into its card row and write the row out; a cover
+    and its multigraph are the one pair converted directly."""
+    from jugglecards.bijections import CoverMatrix, cover_to_multigraph, multigraph_to_cover
+
+    source, dest = kind
     if kind == ("cover", "multigraph"):
         M = CoverMatrix(_load_int_lists(data, "rows"))
         edges = cover_to_multigraph(M)
@@ -232,9 +213,12 @@ def _convert(kind: tuple[str, str], data: dict):
         return out, " ".join(f"{u}-{v}" for u, v in edges)
     if kind == ("multigraph", "cover"):
         M = multigraph_to_cover(_load_int(data, "k"), _load_int_lists(data, "edges"))
-        out = {"rows": [list(row) for row in M.rows]}
-        return out, "\n".join("".join(map(str, row)) for row in M.rows)
-    raise ValueError(f"no converter from {kind[0]} to {kind[1]}")
+        return {"rows": [list(row) for row in M.rows]}, _cover_text(M)
+    if "multigraph" in kind or (source == "sequence") == (dest == "sequence"):
+        raise ValueError(f"no converter from {source} to {dest}")
+    seq, extra = _read(source, data)
+    out, human = _write(dest, seq)
+    return {**out, **extra}, human
 
 
 def cmd_convert(args, parser) -> int:
@@ -313,13 +297,8 @@ def cmd_verify(args, parser) -> int:
 def cmd_render(args, parser) -> int:
     from jugglecards.svg import RenderSpec, render_svg
 
-    spec = RenderSpec(
-        card_width=args.card_width,
-        card_height=args.card_height,
-        level_spacing=args.level_spacing,
-        ball_labels=args.ball_labels,
-        thrown_labels=args.thrown_labels,
-    )
+    # the spec's fields are the geometry and label flags
+    spec = RenderSpec(**{field: getattr(args, field) for field in RenderSpec.__slots__})
     doc = render_svg(_sequence(args.cards, args.b), spec)
     if args.output:
         try:
@@ -333,15 +312,19 @@ def cmd_render(args, parser) -> int:
     return 0
 
 
+def _family(args) -> dict:
+    """The ``--b``, ``--m`` and ``--unordered`` flags as the library's
+    ``b``, ``m`` and ``ordered``."""
+    return {"b": args.b, "m": args.m, "ordered": args.ordered}
+
+
 def cmd_census(args, parser) -> int:
     from jugglecards.enumeration import CensusQuery, _Census, _check_family, census
 
-    _check_family(args.b, args.m, not args.unordered)  # before --perm id lists 1..b
+    _check_family(**_family(args))  # before --perm id lists 1..b
     query = CensusQuery(
-        b=args.b,
+        **_family(args),
         n=args.n,
-        m=args.m,
-        ordered=not args.unordered,
         perm=_perm(args.perm, args.b, "perm") if args.perm is not None else None,
         crossings=args.crossings,
         max_crossings=args.max_crossings,
@@ -374,15 +357,9 @@ def cmd_census(args, parser) -> int:
 def cmd_sample(args, parser) -> int:
     from jugglecards.stochastic import sample_sequence
 
-    seq = sample_sequence(
-        b=args.b,
-        n=args.n,
-        m=args.m,
-        ordered=not args.unordered,
-        weights=args.weights,
-        seed=args.seed,
-    )
-    _emit(args, {**_seq_json(seq), "seed": args.seed}, str(seq))
+    seq = sample_sequence(**_family(args), n=args.n, weights=args.weights, seed=args.seed)
+    out, human = _write("sequence", seq)
+    _emit(args, {**out, "seed": args.seed}, human)
     return 0
 
 
@@ -397,12 +374,7 @@ def cmd_walk(args, parser) -> int:
 
     if args.trials is not None:
         estimate = estimate_single_cycle_probability(
-            args.b,
-            args.steps,
-            m=args.m,
-            ordered=not args.unordered,
-            weights=args.weights,
-            trials=args.trials,
+            **_family(args), n=args.steps, weights=args.weights, trials=args.trials,
             seed=args.seed,
         )
         out = {
@@ -414,9 +386,7 @@ def cmd_walk(args, parser) -> int:
         }
         _emit(args, out, f"single-cycle mass ~ {estimate}")
         return 0
-    gd = card_distribution(
-        args.b, m=args.m, ordered=not args.unordered, weights=args.weights
-    )
+    gd = card_distribution(**_family(args), weights=args.weights)
     dist = exact_step_distribution(gd, args.steps)
     cycles = sorted(cycle_count_distribution(dist).items())
     mass = dict(cycles).get(1, 0)
@@ -500,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     family = argparse.ArgumentParser(add_help=False)
     family.add_argument("--b", type=int, required=True)
     family.add_argument("--m", type=int, default=1)
-    family.add_argument("--unordered", action="store_true")
+    family.add_argument("--unordered", dest="ordered", action="store_false")
     family.add_argument("--human", action="store_true")
     # the draw flags of sample and walk
     draws = argparse.ArgumentParser(add_help=False)

@@ -395,7 +395,9 @@ def count_by_permutation(
     each ``k`` from ``b - s`` (at least 1) to ``b``.  Unordered
     multi-throw families run the census engine with no filters and read
     each final arrangement as a permutation; tests pin the table to that
-    engine and to a tally over :func:`all_sequences`.
+    engine and to a tally over :func:`all_sequences`.  Either way a
+    table past ``_MAX_SUPPORT`` permutations raises ``ValueError``
+    before anything is counted.
 
     >>> table = count_by_permutation(3, 2)
     >>> [table[p] for p in sorted(table)]
@@ -405,6 +407,7 @@ def count_by_permutation(
     """
     query = CensusQuery(b=b, n=n, m=m, ordered=ordered)
     if not ordered and m > 1:
+        _check_support(b, n, _support_bound(b, n, m))
         return _census_by_permutation(query, by_thrown)
     if not by_thrown:
         return _lumped_table(b, n, m, lambda ks: sum(ks.values()))
@@ -530,8 +533,9 @@ def enumerate_plus_two(b: int, n: int) -> tuple[CardSequence, ...]:
 def cycle_census(b: int, n: int) -> dict[int, int]:
     """How many of the ``b^n`` single-throw sequences have each cycle count.
 
-    Tallies the cycle counts of :func:`count_by_permutation`, which runs
-    the census engine; tests pin it to a tally over :func:`all_sequences`.
+    Tallies the cycle counts of :func:`count_by_permutation`, which for
+    single throws reads the suffix-class table; tests pin it to a tally
+    over :func:`all_sequences`.
     """
     tally: dict[int, int] = {}
     for perm, ways in count_by_permutation(b, n).items():

@@ -89,7 +89,12 @@ def point_distribution(b: int) -> GroupDistribution:
 
 
 def uniform_distribution(b: int) -> GroupDistribution:
-    """Equal mass on every permutation of ``b`` points."""
+    """Equal mass on every permutation of ``b`` points.  Past
+    ``_MAX_SUPPORT`` permutations (``b >= 10``) it raises ``ValueError``
+    before any is listed."""
+    # b! passes _MAX_SUPPORT exactly when min(b, bit_length)! does, which
+    # stays a small number; single throws reach every permutation in b - 1 steps
+    _check_support(b, b - 1, math.factorial(min(b, _MAX_SUPPORT.bit_length())))
     share = Fraction(1, math.factorial(b))
     return GroupDistribution(
         {p: share for p in itertools.permutations(range(1, b + 1))}

@@ -245,6 +245,55 @@ def test_convert_names_the_violated_precondition(capsys):
     assert code == 2 and "blocks cannot reach this arrangement" in err
 
 
+STRUCTURES = ["partition", "sequence", "dyck", "digraph", "cover", "multigraph"]
+CONVERTERS = {  # a valid payload for each pair with a converter
+    ("partition", "sequence"): {
+        "blocks": [[1, 4, 9], [2, 6], [3, 5, 8], [7]], "target": [3, 1, 4, 2],
+    },
+    ("sequence", "partition"): {"b": 4, "cards": "C3 C3 C2 C4 C3 C4 C3 C2 C2"},
+    ("dyck", "sequence"): {"dyck": "(()())()"},
+    ("sequence", "dyck"): {"b": 5, "cards": "C3 C5 C1 C5 C2 C5 C2 C5"},
+    ("digraph", "sequence"): {"k": 3, "arcs": [[1, 2], [3, 1]], "target": [1, 2, 3]},
+    ("sequence", "digraph"): {"b": 3, "cards": "C3,2 C2,3"},
+    ("cover", "sequence"): {"rows": [[1, 0], [0, 1], [1, 1]], "terminal": [1, 2, 3]},
+    ("sequence", "cover"): {"b": 2, "cards": "C1,2 C2,1"},
+    ("cover", "multigraph"): {"rows": [[1, 0], [0, 1], [1, 1]]},
+    ("multigraph", "cover"): {"k": 3, "edges": [[1, 2], [2, 3]]},
+}
+WRITTEN = {  # the keys each structure is written with
+    "partition": {"blocks", "target"}, "sequence": {"b", "cards"}, "dyck": {"dyck"},
+    "digraph": {"k", "arcs", "target"}, "cover": {"rows", "terminal"},
+    "multigraph": {"k", "edges"},
+}
+
+
+@pytest.mark.parametrize("dest", STRUCTURES)
+@pytest.mark.parametrize("source", STRUCTURES)
+def test_convert_has_exactly_the_ten_converters(capsys, source, dest):
+    # each converter has a sequence side, but for cover and multigraph
+    if (source, dest) in CONVERTERS:
+        payload = json.dumps(CONVERTERS[source, dest])
+        code, out, err = run(capsys, "convert", source, dest, "--payload", payload)
+        assert (code, err) == (0, "")
+        written = WRITTEN[dest] - ({"terminal"} if source == "multigraph" else set())
+        extra = {"start"} if source == "cover" and dest == "sequence" else set()
+        assert set(json.loads(out)) == written | extra
+    else:
+        payload = json.dumps(next(p for (s, _), p in CONVERTERS.items() if s == source))
+        assert run(capsys, "convert", source, dest, "--payload", payload) == (
+            2, "", f"error: no converter from {source} to {dest}\n")
+
+
+def test_the_render_flags_are_the_spec_fields():
+    from jugglecards.cli import build_parser
+    from jugglecards.svg import RenderSpec
+
+    args = vars(build_parser().parse_args(["render", "C1"]))
+    fields = set(args) - {"command", "run", "cards", "b", "output"}
+    assert fields == set(RenderSpec.__slots__)
+    assert RenderSpec(**{field: args[field] for field in fields}) == RenderSpec()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -533,3 +533,25 @@ def test_the_lumped_table_refuses_a_support_past_its_bound():
             count_by_permutation(4, 3)
         with pytest.raises(ValueError, match="more than 23"):
             count_by_permutation(4, 3, by_thrown=True)
+
+
+def test_the_unordered_tally_refuses_a_support_past_its_bound():
+    # one card throwing 2 of 4 balls reaches at most perm(4, 2) = 12 permutations
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 12):
+        assert len(count_by_permutation(4, 1, m=2, ordered=False)) == 6
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 11), \
+            mock.patch.object(enumeration._Census, "final_layer", side_effect=AssertionError):
+        with pytest.raises(ValueError, match="more than 11"):
+            count_by_permutation(4, 1, m=2, ordered=False)
+
+    # eight such cards on b balls reach up to b! permutations: 10! is refused
+    # before the engine runs, 9! = 362,880 is not
+    class Ran(Exception):
+        pass
+
+    with mock.patch.object(enumeration._Census, "final_layer", side_effect=Ran):
+        for by_thrown in (False, True):
+            with pytest.raises(ValueError, match="more than 1000000 permutations"):
+                count_by_permutation(10, 8, m=2, ordered=False, by_thrown=by_thrown)
+            with pytest.raises(Ran):
+                count_by_permutation(9, 8, m=2, ordered=False, by_thrown=by_thrown)

@@ -471,6 +471,20 @@ def test_the_state_guard_is_the_support_bound():
         exact_step_distribution(pair, 3)
 
 
+def test_the_uniform_law_refuses_more_than_a_million_permutations():
+    # 4! = 24 permutations
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 24):
+        assert len(uniform_distribution(4).prob) == 24
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 23), pytest.raises(ValueError):
+        uniform_distribution(4)
+    # 10! = 3,628,800 is refused before any is listed, and a million points
+    # before their factorial, which takes seconds
+    with mock.patch.object(itertools, "permutations", side_effect=AssertionError):
+        for b in (10, 10**6):
+            with pytest.raises(ValueError, match="more than 1000000 permutations"):
+                uniform_distribution(b)
+
+
 def test_any_generators_stay_inside_the_card_support_bound():
     # a generator with increasing suffix k acts as a card of b - k throws;
     # under any positive weights the walk is the one-step oracle

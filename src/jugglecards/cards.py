@@ -24,6 +24,7 @@ import re
 
 _MAX_LEVELS = 10**6  # the most balls a card may hold; card families count cards times balls
 _MAX_ROW = 10**6  # the most cards a counted, collected or sampled row may hold
+_MAP_LEVELS = 32  # the widest row whose repeated cards step by cached moves
 
 
 class MultiplexError(ValueError):
@@ -58,10 +59,16 @@ def composer(p: tuple[int, ...]):
     >>> composer((2, 1, 3))((1, 3, 2))
     (3, 1, 2)
     """
-    if len(p) == 1:
-        (x,) = p
-        return lambda q: (q[x - 1],)
-    return operator.itemgetter(*(x - 1 for x in p))
+    return _picker(tuple(x - 1 for x in p))
+
+
+def _picker(indices: tuple[int, ...]):
+    """The map ``q -> tuple(q[i] for i in indices)`` in one C call; one
+    index gets a lambda, since an itemgetter of one returns a bare item."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda q: (q[i],)
+    return operator.itemgetter(*indices)
 
 
 def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -129,11 +136,7 @@ def inversions(p: tuple[int, ...]) -> int:
     >>> inversions((3, 1, 2, 4))
     2
     """
-    return sum(
-        1
-        for i, j in itertools.combinations(range(len(p)), 2)
-        if p[i] > p[j]
-    )
+    return sum(itertools.starmap(operator.gt, itertools.combinations(p, 2)))
 
 
 def increasing_suffix_length(p: tuple[int, ...]) -> int:
@@ -262,9 +265,8 @@ def card_permutation(card: Card) -> tuple[int, ...]:
     >>> card_permutation(Card(5, (2, 5)))
     (2, 5, 1, 3, 4)
     """
-    thrown = set(card.targets)
-    rest = (t for t in range(1, card.b + 1) if t not in thrown)
-    return card.targets + tuple(itertools.islice(rest, card.b - card.m))
+    thrown = set(card.targets).__contains__
+    return card.targets + tuple(itertools.filterfalse(thrown, range(1, card.b + 1)))
 
 
 def card_crossings(card: Card) -> int:
@@ -278,8 +280,8 @@ def card_crossings(card: Card) -> int:
     4
     """
     t = card.targets
-    m = card.m
-    return sum(t) - m - m * (m - 1) // 2 + inversions(t)
+    m = len(t)
+    return sum(t) - m * (m + 1) // 2 + inversions(t)
 
 
 # ---------------------------------------------------------------------------
@@ -359,17 +361,29 @@ def sequence_permutation(seq: CardSequence) -> tuple[int, ...]:
     return inverse(final_arrangement(seq))
 
 
+def _per_card(seq: CardSequence, work):
+    """``work(card)`` for each card of ``seq`` in row order, computed once
+    per distinct card.  Cards are told apart by their targets, which hash
+    in C, where hashing a :class:`Card` runs ``__reduce__``."""
+    keys = [c.targets for c in seq.cards]
+    done = {t: work(c) for t, c in dict(zip(keys, seq.cards)).items()}
+    return map(done.__getitem__, keys)
+
+
 def apply_card(arrangement: tuple[int, ...], card: Card) -> tuple[int, ...]:
     """Push one arrangement (balls listed bottom to top) through a card.
 
     The unthrown balls are copied and each of the ``m`` thrown balls is
-    inserted at its target, lowest first: O(m log m) Python steps, and
-    O(m·b) element moves done inside list operations.
+    inserted at its target, lowest first.  This is the one forward
+    definition of a card: rows step through it, or through moves built
+    from it (:func:`arrangement_history`).
     """
+    targets = card.targets
     if len(arrangement) != card.b:
         raise ValueError("arrangement size does not match card")
-    new = list(arrangement[card.m:])
-    for t, ball in sorted(zip(card.targets, arrangement)):
+    new = list(arrangement)
+    del new[: len(targets)]
+    for t, ball in sorted(zip(targets, arrangement)):
         new.insert(t - 1, ball)
     return tuple(new)
 
@@ -378,9 +392,30 @@ def arrangement_history(seq: CardSequence) -> tuple[tuple[int, ...], ...]:
     """Arrangements before the first card and after each card, in order.
 
     Starts from the sorted stack (ball ``j`` at level ``j``), so the entry
-    after the last card is ``final_arrangement(seq)``.
+    after the last card is ``final_arrangement(seq)``.  A card's first
+    use goes through :func:`apply_card`; in a row of at most
+    ``_MAP_LEVELS`` balls its second use builds its move (an itemgetter
+    over :func:`apply_card` of the levels ``0..b-1``) for every later
+    use.  A move saves Python steps but reads the balls one by one, so
+    it pays only on narrow rows whose cards repeat.
     """
-    return tuple(itertools.accumulate(seq.cards, apply_card, initial=identity_perm(seq.b)))
+    arr = identity_perm(seq.b)
+    history = [arr]
+    moves = {}  # targets -> the card's move, None until its second use
+    narrow = seq.b <= _MAP_LEVELS
+    for card in seq.cards:
+        t = card.targets
+        if t not in moves:
+            if narrow:
+                moves[t] = None
+            arr = apply_card(arr, card)
+        else:
+            move = moves[t]
+            if move is None:
+                move = moves[t] = _picker(apply_card(tuple(range(seq.b)), card))
+            arr = move(arr)
+        history.append(arr)
+    return tuple(history)
 
 
 def final_arrangement(seq: CardSequence) -> tuple[int, ...]:
@@ -388,8 +423,8 @@ def final_arrangement(seq: CardSequence) -> tuple[int, ...]:
 
     Equals the inverse of ``sequence_permutation`` read as a tuple: the
     ball at level ``j`` is the one whose start level maps to ``j``.  A
-    fold of :func:`apply_card` that keeps no history: O(n) Python steps
-    for n single-throw cards, whatever ``b``.
+    fold of :func:`apply_card` that holds one arrangement and no moves,
+    so its memory stays O(b) however many distinct cards the row has.
     """
     return functools.reduce(apply_card, seq.cards, identity_perm(seq.b))
 
@@ -401,7 +436,7 @@ def throw_pattern(seq: CardSequence) -> tuple[tuple[int, ...], ...]:
     cards.
     """
     history = arrangement_history(seq)
-    return tuple(arr[: card.m] for arr, card in zip(history, seq.cards))
+    return tuple(arr[: len(card.targets)] for arr, card in zip(history, seq.cards))
 
 
 def single_throws(pattern: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
@@ -413,8 +448,9 @@ def single_throws(pattern: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
 
 
 def crossings(seq: CardSequence) -> int:
-    """Total track crossings of the row, summed card by card."""
-    return sum(card_crossings(c) for c in seq.cards)
+    """Total track crossings of the row: :func:`card_crossings` summed
+    over the cards, computed once per distinct card."""
+    return sum(_per_card(seq, card_crossings))
 
 
 def reduced_pattern(pattern: tuple[int, ...]) -> tuple[int, ...]:
@@ -449,10 +485,13 @@ def siteswap_of(seq: CardSequence) -> tuple[int, ...]:
     >>> siteswap_of(sequence_of(3, 3, 3, 3))
     (3, 3, 3)
     """
-    for c in seq.cards:
-        if not c.is_single_throw:
-            raise MultiplexError(f"siteswap is undefined for multiplex card {c}")
-    perms = [card_permutation(c) for c in seq.cards]
+
+    def level_map(card):  # distinct cards come in row order: the first multiplex one is named
+        if not card.is_single_throw:
+            raise MultiplexError(f"siteswap is undefined for multiplex card {card}")
+        return card_permutation(card)
+
+    perms = list(_per_card(seq, level_map))
     n = seq.n
     heights = []
     for i in range(n):
@@ -494,8 +533,16 @@ def _unthrow(
     right: tuple[int, ...], thrown: tuple[int, ...]
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The left side and the targets of the card that throws ``thrown``
-    and leaves ``right``; see :func:`backward_step`."""
-    if len(set(thrown)) != len(thrown):
+    and leaves ``right``, a tuple; see :func:`backward_step`."""
+    if len(thrown) == 1:
+        (ball,) = thrown
+        try:
+            i = right.index(ball)
+        except ValueError:
+            pass  # the loop below names the missing ball
+        else:
+            return (ball,) + right[:i] + right[i + 1 :], (i + 1,)
+    elif len(set(thrown)) != len(thrown):
         raise ValueError(f"thrown balls must be distinct, got {thrown}")
     targets = []
     for ball in thrown:
@@ -520,8 +567,10 @@ def backward_step(
     and the unthrown balls keep their relative order below the thrown
     ones removed.  Listing ``thrown`` in level order (bottom to top in
     ``right``) gives the order-preserving card, whose targets are sorted.
-    Each thrown ball is found and removed by list operations: O(m log m)
-    Python steps and O(m·b) element moves.
+    ``right`` must list each of ``1..b`` once (the decodes check their
+    target once and skip this wrapper).  One thrown ball is found with
+    one ``index`` and cut out with two slices.
     """
-    left, targets = _unthrow(right, thrown)
+    _check_perm(right, len(right), "right side")
+    left, targets = _unthrow(tuple(right), thrown)
     return left, Card(len(right), targets)

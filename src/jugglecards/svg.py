@@ -11,6 +11,7 @@ import json
 
 from jugglecards.cards import (
     _Value,
+    _per_card,
     CardSequence,
     arrangement_history,
     card_permutation,
@@ -111,7 +112,8 @@ def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
     track_q = [top + 4 * (b - level) * s for level in range(1, b + 1)]
     track_y = [_fmt(q) for q in track_q]
     track_class = [f"track ball-{i % len(_PALETTE) + 1}" for i in range(b)]
-    exits = {}  # each distinct card's exit y per entry level
+    # each card's exit y per entry level, built once per distinct card
+    exits = _per_card(seq, lambda card: [track_y[t - 1] for t in card_permutation(card)])
 
     history = arrangement_history(seq)
     meta = {
@@ -128,14 +130,10 @@ def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
         _style(),
     ]
     text_y = _MARGIN + frame_height + 15
-    for i, card in enumerate(seq.cards, start=1):
+    for i, (card, arrangement, out) in enumerate(zip(seq.cards, history, exits), start=1):
         q0 = 4 * (_MARGIN + gutter + (i - 1) * w)
         q1 = q0 + 4 * w
         x0, bend0, bend1, x1 = _fmt(q0), _fmt(q0 + w), _fmt(q1 - w), _fmt(q1)
-        out = exits.get(card.targets)
-        if out is None:
-            out = exits[card.targets] = [track_y[t - 1] for t in card_permutation(card)]
-        arrangement = history[i - 1]
         lines.append(f'  <g id="card-{i}">')
         lines.append(
             f'    <rect class="frame" x="{x0}" y="{_MARGIN}"'

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,6 +37,7 @@ from jugglecards.cards import (
     uses_top_throw,
     verify_siteswap,
 )
+from jugglecards.cards import _MAP_LEVELS, _unthrow
 
 # A four-ball, nine-card sequence used as a running example throughout the
 # test suite; every derived quantity below was computed by hand.
@@ -334,6 +336,51 @@ def test_throw_pattern_entries_sit_at_bottom(seq):
         assert entry == arr[: card.m]
 
 
+@st.composite
+def card_rows(draw):
+    """Rows drawn from a small pool of distinct cards: either the pool
+    itself, every card once, or a longer row repeating its cards.  Widths
+    include one ball and both sides of ``_MAP_LEVELS``; each position gets
+    its own :class:`Card`, so only targets tell repeats apart."""
+    b = draw(st.sampled_from((1, 2, 3, 4, 5, _MAP_LEVELS, _MAP_LEVELS + 1)))
+    most = 1 if draw(st.booleans()) else min(b, 3)
+    targets = st.integers(1, most).flatmap(
+        lambda m: st.permutations(range(1, b + 1)).map(lambda p: tuple(p[:m]))
+    )
+    pool = draw(st.lists(targets, min_size=1, max_size=6, unique=True))
+    if draw(st.booleans()):
+        row = pool
+    else:
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=30))
+        row = [pool[i] for i in picks]
+    return CardSequence(b, tuple(Card(b, t) for t in row))
+
+
+@given(card_rows())
+def test_cached_card_work_matches_the_per_card_definitions(seq):
+    history = tuple(itertools.accumulate(seq.cards, apply_card, initial=identity_perm(seq.b)))
+    assert arrangement_history(seq) == history
+    assert final_arrangement(seq) == history[-1]
+    assert throw_pattern(seq) == tuple(arr[: c.m] for arr, c in zip(history, seq.cards))
+    assert crossings(seq) == sum(card_crossings(c) for c in seq.cards)
+    multiplex = [c for c in seq.cards if not c.is_single_throw]
+    if multiplex:
+        with pytest.raises(MultiplexError, match=f"multiplex card {multiplex[0]}$"):
+            siteswap_of(seq)
+        return
+    n = seq.n
+    heights = []
+    for i in range(n):
+        level, t = 1, 0
+        while True:
+            level = card_permutation(seq.cards[(i + t) % n])[level - 1]
+            t += 1
+            if level == 1:
+                break
+        heights.append(t)
+    assert siteswap_of(seq) == tuple(heights)
+
+
 # ---------------------------------------------------------------------------
 # siteswaps
 
@@ -459,6 +506,31 @@ def test_backward_step_rejects_unknown_ball():
         backward_step((1, 2, 3), (7,))
     with pytest.raises(ValueError):
         backward_step((1, 2, 3), (2, 2))
+
+
+def test_backward_step_rejects_a_right_side_that_is_no_permutation():
+    for right in ((2, 2, 1), (1, 2, 4)):
+        text = f"right side {right} is not a permutation of 1..3"
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+            backward_step(right, (2,))
+    # a list still reads as a right side
+    assert backward_step([2, 3, 1, 4], [1]) == ((1, 2, 3, 4), single_throw(4, 3))
+
+
+@given(st.data())
+def test_unthrowing_one_ball_matches_the_general_removal(data):
+    b = data.draw(st.integers(1, 8))
+    right = tuple(data.draw(st.permutations(range(1, b + 1))))
+    ball = data.draw(st.sampled_from(right))
+    # the general path: find the ball, delete it from a list copy, put it first
+    rest = list(right)
+    del rest[right.index(ball)]
+    assert _unthrow(right, (ball,)) == ((ball,) + tuple(rest), (right.index(ball) + 1,))
+    missing = b + 1
+    for thrown in ((missing,), (ball, missing)):
+        text = f"ball {missing} does not appear on the right side"
+        with pytest.raises(ValueError, match=f"^{text}$"):
+            _unthrow(right, thrown)
 
 
 @given(sequences())

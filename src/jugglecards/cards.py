@@ -24,7 +24,6 @@ import re
 
 _MAX_LEVELS = 10**6  # the most balls a card may hold; card families count cards times balls
 _MAX_ROW = 10**6  # the most cards a counted, collected or sampled row may hold
-_MAP_LEVELS = 32  # the widest row whose repeated cards step by cached moves
 
 
 class MultiplexError(ValueError):
@@ -59,16 +58,10 @@ def composer(p: tuple[int, ...]):
     >>> composer((2, 1, 3))((1, 3, 2))
     (3, 1, 2)
     """
-    return _picker(tuple(x - 1 for x in p))
-
-
-def _picker(indices: tuple[int, ...]):
-    """The map ``q -> tuple(q[i] for i in indices)`` in one C call; one
-    index gets a lambda, since an itemgetter of one returns a bare item."""
-    if len(indices) == 1:
-        (i,) = indices
-        return lambda q: (q[i],)
-    return operator.itemgetter(*indices)
+    if len(p) == 1:
+        (x,) = p
+        return lambda q: (q[x - 1],)
+    return operator.itemgetter(*(x - 1 for x in p))
 
 
 def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -308,9 +301,7 @@ class CardSequence(_Value):
         return len(self.cards)
 
     def __str__(self) -> str:
-        keys = [c.targets for c in self.cards]
-        text = {t: str(c) for t, c in dict(zip(keys, self.cards)).items()}
-        return " ".join(map(text.__getitem__, keys))
+        return " ".join(_per_card(self, str))
 
 
 def _sequences(b: int, rows):
@@ -366,7 +357,9 @@ def _per_card(seq: CardSequence, work):
     per distinct card.  Cards are told apart by their targets, which hash
     in C, where hashing a :class:`Card` runs ``__reduce__``."""
     keys = [c.targets for c in seq.cards]
-    done = {t: work(c) for t, c in dict(zip(keys, seq.cards)).items()}
+    done = dict(zip(keys, seq.cards))
+    for t, card in done.items():
+        done[t] = work(card)
     return map(done.__getitem__, keys)
 
 
@@ -375,8 +368,9 @@ def apply_card(arrangement: tuple[int, ...], card: Card) -> tuple[int, ...]:
 
     The unthrown balls are copied and each of the ``m`` thrown balls is
     inserted at its target, lowest first.  This is the one forward
-    definition of a card: rows step through it, or through moves built
-    from it (:func:`arrangement_history`).
+    definition of a card: rows fold it card by card, and the census
+    engine's move ``composer(inverse(card_permutation(card)))`` is a
+    second definition that the tests check against it.
     """
     targets = card.targets
     if len(arrangement) != card.b:
@@ -392,30 +386,10 @@ def arrangement_history(seq: CardSequence) -> tuple[tuple[int, ...], ...]:
     """Arrangements before the first card and after each card, in order.
 
     Starts from the sorted stack (ball ``j`` at level ``j``), so the entry
-    after the last card is ``final_arrangement(seq)``.  A card's first
-    use goes through :func:`apply_card`; in a row of at most
-    ``_MAP_LEVELS`` balls its second use builds its move (an itemgetter
-    over :func:`apply_card` of the levels ``0..b-1``) for every later
-    use.  A move saves Python steps but reads the balls one by one, so
-    it pays only on narrow rows whose cards repeat.
+    after the last card is ``final_arrangement(seq)``.  An accumulation of
+    :func:`apply_card`, one call per card.
     """
-    arr = identity_perm(seq.b)
-    history = [arr]
-    moves = {}  # targets -> the card's move, None until its second use
-    narrow = seq.b <= _MAP_LEVELS
-    for card in seq.cards:
-        t = card.targets
-        if t not in moves:
-            if narrow:
-                moves[t] = None
-            arr = apply_card(arr, card)
-        else:
-            move = moves[t]
-            if move is None:
-                move = moves[t] = _picker(apply_card(tuple(range(seq.b)), card))
-            arr = move(arr)
-        history.append(arr)
-    return tuple(history)
+    return tuple(itertools.accumulate(seq.cards, apply_card, initial=identity_perm(seq.b)))
 
 
 def final_arrangement(seq: CardSequence) -> tuple[int, ...]:
@@ -423,8 +397,8 @@ def final_arrangement(seq: CardSequence) -> tuple[int, ...]:
 
     Equals the inverse of ``sequence_permutation`` read as a tuple: the
     ball at level ``j`` is the one whose start level maps to ``j``.  A
-    fold of :func:`apply_card` that holds one arrangement and no moves,
-    so its memory stays O(b) however many distinct cards the row has.
+    fold of :func:`apply_card` that holds one arrangement, so its memory
+    stays O(b) however many distinct cards the row has.
     """
     return functools.reduce(apply_card, seq.cards, identity_perm(seq.b))
 
@@ -475,6 +449,14 @@ def uses_top_throw(seq: CardSequence) -> bool:
 # ---------------------------------------------------------------------------
 # siteswaps
 
+def _level_map(card: Card) -> tuple[int, ...]:
+    """:func:`card_permutation` of a single-throw card.  Distinct cards
+    come in row order, so the first multiplex card of a row is named."""
+    if not card.is_single_throw:
+        raise MultiplexError(f"siteswap is undefined for multiplex card {card}")
+    return card_permutation(card)
+
+
 def siteswap_of(seq: CardSequence) -> tuple[int, ...]:
     """Throw heights obtained by cycling the row.
 
@@ -485,13 +467,7 @@ def siteswap_of(seq: CardSequence) -> tuple[int, ...]:
     >>> siteswap_of(sequence_of(3, 3, 3, 3))
     (3, 3, 3)
     """
-
-    def level_map(card):  # distinct cards come in row order: the first multiplex one is named
-        if not card.is_single_throw:
-            raise MultiplexError(f"siteswap is undefined for multiplex card {card}")
-        return card_permutation(card)
-
-    perms = list(_per_card(seq, level_map))
+    perms = list(_per_card(seq, _level_map))
     n = seq.n
     heights = []
     for i in range(n):
@@ -534,7 +510,8 @@ def _unthrow(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The left side and the targets of the card that throws ``thrown``
     and leaves ``right``, a tuple; see :func:`backward_step`."""
-    if len(thrown) == 1:
+    m = len(thrown)
+    if m == 1:
         (ball,) = thrown
         try:
             i = right.index(ball)
@@ -542,7 +519,7 @@ def _unthrow(
             pass  # the loop below names the missing ball
         else:
             return (ball,) + right[:i] + right[i + 1 :], (i + 1,)
-    elif len(set(thrown)) != len(thrown):
+    elif len(set(thrown)) != m:
         raise ValueError(f"thrown balls must be distinct, got {thrown}")
     targets = []
     for ball in thrown:

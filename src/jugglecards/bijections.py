@@ -95,8 +95,11 @@ def _rebuild(
     ``family`` names its balls 1..k.  The count ``k`` must satisfy
     ``b - L <= k <= b`` where ``L`` is the increasing-suffix length of the
     target's level map; outside that range no row exists and the
-    ValueError counts the balls as ``counted``.
+    ValueError counts the balls as ``counted``.  Fewer than one ball is
+    refused first, in :class:`~jugglecards.cards.Card`'s words.
     """
+    if b < 1:
+        raise ValueError(f"need at least one ball, got b={b}")
     _check_perm(target, b, "target")
     k = max(max(entry) for entry in family)
     low = b - increasing_suffix_length(inverse(tuple(target)))

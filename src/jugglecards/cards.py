@@ -495,11 +495,23 @@ def verify_siteswap(heights: tuple[int, ...]) -> tuple[bool, int | None]:
     for t in heights:
         if not isinstance(t, int) or t < 1:
             raise ValueError(f"throw heights must be positive integers, got {t!r}")
-    landings = {(i + t) % n for i, t in enumerate(heights)}
-    if len(landings) != n:
+    if _landing_clash(heights) is not None:
         return False, None
     # distinct landings are 0..n-1 mod n, so the heights sum to 0 mod n
     return True, sum(heights) // n
+
+
+def _landing_clash(heights: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first two throws, as 0-based ``(i, j)`` with ``i < j``, that land
+    at the same time mod ``n``: ``j`` is the first throw whose landing an
+    earlier throw ``i`` already took.  ``None`` when no two throws clash."""
+    n = len(heights)
+    seen: dict[int, int] = {}
+    for j, t in enumerate(heights):
+        i = seen.setdefault((j + t) % n, j)
+        if i != j:
+            return i, j
+    return None
 
 
 # ---------------------------------------------------------------------------

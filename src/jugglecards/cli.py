@@ -233,21 +233,14 @@ def cmd_convert(args, parser) -> int:
 
 
 def _siteswap_report(text: str) -> tuple[bool, str | None, dict]:
-    from jugglecards.cards import verify_siteswap
+    from jugglecards.cards import _landing_clash, verify_siteswap
 
     heights = _ints(text)
     valid, balls = verify_siteswap(heights)
     if valid:
         return True, None, {"balls": balls}
-    # an invalid list has two throws landing together: stop at the first
-    n = len(heights)
-    seen: dict[int, int] = {}
-    for i, t in enumerate(heights):
-        slot = (i + t) % n
-        if slot in seen:
-            break
-        seen[slot] = i
-    return False, f"throws {seen[slot] + 1} and {i + 1} land together (mod {n})", {}
+    i, j = _landing_clash(heights)
+    return False, f"throws {i + 1} and {j + 1} land together (mod {len(heights)})", {}
 
 
 def _dyck_report(word: str) -> tuple[bool, str | None, dict]:

@@ -409,22 +409,21 @@ def p4(n: int, b: int) -> int:
 _P_BY_SURPLUS = {0: p0, 2: p2, 4: p4}
 
 
-def q_from_p(d: int, n: int, b: int, p=None) -> int:
+def q_from_p(d: int, n: int, b: int) -> int:
     """Sequences with ``d`` extra crossings, via their primitive cores.
 
     Dropping all ``C_1`` cards from a sequence leaves a primitive one
     with the same crossings, so ``Q_d(n, b) = sum_k C(n, k) P_d(k, b)``.
-    ``p`` defaults to the closed form for surplus ``d``.  Every primitive
-    card crosses at least once, so the sum stops at ``k = b(b-1) + d``.
+    ``P_d`` is the closed form for surplus ``d``, known for ``d`` = 0, 2
+    and 4.  Every primitive card crosses at least once, so the sum stops
+    at ``k = b(b-1) + d``.
     On one ball the only card, ``C_1``, is also the top card: the one
     sequence of each length has no crossings, and dropping its cards
     leaves none.
     """
+    p = _P_BY_SURPLUS.get(d)
     if p is None:
-        try:
-            p = _P_BY_SURPLUS[d]
-        except KeyError:
-            raise ValueError(f"no closed form for surplus {d}; pass p explicitly")
+        raise ValueError(f"no closed form for surplus {d}")
     if b < 1 or n < 1:
         raise ValueError(f"need b, n >= 1, got b={b}, n={n}")
     if b == 1:

@@ -60,20 +60,14 @@ class GroupDistribution(_Value):
         for g in self.prob:
             if set(g) != points:  # b entries, so exactly when not a permutation
                 raise ValueError(f"{g} is not a permutation of 1..{b}")
-        # a lumped walk shares one mass object among many keys: check each
-        # object once, in order of first use, counted as often as it occurs
-        values = self.prob.values()
-        masses = dict(zip(map(id, values), values))
-        uses = Counter(map(id, values)) if len(masses) < len(values) else None
         numerators: dict[int, int] = {}  # summed per denominator
-        for key, p in masses.items():
+        for g, p in self.prob.items():
             if not isinstance(p, (int, Fraction)):
                 raise ValueError(f"probabilities must be exact rationals, got {p!r}")
             top, bottom = p.as_integer_ratio()
             if top < 0:
-                g = next(g for g, q in self.prob.items() if q is p)
                 raise ValueError(f"negative probability {p} at {g}")
-            numerators[bottom] = numerators.get(bottom, 0) + top * (uses[key] if uses else 1)
+            numerators[bottom] = numerators.get(bottom, 0) + top
         scale = math.lcm(*numerators)
         if sum(top * (scale // bottom) for bottom, top in numerators.items()) != scale:
             raise ValueError("probabilities must sum to exactly 1")
@@ -268,15 +262,20 @@ def _integer_weights(cards, weights):
     return [int(f * scale) for f in fracs]
 
 
-def _cumulative_weights(cards, weights) -> list[int]:
-    """Running totals of the integer card weights, which one random
-    word must be able to cover."""
+def _drawn_family(b: int, n: int, m: int, ordered: bool, weights):
+    """The family a row of ``n`` drawn cards draws from, and the running
+    totals of its integer card weights, which one random word must be
+    able to cover.  A row of more than ``jugglecards.cards._MAX_ROW``
+    cards is refused first."""
+    if n > _MAX_ROW:
+        raise ValueError(f"sampled rows hold at most {_MAX_ROW} cards, got n={n}")
+    cards = throw_cards(b, m, ordered)
     cumulative = list(itertools.accumulate(_integer_weights(cards, weights)))
     if cumulative[-1] > 1 << 64:
         raise ValueError(
             f"card weights total {cumulative[-1]} as integers, more than 2**64"
         )
-    return cumulative
+    return cards, cumulative
 
 
 def sample_sequence(
@@ -295,10 +294,7 @@ def sample_sequence(
     A row of more than ``jugglecards.cards._MAX_ROW`` cards is refused
     before any draw.
     """
-    if n > _MAX_ROW:
-        raise ValueError(f"sampled rows hold at most {_MAX_ROW} cards, got n={n}")
-    cards = throw_cards(b, m, ordered)
-    cumulative = _cumulative_weights(cards, weights)
+    cards, cumulative = _drawn_family(b, n, m, ordered, weights)
     draws = RandomStream(seed).randrange_many(cumulative[-1], n)
     return CardSequence(b, tuple(map(cards.__getitem__, _picks(cumulative, draws))))
 
@@ -382,11 +378,8 @@ def estimate_single_cycle_probability(
         raise ValueError(f"need at least one trial, got {trials}")
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    if n > _MAX_ROW:
-        raise ValueError(f"sampled rows hold at most {_MAX_ROW} cards, got n={n}")
-    cards = throw_cards(b, m, ordered)
+    cards, cumulative = _drawn_family(b, n, m, ordered, weights)
     moves = [composer(inverse(card_permutation(c))) for c in cards]
-    cumulative = _cumulative_weights(cards, weights)
     root = RandomStream(seed)
     start = identity_perm(b)
     k = len(moves)

@@ -10,6 +10,7 @@ files.
 import json
 
 from jugglecards.cards import (
+    _MAX_LEVELS,
     _Value,
     _per_card,
     CardSequence,
@@ -77,17 +78,14 @@ def _fmt(q: int) -> str:
     return f"{whole}{_QUARTERS[quarter]}"
 
 
-def _style() -> str:
-    rules = [
-        "    .frame { fill: none; stroke: #888888; stroke-width: 1; }",
-        "    .track { fill: none; stroke-width: 2;"
-        " stroke-linecap: round; stroke-linejoin: round; }",
-        "    text { font: 12px sans-serif; fill: #222222; }",
-        "    .thrown { text-anchor: middle; }",
-    ]
-    for i, color in enumerate(_PALETTE, start=1):
-        rules.append(f"    .ball-{i} {{ stroke: {color}; }}")
-    return "  <style>\n" + "\n".join(rules) + "\n  </style>"
+_STYLE = "  <style>\n" + "\n".join([
+    "    .frame { fill: none; stroke: #888888; stroke-width: 1; }",
+    "    .track { fill: none; stroke-width: 2;"
+    " stroke-linecap: round; stroke-linejoin: round; }",
+    "    text { font: 12px sans-serif; fill: #222222; }",
+    "    .thrown { text-anchor: middle; }",
+    *(f"    .ball-{i} {{ stroke: {color}; }}" for i, color in enumerate(_PALETTE, start=1)),
+]) + "\n  </style>"
 
 
 def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
@@ -95,9 +93,15 @@ def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
 
     The output carries one ``<g>`` element per card and a JSON
     ``<metadata>`` block with the ball count, card string, and total
-    crossing number.
+    crossing number.  A row whose cards times balls pass
+    ``jugglecards.cards._MAX_LEVELS`` is refused before any of it is
+    walked.
     """
     b, n = seq.b, seq.n
+    if n * b > _MAX_LEVELS:  # one polyline per card and ball
+        raise ValueError(
+            f"renders draw at most {_MAX_LEVELS} tracks (cards times balls), got {n * b}"
+        )
     w, s = spec.card_width, spec.level_spacing
     gutter = _GUTTER if spec.ball_labels else 0
     frame_height = max(spec.card_height, (b - 1) * s)
@@ -127,7 +131,7 @@ def render_svg(seq: CardSequence, spec: RenderSpec = RenderSpec()) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}"'
         f' height="{height}" viewBox="0 0 {width} {height}">',
         f"  <metadata>{json.dumps(meta, sort_keys=True)}</metadata>",
-        _style(),
+        _STYLE,
     ]
     text_y = _MARGIN + frame_height + 15
     for i, (card, arrangement, out) in enumerate(zip(seq.cards, history, exits), start=1):

@@ -298,6 +298,10 @@ def test_cover_matrix_names_each_refusal(rows, reason):
         (family_to_digraph, (((1, 2, 3),),), "entry (1, 2, 3) is not a pair"),
         (multigraph_to_cover, (2, ()), "need at least one edge"),
         (multigraph_to_cover, (2, ((1, 3),)), "edge (1,3) outside vertices 1..2"),
+        # no row has zero balls: refused in the words of Card, not as a range 1..0
+        (partition_to_sequence, (((1,),), (), 0), "need at least one ball, got b=0"),
+        (family_to_sequence, (((1, 2),), (), 0), "need at least one ball, got b=0"),
+        (sequence_from_pattern, ((1,), 0), "need at least one ball, got b=0"),
     ],
 )
 def test_bijections_name_each_refusal(call, args, reason):

@@ -37,7 +37,7 @@ from jugglecards.cards import (
     uses_top_throw,
     verify_siteswap,
 )
-from jugglecards.cards import _unthrow
+from jugglecards.cards import _landing_clash, _unthrow
 
 # A four-ball, nine-card sequence used as a running example throughout the
 # test suite; every derived quantity below was computed by hand.
@@ -426,6 +426,20 @@ def test_verify_siteswap_rejects_bad_input():
         verify_siteswap((3, 0, 3))
     with pytest.raises(ValueError):
         verify_siteswap((3, -1, 4))
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=12).map(tuple))
+def test_the_first_landing_clash_decides_a_siteswap(heights):
+    # valid exactly when the landings i + t_i are distinct mod n, and the
+    # clash named is the first throw landing where an earlier one did
+    n = len(heights)
+    landings = [(i + t) % n for i, t in enumerate(heights)]
+    clash = _landing_clash(heights)
+    assert verify_siteswap(heights)[0] == (clash is None) == (len(set(landings)) == n)
+    if clash is not None:
+        i, j = clash
+        assert i < j and landings[i] == landings[j]
+        assert len(set(landings[:j])) == j
 
 
 @given(sequences(single=True))

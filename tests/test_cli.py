@@ -231,6 +231,13 @@ def test_malformed_payloads_are_usage_errors(capsys, argv):
         (["convert", "dyck", "sequence", "--payload", "{}"], "payload is missing 'dyck'\n"),
         (["convert", "dyck", "sequence", "--payload", '{"dyck": ""}'],
          "the empty word has no cards\n"),
+        (["count", "qd", "--d", "1", "--n", "5", "--b", "3"], "no closed form for surplus 1\n"),
+        (["convert", "partition", "sequence", "--payload", '{"blocks": [[1]], "target": []}'],
+         "need at least one ball, got b=0\n"),
+        (["convert", "digraph", "sequence", "--payload",
+          '{"k": 2, "arcs": [[1, 2]], "target": []}'], "need at least one ball, got b=0\n"),
+        (["render", " ".join(["C1"] * 1001), "--b", "1000"],
+         "renders draw at most 1000000 tracks (cards times balls), got 1001000\n"),
     ],
 )
 def test_unusable_input_is_refused_in_one_line_naming_why(capsys, argv, message):
@@ -397,6 +404,19 @@ def test_verify_siteswap(capsys):
     }
     code, out, _ = run(capsys, "verify", "siteswap", "3,5,4", "--human")
     assert code == 1 and out.startswith("fail:") and "land together" in out
+
+
+@pytest.mark.parametrize(
+    "heights, reason",
+    [
+        ("4,3,2", "throws 1 and 2 land together (mod 3)"),
+        ("1,1,2", "throws 1 and 3 land together (mod 3)"),
+        ("2,3,1,1", "throws 2 and 4 land together (mod 4)"),
+    ],
+)
+def test_verify_siteswap_names_the_first_two_throws_landing_together(capsys, heights, reason):
+    out = json.dumps({"kind": "siteswap", "reason": reason, "valid": False}, sort_keys=True)
+    assert run(capsys, "verify", "siteswap", heights) == (1, out + "\n", "")
 
 
 def test_verify_dyck(capsys):

@@ -475,5 +475,10 @@ def test_q_from_p_surplus_four_spot_values():
 
 
 def test_q_from_p_validates_surplus():
-    with pytest.raises(ValueError):
-        q_from_p(1, 5, 3)
+    # closed forms exist for surplus 0, 2 and 4 only, and no other P_d can
+    # be passed in
+    for d in (1, 3, 6, -2):
+        with pytest.raises(ValueError, match=f"^no closed form for surplus {d}$"):
+            q_from_p(d, 5, 3)
+    with pytest.raises(TypeError):
+        q_from_p(0, 5, 3, p0)

@@ -298,6 +298,24 @@ def test_group_distribution_checks_each_key_and_each_shared_mass():
         GroupDistribution(dict.fromkeys(perms[:5], Fraction(1, 6)))
     with pytest.raises(ValueError, match="sum to exactly 1"):
         GroupDistribution(dict.fromkeys(perms, Fraction(1, 3)))
+
+
+def test_group_distribution_sums_a_mixed_law_once_per_key():
+    perms = list(itertools.permutations(range(1, 4)))
+    sixth = Fraction(1, 6)
+    # one shared object on four keys, and two distinct equal objects
+    law = {**dict.fromkeys(perms[:4], sixth), perms[4]: Fraction(1, 6), perms[5]: Fraction(1, 6)}
+    # counted once per object, the masses would sum to 1/2
+    assert GroupDistribution(law).prob == dict.fromkeys(perms, sixth)
+    del law[perms[0]]
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        GroupDistribution(law)
+    # the error names the first key holding a negative mass, shared or not
+    minus = Fraction(-1, 6)
+    law = {perms[0]: Fraction(1, 2), perms[1]: Fraction(1, 2), perms[2]: minus,
+           perms[3]: Fraction(1, 6), perms[4]: minus, perms[5]: Fraction(-1, 6)}
+    with pytest.raises(ValueError, match=r"^negative probability -1/6 at \(2, 1, 3\)$"):
+        GroupDistribution(law)
     half, minus = Fraction(1, 2), Fraction(-1, 4)
     law = {perms[0]: half, perms[1]: minus, perms[2]: half, perms[3]: minus, perms[4]: half}
     with pytest.raises(ValueError, match=r"negative probability -1/4 at \(1, 3, 2\)"):
@@ -846,6 +864,16 @@ def test_a_trial_past_the_row_limit_is_refused_before_any_draw():
     with pytest.raises(ValueError) as sampled:
         sample_sequence(3, 10**6 + 1)
     assert str(sampled.value) == str(refused.value)
+
+
+def test_both_samplers_refuse_an_oversized_row_before_reading_the_weights():
+    # the weights here are refused too, but the row is refused first
+    reading = mock.patch.object(stochastic, "_integer_weights", side_effect=AssertionError("read"))
+    message = "sampled rows hold at most 1000000 cards, got n=1000001"
+    with reading, pytest.raises(ValueError, match=f"^{message}$"):
+        sample_sequence(3, 10**6 + 1, weights=[1, -1])
+    with reading, pytest.raises(ValueError, match=f"^{message}$"):
+        estimate_single_cycle_probability(3, 10**6 + 1, weights=[1, -1], trials=1)
 
 
 def test_weight_totals_past_one_word_name_the_weights():

@@ -139,3 +139,22 @@ def test_each_coordinate_is_formatted_once(monkeypatch):
     b, n = 8, 400
     render_svg(sequence_of(b, *[(3 * i) % b + 1 for i in range(n)]))
     assert 0 < calls <= 5 * n + 2 * b + 16
+
+
+def test_a_row_past_a_million_tracks_is_refused_before_it_is_walked(monkeypatch):
+    # one polyline per card and ball: n*b past cards._MAX_LEVELS is refused
+    # before the row's history is built
+    for walk in ("arrangement_history", "_per_card", "crossings"):
+        monkeypatch.setattr(svg, walk, lambda *args: pytest.fail("walked the row"))
+    seq = sequence_of(1000, *[1] * 1001)
+    message = r"^renders draw at most 1000000 tracks \(cards times balls\), got 1001000$"
+    with pytest.raises(ValueError, match=message):
+        render_svg(seq)
+
+
+def test_the_track_bound_admits_exactly_cards_times_balls(monkeypatch):
+    monkeypatch.setattr(svg, "_MAX_LEVELS", 9 * 4)
+    assert render_svg(RUNNING) == (GOLDEN / "nine_card_row.svg").read_text()
+    monkeypatch.setattr(svg, "_MAX_LEVELS", 9 * 4 - 1)
+    with pytest.raises(ValueError, match="got 36$"):
+        render_svg(RUNNING)

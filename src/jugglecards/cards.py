@@ -111,6 +111,16 @@ def cycle_count(p: tuple[int, ...]) -> int:
     return len(cycles(p))
 
 
+def _cycle_tally(weights: dict) -> dict:
+    """``{l: summed weight}`` over the permutations keying ``weights`` that
+    have ``l`` cycles, each permutation's cycles counted once."""
+    tally: dict = {}
+    for p, w in weights.items():
+        l = cycle_count(p)
+        tally[l] = tally.get(l, 0) + w
+    return tally
+
+
 def cycle_string(p: tuple[int, ...]) -> str:
     """One-line cycle notation with fixed points left out; identity is ``()``.
 

@@ -5,7 +5,9 @@ representations, validity checks, SVG rendering, exhaustive census
 queries, reproducible sampling, and exact walk distributions. Output is
 machine-parseable JSON (bare integers count as JSON) unless ``--human``
 asks for plain text. Exit status is 0 for a semantically valid result,
-1 for a failed check, 2 for unusable input.
+1 for a failed check, 2 for unusable input. A run that runs out of
+memory also exits 2, with the one stderr line ``error: out of memory``,
+printed once the failed run's objects are freed.
 
 Each subcommand imports the library modules it runs when it runs, so a
 ``count`` never loads the bijections, the census engine or the walks.
@@ -53,28 +55,12 @@ def _payload(text: str) -> dict:
     return data
 
 
-def _need(data: dict, key: str):
-    if key not in data:
-        raise ValueError(f"payload is missing {key!r}")
-    return data[key]
-
-
 def _emit(args, obj, human: str) -> None:
     print(human if args.human else json.dumps(obj, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
 # count
-
-
-def _require(args, parser, *names):
-    values = []
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            parser.error(f"count {args.kind} needs --{name}")
-        values.append(value)
-    return values
 
 
 # each kind: its function in jugglecards.counting and the flags it takes, in order
@@ -96,7 +82,9 @@ def cmd_count(args, parser) -> int:
     from jugglecards import counting
 
     name, flags = _COUNTS[args.kind]
-    values = _require(args, parser, *flags)
+    values = [getattr(args, flag) for flag in flags]
+    if None in values:
+        parser.error(f"count {args.kind} needs --{flags[values.index(None)]}")
     if flags[0] == "arrangement":
         # the count depends on the arrangement through its size and the
         # increasing suffix of its level map
@@ -113,36 +101,46 @@ def cmd_count(args, parser) -> int:
 # convert
 
 
-def _is_int_list(value) -> bool:
-    return isinstance(value, list) and all(type(x) is int for x in value)
+# The payload field readers: each returns the field's value, or None when
+# the JSON value is not of its kind.
 
 
-def _load_text(data: dict, key: str) -> str:
-    value = _need(data, key)
-    if not isinstance(value, str):
-        raise ValueError(f"{key!r} must be a string")
+def _text(value) -> str | None:
+    return value if isinstance(value, str) else None
+
+
+def _int(value) -> int | None:
+    return value if type(value) is int else None
+
+
+def _int_list(value) -> tuple[int, ...] | None:
+    ints = isinstance(value, list) and all(type(x) is int for x in value)
+    return tuple(value) if ints else None
+
+
+def _int_lists(value) -> tuple[tuple[int, ...], ...] | None:
+    lists = tuple(map(_int_list, value)) if isinstance(value, list) else (None,)
+    return None if None in lists else lists
+
+
+# what a field must be, by its reader
+_KINDS = {
+    _text: "a string",
+    _int: "an integer",
+    _int_list: "a list of integers",
+    _int_lists: "a list of lists of integers",
+}
+
+
+def _field(data: dict, key: str, read):
+    """The payload field ``key`` as ``read`` reads it; a missing field or
+    a value of another kind is refused, naming the field."""
+    if key not in data:
+        raise ValueError(f"payload is missing {key!r}")
+    value = read(data[key])
+    if value is None:
+        raise ValueError(f"{key!r} must be {_KINDS[read]}")
     return value
-
-
-def _load_int(data: dict, key: str) -> int:
-    value = _need(data, key)
-    if type(value) is not int:
-        raise ValueError(f"{key!r} must be an integer")
-    return value
-
-
-def _load_ints(data: dict, key: str) -> tuple[int, ...]:
-    value = _need(data, key)
-    if not _is_int_list(value):
-        raise ValueError(f"{key!r} must be a list of integers")
-    return tuple(value)
-
-
-def _load_int_lists(data: dict, key: str) -> tuple[tuple[int, ...], ...]:
-    value = _need(data, key)
-    if not isinstance(value, list) or not all(map(_is_int_list, value)):
-        raise ValueError(f"{key!r} must be a list of lists of integers")
-    return tuple(map(tuple, value))
 
 
 def _read(source: str, data: dict) -> tuple[CardSequence, dict]:
@@ -151,25 +149,25 @@ def _read(source: str, data: dict) -> tuple[CardSequence, dict]:
     if source == "sequence":
         from jugglecards.cards import parse_sequence
 
-        return parse_sequence(_load_text(data, "cards"), _load_int(data, "b")), {}
+        return parse_sequence(_field(data, "cards", _text), _field(data, "b", _int)), {}
     from jugglecards import bijections as bij
 
     if source == "partition":
-        target = _load_ints(data, "target")
-        b = _load_int(data, "b") if "b" in data else len(target)
-        return bij.partition_to_sequence(_load_int_lists(data, "blocks"), target, b), {}
+        target = _field(data, "target", _int_list)
+        b = _field(data, "b", _int) if "b" in data else len(target)
+        return bij.partition_to_sequence(_field(data, "blocks", _int_lists), target, b), {}
     if source == "dyck":
-        seq = bij.dyck_to_minimal(_load_text(data, "dyck"))
+        seq = bij.dyck_to_minimal(_field(data, "dyck", _text))
         if seq is None:
             raise ValueError("the empty word has no cards")
         return seq, {}
     if source == "digraph":
-        g = bij.LabeledDigraph(_load_int(data, "k"), _load_int_lists(data, "arcs"))
-        target = _load_ints(data, "target")
+        g = bij.LabeledDigraph(_field(data, "k", _int), _field(data, "arcs", _int_lists))
+        target = _field(data, "target", _int_list)
         return bij.family_to_sequence(bij.digraph_to_family(g), target, len(target)), {}
-    M = bij.CoverMatrix(_load_int_lists(data, "rows"))
-    initial = _load_ints(data, "initial") if data.get("initial") is not None else None
-    seq, start = bij.cover_to_sequence(M, _load_ints(data, "terminal"), initial)
+    M = bij.CoverMatrix(_field(data, "rows", _int_lists))
+    initial = _field(data, "initial", _int_list) if data.get("initial") is not None else None
+    seq, start = bij.cover_to_sequence(M, _field(data, "terminal", _int_list), initial)
     return seq, {"start": list(start)}
 
 
@@ -207,12 +205,12 @@ def _convert(kind: tuple[str, str], data: dict):
 
     source, dest = kind
     if kind == ("cover", "multigraph"):
-        M = CoverMatrix(_load_int_lists(data, "rows"))
+        M = CoverMatrix(_field(data, "rows", _int_lists))
         edges = cover_to_multigraph(M)
         out = {"k": M.k, "edges": [list(e) for e in edges]}
         return out, " ".join(f"{u}-{v}" for u, v in edges)
     if kind == ("multigraph", "cover"):
-        M = multigraph_to_cover(_load_int(data, "k"), _load_int_lists(data, "edges"))
+        M = multigraph_to_cover(_field(data, "k", _int), _field(data, "edges", _int_lists))
         return {"rows": [list(row) for row in M.rows]}, _cover_text(M)
     if "multigraph" in kind or (source == "sequence") == (dest == "sequence"):
         raise ValueError(f"no converter from {source} to {dest}")
@@ -268,7 +266,7 @@ def cmd_verify(args, parser) -> int:
     elif args.kind == "cover":
         from jugglecards.bijections import CoverMatrix
 
-        rows = _load_int_lists(_payload(text), "rows")
+        rows = _field(_payload(text), "rows", _int_lists)
         try:
             M = CoverMatrix(rows)
             valid, reason, info = True, None, {"k": M.k, "n": M.n, "m": M.m}
@@ -513,6 +511,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        code = None  # reported below, once the error and the frames it holds are freed
     except BrokenPipeError:
         # The reader went away.  Point stdout at devnull so the flush at
         # exit does not raise again (the recipe in Python's signal docs).
@@ -523,6 +523,9 @@ def main(argv=None) -> int:
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)
+    if code is None:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     return code
 
 

@@ -100,6 +100,17 @@ def stirling2(n: int, k: int) -> int:
     return gen_stirling(n, k, 1)
 
 
+def _in_stirling_support(n: int, k: int, m: int) -> bool:
+    """Whether ``m <= k <= mn``, outside which ``T(n, k)`` of ``m``-throw
+    cards is 0.  A throw size below 1 is refused first, then fewer than
+    one card."""
+    if m < 1:
+        raise ValueError(f"throw size must be at least 1, got m={m}")
+    if n < 1:
+        raise ValueError(f"need at least one card, got n={n}")
+    return m <= k <= m * n
+
+
 @cache
 def gen_stirling(n: int, k: int, m: int) -> int:
     """Stirling-like numbers for cards that throw ``m`` balls at once.
@@ -114,11 +125,7 @@ def gen_stirling(n: int, k: int, m: int) -> int:
     >>> [gen_stirling(2, k, 2) for k in (2, 3, 4)]
     [2, 4, 1]
     """
-    if m < 1:
-        raise ValueError(f"throw size must be at least 1, got m={m}")
-    if n < 1:
-        raise ValueError(f"need at least one card, got n={n}")
-    if k < m or k > m * n:
+    if not _in_stirling_support(n, k, m):
         return 0
     falling = cache(partial(math.perm, m))  # m_(j), for the j a band reads
 
@@ -137,11 +144,7 @@ def gen_stirling_explicit(n: int, k: int, m: int) -> int:
 
     ``T(n, k) = ((-1)^k / k!) sum_{i=m..k} (-1)^i C(k, i) (i_(m))^n``
     """
-    if m < 1:
-        raise ValueError(f"throw size must be at least 1, got m={m}")
-    if n < 1:
-        raise ValueError(f"need at least one card, got n={n}")
-    if k < m or k > m * n:
+    if not _in_stirling_support(n, k, m):
         return 0
     total = sum(
         (-1) ** (k - i) * math.comb(k, i) * falling_factorial(i, m) ** n

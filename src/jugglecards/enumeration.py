@@ -52,6 +52,7 @@ from jugglecards.cards import (
     _MAX_ROW,
     _Value,
     _check_perm,
+    _cycle_tally,
     _sequences,
     Card,
     CardSequence,
@@ -59,7 +60,6 @@ from jugglecards.cards import (
     card_crossings,
     card_permutation,
     composer,
-    cycle_count,
     identity_perm,
     increasing_suffix_length,
     inverse,
@@ -537,11 +537,7 @@ def cycle_census(b: int, n: int) -> dict[int, int]:
     single throws reads the suffix-class table; tests pin it to a tally
     over :func:`all_sequences`.
     """
-    tally: dict[int, int] = {}
-    for perm, ways in count_by_permutation(b, n).items():
-        l = cycle_count(perm)
-        tally[l] = tally.get(l, 0) + ways
-    return tally
+    return _cycle_tally(count_by_permutation(b, n))
 
 
 def enumerate_set_partitions(n: int, k: int | None = None):

@@ -22,11 +22,11 @@ from jugglecards import rng
 from jugglecards.cards import (
     _MAX_ROW,
     _Value,
+    _cycle_tally,
     CardSequence,
     card_permutation,
     compose,
     composer,
-    cycle_count,
     identity_perm,
     increasing_suffix_length,
     inverse,
@@ -146,7 +146,12 @@ def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistributio
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
     if n >= 1 and (m := _lumped_throws(step)) is not None:
-        return _lumped_walk(step.degree, n, m)
+        # each suffix class's row count over the (b)_m ** n rows, one Fraction
+        # per class, computed only once the table has passed its bound
+        b = step.degree
+        return GroupDistribution(
+            _lumped_table(b, n, m, lambda ks: Fraction(sum(ks.values()), math.perm(b, m) ** n))
+        )
     return _transfer_walk(step, n)
 
 
@@ -169,17 +174,6 @@ def _lumped_throws(step: GroupDistribution) -> int | None:
         return None
     m = _throws(step)
     return m if len(step.prob) == math.perm(step.degree, m) else None
-
-
-def _lumped_walk(b: int, n: int, m: int) -> GroupDistribution:
-    """The walk as :func:`jugglecards.enumeration._lumped_table`, each
-    suffix class's row count divided by the ``(b)_m ** n`` rows: one
-    ``Fraction`` per class, shared by the permutations of that class.
-    The rows are counted per class, so only once the table has passed
-    its bound."""
-    return GroupDistribution(
-        _lumped_table(b, n, m, lambda ks: Fraction(sum(ks.values()), math.perm(b, m) ** n))
-    )
 
 
 def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
@@ -209,11 +203,7 @@ def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
 
 def cycle_count_distribution(d: GroupDistribution) -> dict[int, Fraction]:
     """Marginal of :func:`jugglecards.cards.cycle_count` under ``d``."""
-    out: dict[int, Fraction] = {}
-    for g, p in d.prob.items():
-        l = cycle_count(g)
-        out[l] = out.get(l, Fraction(0)) + p
-    return out
+    return {l: Fraction(p) for l, p in _cycle_tally(d.prob).items()}
 
 
 def single_cycle_mass(d: GroupDistribution) -> Fraction:
@@ -419,8 +409,7 @@ def estimate_single_cycle_probability(
                     current = move(current)
                 finals.append(current)
             ends.update(finals)
-    hits = sum(count for end, count in ends.items() if cycle_count(end) == 1)
-    return Fraction(hits, trials)
+    return Fraction(_cycle_tally(ends).get(1, 0), trials)
 
 
 def _byte_walk(root: RandomStream, blocks, n: int, cumulative, table) -> Counter:

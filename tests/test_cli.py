@@ -238,6 +238,17 @@ def test_malformed_payloads_are_usage_errors(capsys, argv):
           '{"k": 2, "arcs": [[1, 2]], "target": []}'], "need at least one ball, got b=0\n"),
         (["render", " ".join(["C1"] * 1001), "--b", "1000"],
          "renders draw at most 1000000 tracks (cards times balls), got 1001000\n"),
+        # one malformed field of each kind the payload reader checks
+        (["convert", "sequence", "dyck", "--payload", '{"b": 2, "cards": 5}'],
+         "'cards' must be a string\n"),
+        (["convert", "sequence", "dyck", "--payload", '{"b": "2", "cards": "C2"}'],
+         "'b' must be an integer\n"),
+        (["convert", "partition", "sequence", "--payload", '{"blocks": [[1]], "target": [true]}'],
+         "'target' must be a list of integers\n"),
+        (["convert", "partition", "sequence", "--payload", '{"blocks": [1], "target": [1]}'],
+         "'blocks' must be a list of lists of integers\n"),
+        (["verify", "cover", '{"rows": [[1], [0.0]]}'],
+         "'rows' must be a list of lists of integers\n"),
     ],
 )
 def test_unusable_input_is_refused_in_one_line_naming_why(capsys, argv, message):
@@ -394,6 +405,20 @@ def test_a_row_over_a_huge_b_is_refused_before_it_is_built(argv):
     done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
     assert (done.returncode, done.stdout) == (2, "")
     assert done.stderr == "error: cards hold at most 1000000 balls, got b=1000000000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "C1", "--b", "400000"],
+        ["render", " ".join(["C1"] * 1000), "--b", "1000"],
+        ["census", "--b", "1", "--n", "1000000", "--collect"],
+    ],
+)
+def test_a_run_out_of_memory_exits_2_with_one_line(argv):
+    # within every bound, but the SVG lines or the move graph outgrow the cap
+    done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_verify_siteswap(capsys):

@@ -219,6 +219,9 @@ def test_gen_stirling_builds_weights_only_for_the_band_columns():
         (p2, (2, 0), "need n >= b >= 1, got n=2, b=0"),
         (p4, (1, 2), "need n >= b >= 1, got n=1, b=2"),
         (q_from_p, (0, 0, 3), "need b, n >= 1, got b=3, n=0"),
+        # the throw size is checked before the card count
+        (gen_stirling, (0, 2, 0), "throw size must be at least 1, got m=0"),
+        (gen_stirling_explicit, (0, 2, 0), "throw size must be at least 1, got m=0"),
     ],
 )
 def test_counts_name_each_refusal(call, args, reason):

@@ -119,8 +119,8 @@ def _int_list(value) -> tuple[int, ...] | None:
 
 
 def _int_lists(value) -> tuple[tuple[int, ...], ...] | None:
-    lists = tuple(map(_int_list, value)) if isinstance(value, list) else (None,)
-    return None if None in lists else lists
+    lists = isinstance(value, list) and all(_int_list(x) is not None for x in value)
+    return tuple(map(tuple, value)) if lists else None
 
 
 # what a field must be, by its reader

@@ -1,15 +1,19 @@
 """Enumeration and census of card sequences.
 
-Counts come from one exact state-transfer engine, :func:`transfer`,
-which pushes weights over states one card at a time.  A census walks
-states (arrangement, crossings so far, top seen, bottom seen, balls
-thrown), so its cost grows with the reachable states per layer instead
-of the ``b^n`` rows.  Collecting (:func:`census_rows`) runs the same
-layers, keeps only the moves into states that can still reach an
-accepted row, and streams the rows in tree-walk order: a depth-first
-walk to a split depth, each prefix followed by the completions listed
-backwards from the accepted states as the moves are pruned.  Memory
-holds the move graph, tails no larger than it as built, and one row.
+A census walks one table of state ids, one state per (arrangement, top
+seen, bottom seen, balls thrown), so its cost grows with the reachable
+states instead of the ``b^n`` rows.  Each state lists its child ids once,
+the first time a layer reaches it, and a count pushes integers over
+those ids one card at a time.  Crossings are not part of a state: under
+a crossing filter each weight is a polynomial in the crossings, packed
+one coefficient to a fixed number of bits in one int, so a card is a
+shift and the budget one mask.  Collecting (:func:`census_rows`) walks
+the same table with (state id, crossings so far) keys, keeps only the
+moves into keys that can still reach an accepted row, and streams the
+rows in tree-walk order: a depth-first walk to a split depth, each
+prefix followed by the completions listed backwards from the accepted
+keys as the moves are pruned.  Memory holds the move graph, tails no
+larger than it as built, and one row.
 The moves carry a label per card of the family, so a row is one tuple
 of labels: :func:`census_rows` labels with the family's cards and wraps
 each tuple as a :class:`CardSequence` without checking its cards again,
@@ -43,6 +47,7 @@ never loads it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -70,11 +75,12 @@ _MAX_SUPPORT = 10**6  # permutations an exact table or walk may hold
 
 
 def transfer(layer: dict, moves) -> dict:
-    """One card of the exact state-transfer engine.
+    """One card of the exact walks in :mod:`jugglecards.stochastic`.
 
     Maps ``{state: weight}`` to ``{state: weight}``: each ``(child,
     factor)`` pair in ``moves(state)`` adds ``weight * factor`` to
-    ``child``.  Weights may be ints or fractions.
+    ``child``.  Weights may be ints or fractions.  A census does not use
+    it: :class:`_Census` pushes shifts over its own table of state ids.
     """
     nxt: dict = {}
     get = nxt.get
@@ -197,107 +203,125 @@ def _census_from(query: CensusQuery, collect: bool):
 
 
 class _Census:
-    """The census of ``query`` as states and moves for :func:`transfer`.
+    """The census of ``query`` on one table of state ids.
 
-    A state is (arrangement, crossings so far, top seen, bottom seen,
-    bitmask of the balls thrown).  Parts that no filter reads stay
-    constant, so they never split a state.  ``track_thrown`` keeps the
-    bitmask even without a ``thrown`` filter.
+    A state is (arrangement, top seen, bottom seen, bitmask of the balls
+    thrown), with no crossing count.  A flag that no filter reads starts
+    true and stays true, and the bitmask stays 0 unless ``track_thrown``
+    or a ``thrown`` filter keeps it, so parts no filter reads never split
+    a state.  ``keys[i]`` is the state with id ``i``, the start being 0.
+    :meth:`row` gives a state's child ids, one per allowed card in family
+    order; ``table`` keeps each row as a tuple of ids, built the first
+    time a layer reaches its state past the thrown-count prune.
+
+    A count carries crossings as powers of x, ``width`` bits per
+    coefficient of one int.  A card crossing ``delta`` times shifts a
+    weight by ``width * delta``, and ``& keep`` drops the powers past
+    ``budget``: the tighter crossing filter, cut to ``n`` times the most
+    any allowed card crosses.  Fewer than ``2**(width - 1)`` rows exist,
+    so no coefficient carries into the next.  Without a crossing filter
+    every card counts 0 crossings and the budget is 0.  Collecting walks
+    the same table with ``(id, crossings so far)`` keys.
     """
 
     def __init__(self, query: CensusQuery, track_thrown: bool = False):
-        self.query = query
-        self.cards = throw_cards(query.b, query.m, query.ordered)
-        self.start = (identity_perm(query.b), 0, False, False, 0)
-        limits = [c for c in (query.crossings, query.max_crossings) if c is not None]
-        self.budget = min(limits) if limits else None  # no row may cross more often
-        self.track_top = query.uses_top is True
-        self.track_bottom = query.primitive is False
-        self.track_thrown = track_thrown or query.thrown is not None
-        self.target = inverse(query.perm) if query.perm is not None else None
+        q = self.query = query
+        self.cards = throw_cards(q.b, q.m, q.ordered)
+        self.keys = [(identity_perm(q.b), q.uses_top is not True, q.primitive is not False, 0)]
+        self.ids = {self.keys[0]: 0}
+        self.table: dict[int, tuple[int, ...]] = {}  # id -> its row
+        self.track_thrown = track_thrown or q.thrown is not None
+        self.target = inverse(q.perm) if q.perm is not None else None
+        limits = [c for c in (q.crossings, q.max_crossings) if c is not None]
         self.steps = []
         for i, card in enumerate(self.cards):
-            is_bottom = card.targets == (1,)
-            is_top = card.targets == (query.b,)
-            if (query.primitive is True and is_bottom) or (query.uses_top is False and is_top):
-                continue
-            # the ball at level l moves to level perm[l-1]
-            move = composer(inverse(card_permutation(card)))
-            delta = card_crossings(card) if self.budget is not None else 0
-            self.steps.append(
-                (i, move, delta, self.track_top and is_top, self.track_bottom and is_bottom)
-            )
+            is_bottom, is_top = card.targets == (1,), card.targets == (q.b,)
+            if not ((q.primitive is True and is_bottom) or (q.uses_top is False and is_top)):
+                # the ball at level l moves to level perm[l-1]
+                move = composer(inverse(card_permutation(card)))
+                delta = card_crossings(card) if limits else 0
+                self.steps.append((i, move, delta, is_top, is_bottom))
+        # no row crosses more often than n times its most crossing card
+        self.budget = min(limits + [q.n * max((d for _, _, d, _, _ in self.steps), default=0)])
+        self.width = q.n * len(self.cards).bit_length() + 1
+        self.keep = (1 << self.width * (self.budget + 1)) - 1
 
-    def children(self, state, left: int) -> list:
-        """``(card index, child)`` for every card allowed from ``state``.
-
-        Cards come in family order; children over the crossing budget, or
-        whose thrown count can no longer end at ``thrown`` with ``left``
-        more balls thrown, are pruned.
-        """
-        arr, cr, top, bottom, mask = state
-        if self.track_thrown:
-            for ball in arr[: self.query.m]:
-                mask |= 1 << ball
-            thrown = self.query.thrown
-            if thrown is not None:
-                k = mask.bit_count()
-                if k > thrown or k + left < thrown:
-                    return []
-        budget = self.budget
-        return [
-            (i, (move(arr), cr + delta, top or is_top, bottom or is_bottom, mask))
-            for i, move, delta, is_top, is_bottom in self.steps
-            if budget is None or cr + delta <= budget
-        ]
-
-    def left(self, depth: int) -> int:
-        """Balls the cards after the one at ``depth`` can still throw."""
-        return (self.query.n - depth - 1) * self.query.m
-
-    def accepts(self, state) -> bool:
-        arr, cr, top, bottom, mask = state
+    def row(self, sid: int, depth: int) -> tuple[int, ...]:
+        """Child ids of state ``sid`` at ``depth``, one per allowed card in
+        family order; none once its thrown count can no longer end at
+        ``thrown`` with the cards after this one."""
         q = self.query
-        return (
-            (self.target is None or arr == self.target)
-            and (q.crossings is None or cr == q.crossings)
-            and (top or not self.track_top)
-            and (bottom or not self.track_bottom)
-            and (q.thrown is None or mask.bit_count() == q.thrown)
-        )
+        arr, top, bottom, mask = self.keys[sid]
+        if self.track_thrown:
+            mask |= sum(1 << ball for ball in arr[: q.m])
+            if q.thrown is not None and not (
+                    q.thrown - (q.n - depth - 1) * q.m <= mask.bit_count() <= q.thrown):
+                return ()
+        kids = self.table.get(sid)
+        if kids is None:
+            kids = []
+            for _, move, _, is_top, is_bottom in self.steps:
+                key = (move(arr), top or is_top, bottom or is_bottom, mask)
+                kids.append(self.ids.setdefault(key, len(self.keys)))
+                if kids[-1] == len(self.keys):
+                    self.keys.append(key)
+            kids = self.table[sid] = tuple(kids)
+        return kids
+
+    def accepts(self, sid: int) -> bool:
+        arr, top, bottom, mask = self.keys[sid]
+        return (self.target in (None, arr) and top and bottom
+                and self.query.thrown in (None, mask.bit_count()))
+
+    def step(self, layer: dict, depth: int) -> dict:
+        """One card: ``{id: weight}`` at ``depth`` to the next layer's.
+        Each weight is cut to the budget before it moves, and a state
+        with nothing left moves nowhere."""
+        nxt: dict = {}
+        get = nxt.get
+        shifts = [self.width * delta for _, _, delta, _, _ in self.steps]
+        for sid, weight in layer.items():
+            weight &= self.keep
+            for kid, shift in zip(self.row(sid, depth) if weight else (), shifts):
+                nxt[kid] = get(kid, 0) + (weight << shift)
+        return nxt
 
     def final_layer(self) -> dict:
-        """Rows reaching each state after all ``n`` cards."""
-        layer = {self.start: 1}
-        for depth in range(self.query.n):
-            left = self.left(depth)
-            layer = transfer(layer, lambda s: [(c, 1) for _, c in self.children(s, left)])
-        return layer
+        """``{id: weight}`` after all ``n`` cards: the rows reaching each
+        state, packed by their crossings.  The powers past the budget
+        that the last card shifted in are not masked yet."""
+        return functools.reduce(self.step, range(self.query.n), {0: 1})
 
     def count(self) -> int:
-        return sum(ways for state, ways in self.final_layer().items() if self.accepts(state))
+        total = sum(w for sid, w in self.final_layer().items() if self.accepts(sid)) & self.keep
+        # The budget is at most ``crossings``, so the shift leaves that one
+        # coefficient, or none; without it, all of them.  As 2**width is 1
+        # modulo 2**width - 1, the remainder sums what is left, and that
+        # sum, a count of rows, is below the modulus.
+        return (total >> self.width * (self.query.crossings or 0)) % ((1 << self.width) - 1)
 
     def move_graph(self, labels) -> tuple[list, int, dict]:
-        """``(graph, split, tails)``: per depth, each reached state's moves as
+        """``(graph, split, tails)``: per depth, each reached key's moves as
         ``(label, child)`` pairs in family order, ``labels[i]`` standing for
-        the family's card ``i``, kept only into states that can still reach
-        an accepted row, and every completion of each live state at depth
+        the family's card ``i``, kept only into keys that can still reach
+        an accepted row, and every completion of each live key at depth
         ``split`` (at least 1) as a tuple of labels, listed in the same
-        backward pass.  A cell is one label in one listed tail; listing
-        stops before the level whose cells would take the running total
-        past the moves built, so the tails never outgrow the graph (a bound
-        on the tails alone would let one ball list n²/2 cells).
+        backward pass.  A key is ``(id, crossings so far)``, and a move
+        past the budget is never made.  A cell is one label in one listed
+        tail; listing stops before the level whose cells would take the
+        running total past the moves built, so the tails never outgrow
+        the graph (a bound on the tails alone would let one ball list
+        n²/2 cells).
         """
-        n = self.query.n
-        graph = []
-        frontier = {self.start}
+        n, budget, crossings = self.query.n, self.budget, self.query.crossings
+        graph, frontier = [], {(0, 0)}
         for depth in range(n):
-            left = self.left(depth)
-            edges = {state: self.children(state, left) for state in frontier}
+            edges = {(sid, cr): [(i, (kid, cr + delta)) for (i, _, delta, _, _), kid in zip(
+                self.steps, self.row(sid, depth)) if cr + delta <= budget] for sid, cr in frontier}
             graph.append(edges)
             frontier = {c for kids in edges.values() for _, c in kids}
         room = sum(len(kids) for edges in graph for kids in edges.values())
-        live = {s for s in frontier if self.accepts(s)}
+        live = {(sid, cr) for sid, cr in frontier if self.accepts(sid) and crossings in (None, cr)}
         split, tails = n, dict.fromkeys(live, ((),))
         for depth in reversed(range(n)):
             edges = graph[depth]
@@ -323,16 +347,16 @@ class _Census:
         ``labels[i]`` wherever a row holds the family's card ``i``.
 
         Builds :meth:`move_graph`, which lists every completion of the
-        states at a split depth.  A depth-first walk over the moves from
+        keys at a split depth.  A depth-first walk over the moves from
         the root down to that depth, with a stack of iterators (no
         recursion, so any ``n`` works) and one shared prefix, yields the
-        prefix followed by each tail of the state it reaches.  Memory
+        prefix followed by each tail of the key it reaches.  Memory
         holds the move graph, tails no larger than it as built, and one
         row.
         """
         graph, split, tails = self.move_graph(labels)
         prefix = []
-        stack = [iter(graph[0][self.start])]
+        stack = [iter(graph[0][0, 0])]
         while stack:
             for label, child in stack[-1]:
                 prefix.append(label)
@@ -367,10 +391,13 @@ def census_rows(query: CensusQuery):
 def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):
     """Count (or collect) all sequences matching ``query``.
 
-    Both run the state-transfer engine in this process.  Collecting
-    returns ``tuple(census_rows(query))``: the walk streams rows in
-    tree-walk order, holding the move graph, tails no larger than it as
-    built, and one row.  ``jobs`` is ignored (it must still be nonnegative); it
+    Both walk one table of state ids in this process.  A count pushes
+    integers over the ids, each a polynomial in the crossings when a
+    crossing filter is set, whose budget is first cut to ``n`` times the
+    most any allowed card crosses.  Collecting returns
+    ``tuple(census_rows(query))``: the walk streams rows in tree-walk
+    order, holding the move graph, tails no larger than it as built, and
+    one row.  ``jobs`` is ignored (it must still be nonnegative); it
     stays only for the benchmark's ``jobs2_speedup`` probe and goes with
     it.
     """
@@ -418,7 +445,9 @@ def count_by_permutation(
 def _census_by_permutation(query: CensusQuery, by_thrown: bool) -> dict:
     """:func:`count_by_permutation` from the census engine's final layer."""
     out: dict = {}
-    for (arr, _, _, _, mask), ways in _Census(query, by_thrown).final_layer().items():
+    engine = _Census(query, by_thrown)
+    for sid, ways in engine.final_layer().items():
+        arr, _, _, mask = engine.keys[sid]
         key = (inverse(arr), mask.bit_count()) if by_thrown else inverse(arr)
         out[key] = out.get(key, 0) + ways
     return out

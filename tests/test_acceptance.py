@@ -107,6 +107,13 @@ SURPLUS_ROWS_B5 = {
     8: (90, 1605, 8800, 23265, 35529, 33761, 19110, 4900),
 }
 
+# P_d(k, b) for k = b, b + 1, ... at (b, d): the same rows on six and seven balls
+SURPLUS_ROWS_WIDER = {
+    (6, 6): (84, 1740, 11715, 39545, 76076, 84812, 50960, 12740),
+    (6, 8): (450, 8745, 58410, 198198, 399035, 510510, 416640, 199920, 42840),
+    (7, 6): (210, 5610, 48180, 207922, 521521, 796705, 731640, 371280, 79968),
+}
+
 
 def test_c01_single_throw_census_matches_stirling_sums():
     start = time.perf_counter()
@@ -190,6 +197,18 @@ def test_c06b_six_and_eight_extra_crossings_match_reference_rows():
             if expected <= 10**4:
                 assert len(enumerate_plus(b, n, d, primitive=True)) == expected, (d, k)
     assert time.perf_counter() - start < 20.0
+
+
+def test_c06c_six_and_eight_extra_crossings_on_wider_stacks_match_reference_rows():
+    start = time.perf_counter()
+    for (b, d), row in SURPLUS_ROWS_WIDER.items():
+        for k, expected in enumerate((0,) + row + (0,), start=b - 1):
+            query = CensusQuery(
+                b=b, n=k + d // 2, perm=identity_perm(b), crossings=b * (b - 1) + d,
+                uses_top=True, primitive=True,
+            )
+            assert census(query) == expected, (b, d, k)
+    assert time.perf_counter() - start < 60.0
 
 
 def test_c07_four_extra_closed_form_matches_reference_table():

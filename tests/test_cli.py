@@ -380,6 +380,15 @@ def test_a_huge_census_row_is_refused_before_any_layer(argv):
     assert done.stderr == f"error: rows hold at most 1000000 cards, got n={argv[4]}\n"
 
 
+@pytest.mark.parametrize("flag, expected", [("--max-crossings", "243"), ("--crossings", "0")])
+def test_a_huge_crossing_budget_is_cut_to_what_the_row_can_cross(flag, expected):
+    # five cards on three balls cross at most 10 times; a polynomial sized
+    # by the budget as given would take about 10**9 coefficients under the cap
+    argv = ["census", "--b", "3", "--n", "5", flag, str(10**9)]
+    done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected + "\n", "")
+
+
 def test_a_huge_sampled_row_is_refused_before_any_draw():
     # a billion draws would end in a MemoryError under the cap
     done = fresh("-m", "jugglecards.cli", "sample", "--b", "3", "--n", str(10**9), cap_mb=256)

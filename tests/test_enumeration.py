@@ -47,7 +47,6 @@ from jugglecards.enumeration import (
     enumerate_plus,
     enumerate_set_partitions,
     throw_cards,
-    transfer,
 )
 
 
@@ -149,6 +148,39 @@ def test_census_budget_is_the_tighter_crossing_filter():
         assert _census_from(loose, collect) == _census_from(only, collect)
 
 
+def test_packed_crossing_counts_are_the_coefficients_of_a_power():
+    # C_i crosses i - 1 balls, so the rows of n single throws by their
+    # crossings are the coefficients of (1 + x + ... + x^(b-1))^n; at
+    # b = 4, n = 40 the middle ones pass 2**64
+    b, n = 4, 40
+    power = [1]
+    for _ in range(n):
+        power = [sum(power[max(0, c - b + 1) : c + 1]) for c in range(len(power) + b - 1)]
+    assert max(power) > 2**64
+    counts = [census(CensusQuery(b=b, n=n, crossings=c)) for c in range(len(power) + 1)]
+    assert counts == power + [0]
+    assert census(CensusQuery(b=b, n=n, max_crossings=n * (b - 1))) == b**n
+
+
+def test_the_table_keys_states_without_their_crossings():
+    engine = _Census(CensusQuery(b=5, n=7, max_crossings=12))
+    assert engine.count() == _census_from(engine.query, False)
+    # one state per arrangement, however many crossings reach it
+    assert len(engine.keys) <= math.factorial(5)
+
+
+def test_rows_are_built_only_for_states_past_the_thrown_prune():
+    # every card must throw two balls not thrown before, and a state whose
+    # row was built before the prune would throw fewer; the tree walk
+    # gives the same 2520 rows
+    engine = _Census(CensusQuery(b=8, n=4, m=2, ordered=False, thrown=8))
+    assert engine.count() == 2520
+    for sid in engine.table:
+        arr, _, _, mask = engine.keys[sid]
+        assert (mask | 1 << arr[0] | 1 << arr[1]).bit_count() == mask.bit_count() + 2
+    assert 0 < len(engine.table) < len(engine.keys) // 20
+
+
 def filter_values(b, n, m, ordered):
     """Every value of each census filter that can matter at this size."""
     top = n * max(inversions(card_permutation(c)) for c in throw_cards(b, m, ordered))
@@ -227,9 +259,16 @@ def completion_counts(graph, accepted):
 def test_tails_never_outgrow_the_move_graph(query):
     engine = _Census(query)
     # the moves the forward pass builds, counted here one depth at a time
-    moves, frontier = 0, {engine.start}
+    # over (state id, crossings so far) keys
+    deltas = [delta for _, _, delta, _, _ in engine.steps]
+    moves, frontier = 0, {(0, 0)}
     for depth in range(query.n):
-        kids = [c for s in frontier for _, c in engine.children(s, engine.left(depth))]
+        kids = [
+            (kid, cr + delta)
+            for sid, cr in frontier
+            for kid, delta in zip(engine.row(sid, depth), deltas)
+            if cr + delta <= engine.budget
+        ]
         moves += len(kids)
         frontier = set(kids)
     graph, split, tails = engine.move_graph(engine.cards)
@@ -487,11 +526,12 @@ def _engine_tables(b, m, depth):
     states tallied by permutation and thrown count, one card at a time,
     so every n costs one engine run."""
     states = _Census(CensusQuery(b=b, n=depth, m=m), track_thrown=True)
-    layer = {states.start: 1}
+    layer = {0: 1}
     for n in range(1, depth + 1):
-        layer = transfer(layer, lambda s: [(c, 1) for _, c in states.children(s, 0)])
+        layer = states.step(layer, n - 1)
         table = {}
-        for (arr, _, _, _, mask), ways in layer.items():
+        for sid, ways in layer.items():
+            arr, _, _, mask = states.keys[sid]
             key = (inverse(arr), mask.bit_count())
             table[key] = table.get(key, 0) + ways
         yield n, table

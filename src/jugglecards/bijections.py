@@ -196,6 +196,19 @@ def family_to_sequence(family: Family, target: tuple[int, ...], b: int) -> CardS
 # edge-labeled digraphs
 
 
+def _check_pairs(pairs, k: int, name: str) -> None:
+    """Refuse any of ``pairs`` that is not two distinct vertices of 1..k,
+    calling it a ``name``: its length first, then its range, then a loop."""
+    for pair in pairs:
+        if len(pair) != 2:
+            raise ValueError(f"{name} {pair} is not a pair")
+        u, v = pair
+        if not (1 <= u <= k and 1 <= v <= k):
+            raise ValueError(f"{name} ({u},{v}) outside vertices 1..{k}")
+        if u == v:
+            raise ValueError(f"loop at vertex {u}")
+
+
 class LabeledDigraph(_Value):
     """Loopless multi-digraph on vertices 1..k with arcs in label order."""
 
@@ -207,11 +220,7 @@ class LabeledDigraph(_Value):
             raise ValueError("need at least one vertex")
         if not self.arcs:
             raise ValueError("need at least one arc")
-        for tail, head in self.arcs:
-            if not (1 <= tail <= self.k and 1 <= head <= self.k):
-                raise ValueError(f"arc ({tail},{head}) outside vertices 1..{self.k}")
-            if tail == head:
-                raise ValueError(f"loop at vertex {tail}")
+        _check_pairs(self.arcs, self.k, "arc")
 
     @property
     def n(self) -> int:
@@ -230,11 +239,9 @@ def family_to_digraph(family: Family) -> LabeledDigraph:
     """Inverse of :func:`digraph_to_family` on canonical pair families."""
     if family != canonicalize_family(family):
         raise ValueError("family must be canonical")
-    for entry in family:
-        if len(entry) != 2:
-            raise ValueError(f"entry {entry} is not a pair")
     k = max(max(entry) for entry in family)
-    return LabeledDigraph(k, tuple((t, h) for t, h in family))
+    _check_pairs(family, k, "entry")
+    return LabeledDigraph(k, family)
 
 
 # ---------------------------------------------------------------------------
@@ -355,17 +362,24 @@ def cover_to_sequence(
     return _row(k, steps), start
 
 
+def _incidence(k: int, columns) -> tuple[tuple[int, ...], ...]:
+    """The 0/1 rows of vertices 1..k against ``columns``, each a
+    collection of those vertices: row ``v`` has a 1 where ``v`` is in
+    the column.  One write per incidence, not one test per cell."""
+    rows = [[0] * len(columns) for _ in range(k)]
+    for j, column in enumerate(columns):
+        for v in column:
+            rows[v - 1][j] = 1
+    return tuple(map(tuple, rows))
+
+
 def sequence_to_cover(seq: CardSequence) -> CoverMatrix:
     """Incidence matrix of balls (rows) against card positions (columns).
 
     Requires every ball to be thrown at least once and all cards to
     throw the same number of balls.
     """
-    rows = [[0] * seq.n for _ in range(seq.b)]
-    for j, entry in enumerate(throw_pattern(seq)):
-        for ball in entry:
-            rows[ball - 1][j] = 1
-    return CoverMatrix(tuple(map(tuple, rows)))
+    return CoverMatrix(_incidence(seq.b, throw_pattern(seq)))
 
 
 def cover_to_multigraph(M: CoverMatrix) -> tuple[tuple[int, int], ...]:
@@ -383,15 +397,8 @@ def multigraph_to_cover(k: int, edges: tuple[tuple[int, int], ...]) -> CoverMatr
     """Incidence matrix of a loopless multigraph with labeled edges."""
     if not edges:
         raise ValueError("need at least one edge")
-    rows = [[0] * len(edges) for _ in range(k)]
-    for j, (u, v) in enumerate(edges):
-        if u == v:
-            raise ValueError(f"loop at vertex {u}")
-        if not (1 <= u <= k and 1 <= v <= k):
-            raise ValueError(f"edge ({u},{v}) outside vertices 1..{k}")
-        rows[u - 1][j] = 1
-        rows[v - 1][j] = 1
-    return CoverMatrix(tuple(tuple(r) for r in rows))
+    _check_pairs(edges, k, "edge")
+    return CoverMatrix(_incidence(k, edges))
 
 
 # ---------------------------------------------------------------------------

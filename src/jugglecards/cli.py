@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 
-from jugglecards import __version__
+import jugglecards
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -39,7 +39,7 @@ def _perm(text: str, b: int, name: str) -> tuple[int, ...]:
     return perm
 
 
-def _sequence(cards_text: str, b: int | None) -> CardSequence:
+def _sequence(cards_text: str, b: int | None) -> jugglecards.CardSequence:
     from jugglecards.cards import _highest_target, parse_sequence
 
     return parse_sequence(cards_text, _highest_target(cards_text) if b is None else b)
@@ -143,7 +143,7 @@ def _field(data: dict, key: str, read):
     return value
 
 
-def _read(source: str, data: dict) -> tuple[CardSequence, dict]:
+def _read(source: str, data: dict) -> tuple[jugglecards.CardSequence, dict]:
     """The card row a ``source`` payload names, and the fields the output
     adds to the row's: only a cover's forced start."""
     if source == "sequence":
@@ -175,7 +175,7 @@ def _cover_text(M) -> str:
     return "\n".join("".join(map(str, row)) for row in M.rows)
 
 
-def _write(dest: str, seq: CardSequence) -> tuple[dict, str]:
+def _write(dest: str, seq: jugglecards.CardSequence) -> tuple[dict, str]:
     """The ``dest`` payload of the row ``seq`` and its ``--human`` text."""
     if dest == "sequence":
         return {"b": seq.b, "cards": str(seq)}, str(seq)
@@ -251,7 +251,7 @@ def _dyck_report(word: str) -> tuple[bool, str | None, dict]:
     return True, None, {"semilength": len(word) // 2, "peaks": dyck_peaks(word)}
 
 
-def _minimal_report(seq: CardSequence) -> tuple[bool, str | None, dict]:
+def _minimal_report(seq: jugglecards.CardSequence) -> tuple[bool, str | None, dict]:
     from jugglecards.bijections import _minimal_fault
     from jugglecards.cards import crossings
 
@@ -405,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact counting, conversion, and simulation of card rows.",
     )
     parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
+        "--version", action="version", version=f"%(prog)s {jugglecards.__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -29,6 +29,14 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def _quotient(num: int, den: int) -> int:
+    """``num / den`` for a closed form whose quotient is whole; a
+    remainder is a broken formula, not a bad input, so it asserts."""
+    q, r = divmod(num, den)
+    assert r == 0, f"{num} is not divisible by {den}"
+    return q
+
+
 def falling_factorial(x, m: int):
     """``x (x-1) ... (x-m+1)``; empty product for ``m = 0``."""
     if m < 0:
@@ -150,9 +158,7 @@ def gen_stirling_explicit(n: int, k: int, m: int) -> int:
         (-1) ** (k - i) * math.comb(k, i) * falling_factorial(i, m) ** n
         for i in range(m, k + 1)
     )
-    q, r = divmod(total, math.factorial(k))
-    assert r == 0, f"alternating sum not divisible by k! at n={n} k={k} m={m}"
-    return q
+    return _quotient(total, math.factorial(k))
 
 
 def falling_factorial_identity(n: int, m: int, x: int) -> tuple[int, int]:
@@ -240,9 +246,7 @@ def narayana(b: int, n: int) -> int:
         raise ValueError(f"need at least one card, got n={n}")
     if b > n:
         return 0
-    q, r = divmod(binomial(n - 1, b - 1) * binomial(n, b - 1), b)
-    assert r == 0
-    return q
+    return _quotient(binomial(n - 1, b - 1) * binomial(n, b - 1), b)
 
 
 def minimal_count_table(max_b: int, max_n: int) -> dict[tuple[int, int], int]:
@@ -333,7 +337,7 @@ def multinomial_identity(n: int, b: int, a: int) -> tuple[int, int]:
     return lhs, binomial(n, b + a) * binomial(n, b - a)
 
 
-def convolved_pair_identity(b: int, n: int) -> tuple[Fraction, Fraction]:
+def convolved_pair_identity(b: int, n: int) -> tuple:
     """Both sides of a Narayana-product convolution, as exact fractions.
 
     ``sum_{i,j} 1/(i(b-i)) C(j,i-1) C(j-1,i-1) C(n-1-j,b-i-1) C(n-2-j,b-i-1)``
@@ -374,9 +378,7 @@ def p0(n: int, b: int) -> int:
     if b == 1:
         return 0
     t = n - b
-    q, r = divmod(binomial(b - 2, t) * binomial(b + t, t), t + 1)
-    assert r == 0
-    return q
+    return _quotient(binomial(b - 2, t) * binomial(b + t, t), t + 1)
 
 
 def p2(n: int, b: int) -> int:
@@ -404,9 +406,7 @@ def p4(n: int, b: int) -> int:
         return 0
     num = math.factorial(b - 2) * (b * b - 3 * b + 2 * t - 4) * binomial(n, b - 2)
     den = 2 * math.factorial(t - 3) * math.factorial(b - t + 2)
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    return _quotient(num, den)
 
 
 _P_BY_SURPLUS = {0: p0, 2: p2, 4: p4}

@@ -27,8 +27,7 @@ exact walk in :mod:`jugglecards.stochastic`, read one table,
 :func:`_lumped_table`: each suffix class gets its counts from
 :func:`jugglecards.counting.gen_stirling`, and only the reachable
 permutations are listed.  Unordered multi-throw families tally the
-census engine's final layer, which stays the oracle for the table; the
-walk over any other family runs on :func:`transfer`.
+census engine's final layer, which stays the oracle for the table.
 
 :func:`_census_from` is the brute-force oracle the tests pin the
 engine to: it walks every row on an explicit stack, prunes nothing, and
@@ -72,22 +71,6 @@ from jugglecards.cards import (
 )
 
 _MAX_SUPPORT = 10**6  # permutations an exact table or walk may hold
-
-
-def transfer(layer: dict, moves) -> dict:
-    """One card of the exact walks in :mod:`jugglecards.stochastic`.
-
-    Maps ``{state: weight}`` to ``{state: weight}``: each ``(child,
-    factor)`` pair in ``moves(state)`` adds ``weight * factor`` to
-    ``child``.  Weights may be ints or fractions.  A census does not use
-    it: :class:`_Census` pushes shifts over its own table of state ids.
-    """
-    nxt: dict = {}
-    get = nxt.get
-    for state, weight in layer.items():
-        for child, factor in moves(state):
-            nxt[child] = get(child, 0) + weight * factor
-    return nxt
 
 
 def _check_family(b: int, m: int, ordered: bool) -> None:
@@ -640,19 +623,16 @@ def enumerate_2covers(n: int, k: int):
     permutes rows.  A prefix of columns is dropped once its rows are out
     of order or more rows are still zero than two per column left.
     """
-    from jugglecards.bijections import CoverMatrix
-
-    def rows(cols):
-        return tuple(tuple(1 if i in col else 0 for col in cols) for i in range(k))
+    from jugglecards.bijections import CoverMatrix, _incidence
 
     def keep(cols):
-        prefix = rows(cols)
+        prefix = _incidence(k, cols)
         zero = prefix.count((0,) * len(cols))
         return zero <= 2 * (n - len(cols)) and prefix == tuple(sorted(prefix))
 
-    pairs = list(itertools.combinations(range(k), 2))
+    pairs = list(itertools.combinations(range(1, k + 1), 2))
     for cols in _product_prefixes(pairs, n, keep):
-        yield CoverMatrix(rows(cols))
+        yield CoverMatrix(_incidence(k, cols))
 
 
 def enumerate_labeled_digraphs(n: int, k: int):

@@ -37,7 +37,6 @@ from jugglecards.enumeration import (
     _lumped_table,
     _support_bound,
     throw_cards,
-    transfer,
 )
 from jugglecards.rng import RandomStream
 
@@ -111,6 +110,22 @@ def card_distribution(
     return GroupDistribution(
         {card_permutation(c): Fraction(w, total) for c, w in zip(cards, ints)}
     )
+
+
+def transfer(layer: dict, moves) -> dict:
+    """One step of an exact walk: :func:`step_distribution` and
+    :func:`_transfer_walk`.
+
+    Maps ``{state: weight}`` to ``{state: weight}``: each ``(child,
+    factor)`` pair in ``moves(state)`` adds ``weight * factor`` to
+    ``child``.  Weights may be ints or fractions.
+    """
+    nxt: dict = {}
+    get = nxt.get
+    for state, weight in layer.items():
+        for child, factor in moves(state):
+            nxt[child] = get(child, 0) + weight * factor
+    return nxt
 
 
 def step_distribution(d: GroupDistribution, step: GroupDistribution) -> GroupDistribution:

@@ -302,6 +302,12 @@ def test_cover_matrix_names_each_refusal(rows, reason):
         (partition_to_sequence, (((1,),), (), 0), "need at least one ball, got b=0"),
         (family_to_sequence, (((1, 2),), (), 0), "need at least one ball, got b=0"),
         (sequence_from_pattern, ((1,), 0), "need at least one ball, got b=0"),
+        # an entry of another length is named, not unpacked
+        (LabeledDigraph, (2, ((1, 2, 3),)), "arc (1, 2, 3) is not a pair"),
+        (multigraph_to_cover, (3, ((1,),)), "edge (1,) is not a pair"),
+        # out of range is refused before a loop, edges as arcs
+        (multigraph_to_cover, (2, ((3, 3),)), "edge (3,3) outside vertices 1..2"),
+        (LabeledDigraph, (2, ((3, 3),)), "arc (3,3) outside vertices 1..2"),
     ],
 )
 def test_bijections_name_each_refusal(call, args, reason):

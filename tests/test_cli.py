@@ -249,6 +249,11 @@ def test_malformed_payloads_are_usage_errors(capsys, argv):
          "'blocks' must be a list of lists of integers\n"),
         (["verify", "cover", '{"rows": [[1], [0.0]]}'],
          "'rows' must be a list of lists of integers\n"),
+        # an edge or arc of three vertices is named, not unpacked
+        (["convert", "multigraph", "cover", "--payload", '{"k": 3, "edges": [[1, 2, 3]]}'],
+         "edge (1, 2, 3) is not a pair\n"),
+        (["convert", "digraph", "sequence", "--payload",
+          '{"k": 3, "arcs": [[1, 2, 3]], "target": [1, 2, 3]}'], "arc (1, 2, 3) is not a pair\n"),
     ],
 )
 def test_unusable_input_is_refused_in_one_line_naming_why(capsys, argv, message):

@@ -3,6 +3,7 @@ import doctest
 import importlib
 import pathlib
 import re
+import typing
 
 import pytest
 
@@ -166,3 +167,22 @@ def test_every_top_level_function_or_class_is_used():
         and not node.name.startswith("cmd_")
     ]
     assert unused == []
+
+
+def test_every_annotation_resolves():
+    # postponed annotations must name what the module can reach when they
+    # are evaluated, even where the name is imported only inside a function
+    checked = 0
+    for path in sorted(pathlib.Path(jugglecards.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"jugglecards.{path.stem}".removesuffix(".__init__"))
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if isinstance(obj, type) else ()
+            for func in (obj, *members):
+                func = getattr(func, "fget", func)  # a property's getter
+                func = getattr(func, "__func__", func)  # a static or class method
+                if callable(func):
+                    typing.get_type_hints(func)
+                    checked += 1
+    assert checked > 200

@@ -288,8 +288,9 @@ def cmd_verify(args, parser) -> int:
 def cmd_render(args, parser) -> int:
     from jugglecards.svg import RenderSpec, render_svg
 
-    # the spec's fields are the geometry and label flags
-    spec = RenderSpec(**{field: getattr(args, field) for field in RenderSpec.__slots__})
+    # the spec's fields are the geometry and label flags; an unset flag is
+    # None and leaves its field to the spec's own default
+    spec = RenderSpec(**{k: v for k in RenderSpec.__slots__ if (v := getattr(args, k)) is not None})
     doc = render_svg(_sequence(args.cards, args.b), spec)
     if args.output:
         try:
@@ -445,15 +446,11 @@ def build_parser() -> argparse.ArgumentParser:
     render = sub.add_parser("render", help="draw a card row as SVG")
     render.add_argument("cards", help='card tokens, e.g. "C3 C3 C2"')
     render.add_argument("--b", type=int, help="ball count (default: highest target)")
-    render.add_argument("--card-width", type=int, default=70)
-    render.add_argument("--card-height", type=int, default=120)
-    render.add_argument("--level-spacing", type=int, default=24)
-    render.add_argument(
-        "--ball-labels", action=argparse.BooleanOptionalAction, default=True
-    )
-    render.add_argument(
-        "--thrown-labels", action=argparse.BooleanOptionalAction, default=True
-    )
+    render.add_argument("--card-width", type=int)
+    render.add_argument("--card-height", type=int)
+    render.add_argument("--level-spacing", type=int)
+    render.add_argument("--ball-labels", action=argparse.BooleanOptionalAction)
+    render.add_argument("--thrown-labels", action=argparse.BooleanOptionalAction)
     render.add_argument("--output", help="write here instead of stdout")
     render.set_defaults(run=cmd_render)
 

@@ -366,6 +366,15 @@ def convolved_pair_identity(b: int, n: int) -> tuple:
 # primitive sequences with a fixed crossing surplus
 
 
+def _surplus(n: int, b: int) -> int:
+    """``t = n - b`` for :func:`p0`, :func:`p2` and :func:`p4`: how many
+    of the ``n`` cards a primitive row has past ``b``.  Refuses any
+    ``n`` and ``b`` outside ``n >= b >= 1``."""
+    if b < 1 or n < b:
+        raise ValueError(f"need n >= b >= 1, got n={n}, b={b}")
+    return n - b
+
+
 def p0(n: int, b: int) -> int:
     """Primitive fewest-crossing sequences: no ``C_1`` card anywhere.
 
@@ -373,11 +382,9 @@ def p0(n: int, b: int) -> int:
     ``b >= 2``.  On one ball ``C_1`` is also the top card ``C_b``, which
     the sequences must use, so there are none.
     """
-    if b < 1 or n < b:
-        raise ValueError(f"need n >= b >= 1, got n={n}, b={b}")
+    t = _surplus(n, b)
     if b == 1:
         return 0
-    t = n - b
     return _quotient(binomial(b - 2, t) * binomial(b + t, t), t + 1)
 
 
@@ -386,9 +393,7 @@ def p2(n: int, b: int) -> int:
 
     ``p2(n, b) = C(b+t, 2t) C(2t, t-2)`` with ``t = n - b``.
     """
-    if b < 1 or n < b:
-        raise ValueError(f"need n >= b >= 1, got n={n}, b={b}")
-    t = n - b
+    t = _surplus(n, b)
     return binomial(b + t, 2 * t) * binomial(2 * t, t - 2)
 
 
@@ -399,9 +404,7 @@ def p4(n: int, b: int) -> int:
 
         p4(n, b) = (b-2)! (b^2 - 3b + 2t - 4) / (2 (t-3)! (b-t+2)!) * C(n, b-2)
     """
-    if b < 1 or n < b:
-        raise ValueError(f"need n >= b >= 1, got n={n}, b={b}")
-    t = n - b
+    t = _surplus(n, b)
     if b < 2 or t < 3 or t > b + 2:
         return 0
     num = math.factorial(b - 2) * (b * b - 3 * b + 2 * t - 4) * binomial(n, b - 2)

@@ -84,14 +84,13 @@ def point_distribution(b: int) -> GroupDistribution:
 def uniform_distribution(b: int) -> GroupDistribution:
     """Equal mass on every permutation of ``b`` points.  Past
     ``_MAX_SUPPORT`` permutations (``b >= 10``) it raises ``ValueError``
-    before any is listed."""
-    # b! passes _MAX_SUPPORT exactly when min(b, bit_length)! does, which
-    # stays a small number; single throws reach every permutation in b - 1 steps
-    _check_support(b, b - 1, math.factorial(min(b, _MAX_SUPPORT.bit_length())))
+    before any is listed: single throws reach all ``b!`` in ``b - 1``
+    steps, so the bound is ``_support_bound(b, b - 1, 1)``, checked at
+    no cost for any ``b``."""
+    if b > 0:  # b = 0 has its one permutation, and math.factorial refuses b < 0
+        _check_support(b, b - 1, _support_bound(b, b - 1, 1))
     share = Fraction(1, math.factorial(b))
-    return GroupDistribution(
-        {p: share for p in itertools.permutations(range(1, b + 1))}
-    )
+    return GroupDistribution(dict.fromkeys(itertools.permutations(range(1, b + 1)), share))
 
 
 def card_distribution(
@@ -112,18 +111,20 @@ def card_distribution(
     )
 
 
-def transfer(layer: dict, moves) -> dict:
+def transfer(layer: dict, moves: list) -> dict:
     """One step of an exact walk: :func:`step_distribution` and
     :func:`_transfer_walk`.
 
-    Maps ``{state: weight}`` to ``{state: weight}``: each ``(child,
-    factor)`` pair in ``moves(state)`` adds ``weight * factor`` to
-    ``child``.  Weights may be ints or fractions.
+    Maps ``{state: weight}`` to ``{state: weight}``: each ``(move,
+    factor)`` pair in ``moves``, the same list for every state, adds
+    ``weight * factor`` to ``move(state)``.  Weights may be ints or
+    fractions.
     """
     nxt: dict = {}
     get = nxt.get
     for state, weight in layer.items():
-        for child, factor in moves(state):
+        for move, factor in moves:
+            child = move(state)
             nxt[child] = get(child, 0) + weight * factor
     return nxt
 
@@ -136,8 +137,8 @@ def step_distribution(d: GroupDistribution, step: GroupDistribution) -> GroupDis
     """
     if d.degree != step.degree:
         raise ValueError(f"distribution on {d.degree} points, step on {step.degree}")
-    pairs = step.prob.items()
-    return GroupDistribution(transfer(d.prob, lambda h: [(compose(h, g), p) for g, p in pairs]))
+    moves = [(lambda h, g=g: compose(h, g), p) for g, p in step.prob.items()]
+    return GroupDistribution(transfer(d.prob, moves))
 
 
 def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistribution:
@@ -211,7 +212,7 @@ def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
     moves = [(composer(inverse(g)), w) for g, w in zip(step.prob, ints)]
     layer = {identity_perm(b): 1}
     for _ in range(n):
-        layer = transfer(layer, lambda a: [(move(a), w) for move, w in moves])
+        layer = transfer(layer, moves)
     total = sum(ints) ** n
     return GroupDistribution({inverse(a): Fraction(ways, total) for a, ways in layer.items()})
 

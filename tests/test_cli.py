@@ -307,14 +307,18 @@ def test_convert_has_exactly_the_ten_converters(capsys, source, dest):
             2, "", f"error: no converter from {source} to {dest}\n")
 
 
-def test_the_render_flags_are_the_spec_fields():
+def test_the_render_flags_are_the_spec_fields(capsys):
+    from jugglecards.cards import parse_sequence
     from jugglecards.cli import build_parser
-    from jugglecards.svg import RenderSpec
+    from jugglecards.svg import RenderSpec, render_svg
 
     args = vars(build_parser().parse_args(["render", "C1"]))
     fields = set(args) - {"command", "run", "cards", "b", "output"}
     assert fields == set(RenderSpec.__slots__)
-    assert RenderSpec(**{field: args[field] for field in fields}) == RenderSpec()
+    # an unset flag is None, so the spec alone holds the defaults
+    assert {args[field] for field in fields} == {None}
+    expected = render_svg(parse_sequence("C1", 1), RenderSpec())
+    assert run(capsys, "render", "C1") == (0, expected, "")
 
 
 @pytest.mark.parametrize(

@@ -595,3 +595,31 @@ def test_the_unordered_tally_refuses_a_support_past_its_bound():
                 count_by_permutation(10, 8, m=2, ordered=False, by_thrown=by_thrown)
             with pytest.raises(Ran):
                 count_by_permutation(9, 8, m=2, ordered=False, by_thrown=by_thrown)
+
+
+def test_the_support_check_multiplies_a_bounded_number_of_factors():
+    # one card throwing all of 10**5 balls reaches (b)_(b-1) permutations,
+    # 99,999 factors; the check may multiply only as many as decide it
+    from jugglecards.stochastic import estimate_single_cycle_probability
+
+    most, perm = enumeration._MAX_SUPPORT.bit_length(), math.perm
+
+    def capped_perm(n, k):
+        assert k <= most, f"math.perm asked for {k} factors"
+        return perm(n, k)
+
+    with mock.patch.object(math, "perm", capped_perm):
+        with pytest.raises(ValueError, match="more than 1000000 permutations"):
+            count_by_permutation(10**5, 1, m=10**5, ordered=False)
+        assert estimate_single_cycle_probability(10**5, 1, m=10**5, ordered=False, trials=1) == 0
+
+
+def test_the_capped_support_count_decides_as_the_full_count():
+    cap = enumeration._MAX_SUPPORT
+    for b in range(1, 40):
+        for n in range(40):
+            for m in range(1, b + 1):
+                full = math.perm(b, min(b - 1, n * m))
+                bound = enumeration._support_bound(b, n, m)
+                assert (bound > cap) == (full > cap), (b, n, m)
+                assert full > cap or bound == full, (b, n, m)

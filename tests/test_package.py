@@ -1,6 +1,7 @@
 import ast
 import doctest
 import importlib
+import importlib.util
 import pathlib
 import re
 import typing
@@ -105,6 +106,34 @@ def test_readme_tour_runs():
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.DOTALL)
     test = doctest.DocTestParser().get_doctest("\n".join(blocks), {}, "README", str(readme), 0)
     assert doctest.DocTestRunner().run(test) == (0, 13)
+
+
+def test_code_lines_drops_docstrings_comments_and_blanks():
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+    spec = importlib.util.spec_from_file_location("code_lines", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = '''"""A module docstring,
+on two lines."""
+
+import os  # a trailing comment leaves the line code
+
+# a comment line
+
+
+class Thing:
+    """A class docstring."""
+
+    def method(self):
+        """A function
+        docstring."""
+        text = """a string that
+is no docstring"""
+        return (text,
+                os.sep)
+'''
+    # import, class, def, the two lines of the string and the two of the return
+    assert tool.code_lines(source) == 7
 
 
 def test_no_function_calls_itself():

@@ -495,12 +495,18 @@ def test_the_uniform_law_refuses_more_than_a_million_permutations():
         assert len(uniform_distribution(4).prob) == 24
     with mock.patch.object(enumeration, "_MAX_SUPPORT", 23), pytest.raises(ValueError):
         uniform_distribution(4)
+    assert uniform_distribution(0).prob == {(): 1}
+    assert len(uniform_distribution(9).prob) == math.factorial(9)
     # 10! = 3,628,800 is refused before any is listed, and a million points
     # before their factorial, which takes seconds
     with mock.patch.object(itertools, "permutations", side_effect=AssertionError):
-        for b in (10, 10**6):
-            with pytest.raises(ValueError, match="more than 1000000 permutations"):
+        for b in (10, 11, 12, 13, 10**6):
+            with pytest.raises(ValueError) as refusal:
                 uniform_distribution(b)
+            assert str(refusal.value) == (
+                f"a table of the permutations of {b} points reached in {b - 1} "
+                "steps would hold more than 1000000 permutations"
+            )
 
 
 def test_any_generators_stay_inside_the_card_support_bound():

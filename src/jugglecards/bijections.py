@@ -327,25 +327,14 @@ def cover_to_sequence(
     which is what makes it order-preserving.
 
     Passing ``initial`` asserts the expected start; it is rejected if it
-    orders an equivalent pair differently from ``terminal``, or if it
-    differs from the forced arrangement.
+    differs from the forced arrangement, naming the first equivalent pair
+    it orders differently from ``terminal`` if there is one.
     """
     k = M.k
     _check_perm(terminal, k, "terminal")
     order = cover_partial_order(M)
     if initial is not None:
         _check_perm(initial, k, "initial")
-        for cls in order:
-            if len(cls) < 2:
-                continue
-            by_terminal = [x for x in terminal if x in cls]
-            by_initial = [x for x in initial if x in cls]
-            if by_terminal != by_initial:
-                u = next(a for a, c in zip(by_initial, by_terminal) if a != c)
-                v = by_terminal[by_initial.index(u)]
-                raise ValueError(
-                    f"equivalent balls {u} and {v} cannot change relative order"
-                )
     right = tuple(terminal)
     steps = []
     for j in range(M.n - 1, -1, -1):
@@ -357,7 +346,15 @@ def cover_to_sequence(
         x for cls in order for x in sorted(cls, key=terminal.index)
     )
     assert start == expected, "start must follow the cover's order"
-    if initial is not None and initial != tuple(start):
+    if initial is not None and initial != start:
+        for cls in order:  # a reordered equivalent pair always moves initial off start
+            by_initial = [x for x in initial if x in cls]
+            by_terminal = [x for x in terminal if x in cls]
+            for u, v in zip(by_initial, by_terminal):
+                if u != v:
+                    raise ValueError(
+                        f"equivalent balls {u} and {v} cannot change relative order"
+                    )
         raise ValueError(f"cover forces the start {start}, not {tuple(initial)}")
     return _row(k, steps), start
 

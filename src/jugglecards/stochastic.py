@@ -111,24 +111,6 @@ def card_distribution(
     )
 
 
-def transfer(layer: dict, moves: list) -> dict:
-    """One step of an exact walk: :func:`step_distribution` and
-    :func:`_transfer_walk`.
-
-    Maps ``{state: weight}`` to ``{state: weight}``: each ``(move,
-    factor)`` pair in ``moves``, the same list for every state, adds
-    ``weight * factor`` to ``move(state)``.  Weights may be ints or
-    fractions.
-    """
-    nxt: dict = {}
-    get = nxt.get
-    for state, weight in layer.items():
-        for move, factor in moves:
-            child = move(state)
-            nxt[child] = get(child, 0) + weight * factor
-    return nxt
-
-
 def step_distribution(d: GroupDistribution, step: GroupDistribution) -> GroupDistribution:
     """One walk step: right-multiply by a permutation drawn from ``step``.
 
@@ -137,8 +119,12 @@ def step_distribution(d: GroupDistribution, step: GroupDistribution) -> GroupDis
     """
     if d.degree != step.degree:
         raise ValueError(f"distribution on {d.degree} points, step on {step.degree}")
-    moves = [(lambda h, g=g: compose(h, g), p) for g, p in step.prob.items()]
-    return GroupDistribution(transfer(d.prob, moves))
+    prob: dict = {}
+    for h, p in d.prob.items():
+        for g, q in step.prob.items():
+            child = compose(h, g)
+            prob[child] = prob.get(child, 0) + p * q
+    return GroupDistribution(prob)
 
 
 def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistribution:
@@ -153,7 +139,9 @@ def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistributio
     top-to-random lumping of Diaconis, Fill and Pitman (1992), so the
     walk computes ``b`` counts instead of pushing weights over up to
     ``b!`` states for every step.  Every other law (weighted, unordered,
-    any other support) runs the transfer walk over arrangements.
+    any other support, or one with a zero mass) runs
+    :func:`_transfer_walk` over arrangements, on a loop of its own;
+    :func:`step_distribution`, the plain product, shares none of it.
 
     Either way the result is exact.  A walk that would hold more than
     ``jugglecards.enumeration._MAX_SUPPORT`` permutations raises
@@ -194,26 +182,34 @@ def _lumped_throws(step: GroupDistribution) -> int | None:
 
 def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
     """The walk over arrangements, the inverses of the permutations, one
-    transfer per step.
+    pass over the reached arrangements per step.
 
     Each level map ``g`` moves an arrangement by one fixed
     ``composer(inverse(g))``, the move of the census and the Monte Carlo
-    trials, and each final arrangement is inverted once.  The walk runs
-    on integer weights over the common denominator of the masses, which
-    must be positive, and divides once at the end.  It stays inside the
-    support of the uniform walk on cards of :func:`_throws` throws.
+    trials, and each final arrangement is inverted once.  Each step
+    visits the arrangements, and for each the level maps in the law's
+    order.  The walk runs on integer weights, the masses times the least
+    common multiple of their denominators, and divides once at the end;
+    a zero mass is weight 0, so the states only it reaches keep mass 0,
+    as under :func:`step_distribution`.  It stays inside the support of
+    the uniform walk on cards of :func:`_throws` throws.
     """
     b, count = step.degree, len(step.prob)
     # for two or more permutations, count ** n passes _MAX_SUPPORT exactly
     # when count ** min(n, bit_length) does, and stays a small number
     reachable = count ** min(n, _MAX_SUPPORT.bit_length())
     _check_support(b, n, min(_support_bound(b, n, _throws(step)), reachable))
-    ints = _integer_weights(step.prob, step.prob.values())
-    moves = [(composer(inverse(g)), w) for g, w in zip(step.prob, ints)]
+    scale = math.lcm(*(p.denominator for p in step.prob.values()))
+    moves = [(composer(inverse(g)), int(p * scale)) for g, p in step.prob.items()]
     layer = {identity_perm(b): 1}
     for _ in range(n):
-        layer = transfer(layer, moves)
-    total = sum(ints) ** n
+        last, layer = layer, {}
+        get = layer.get
+        for arrangement, ways in last.items():
+            for move, w in moves:
+                after = move(arrangement)
+                layer[after] = get(after, 0) + ways * w
+    total = scale ** n  # the masses sum to 1, so their integers to scale
     return GroupDistribution({inverse(a): Fraction(ways, total) for a, ways in layer.items()})
 
 

@@ -337,13 +337,23 @@ def test_card_distribution_weights():
 # exact walks
 
 
-def test_the_exact_walk_refuses_a_step_with_zero_mass():
-    # a step law may carry a zero mass; the integer walk needs every
-    # weight positive
-    step = GroupDistribution({(1, 2): Fraction(1), (2, 1): Fraction(0)})
+# a step law may carry a zero mass: on the second, only the zero-mass
+# generator (2, 3, 1) leads out of (1, 2, 3) and (2, 1, 3)
+_ZERO_MASS_LAWS = (
+    GroupDistribution({(1, 2): Fraction(1), (2, 1): Fraction(0)}),
+    GroupDistribution({(1, 2, 3): Fraction(1, 2), (2, 1, 3): Fraction(1, 2), (2, 3, 1): 0}),
+)
+
+
+def test_the_exact_walk_walks_a_step_with_zero_mass():
+    step, reached_by_zero = _ZERO_MASS_LAWS
     assert step_distribution(point_distribution(2), step).prob == {(1, 2): 1, (2, 1): 0}
-    with pytest.raises(ValueError, match="positive"):
-        exact_step_distribution(step, 2)
+    for law in _ZERO_MASS_LAWS:
+        for n in range(4):
+            assert exact_step_distribution(law, n) == _stepped(law, n), (law, n)
+    assert exact_step_distribution(reached_by_zero, 1).prob == {
+        (1, 2, 3): Fraction(1, 2), (2, 1, 3): Fraction(1, 2), (2, 3, 1): 0,
+    }
 
 
 def test_zero_steps_is_point_mass():
@@ -426,6 +436,37 @@ def test_families_that_do_not_lump_take_the_transfer_walk():
                 assert exact_step_distribution(gd, n) == _stepped(gd, n), (gd, n)
 
 
+def _tallied(law, n):
+    """The ``n``-step law as a sum over every row of ``n`` draws: each
+    row's mass product at its left-to-right composition, composed here
+    with no code of the package."""
+    then = lambda p, q: tuple(q[x - 1] for x in p)  # p first, then q
+    tally = {}
+    for row in itertools.product(law.prob.items(), repeat=n):
+        at, mass = tuple(range(1, law.degree + 1)), Fraction(1)
+        for g, p in row:
+            at, mass = then(at, g), mass * p
+        tally[at] = tally.get(at, 0) + mass
+    return tally
+
+
+def test_both_walks_are_the_sum_over_every_row():
+    laws = [
+        card_distribution(3, weights=[1, 2, 3]),
+        card_distribution(4, weights=[5, 1, 1, 1]),
+        card_distribution(3, m=2, ordered=False),
+        card_distribution(4, m=2, ordered=False),
+        *_ZERO_MASS_LAWS,
+        GroupDistribution(dict(reversed(card_distribution(3).prob.items()))),
+        GroupDistribution(dict(reversed(card_distribution(4, m=2).prob.items()))),
+    ]
+    for law in laws:
+        for n in range(4):
+            tally = _tallied(law, n)
+            assert exact_step_distribution(law, n).prob == tally, (law, n)
+            assert _stepped(law, n).prob == tally, (law, n)
+
+
 def test_reordered_uniform_generators_still_lump():
     gd = card_distribution(4, m=2)
     shuffled = GroupDistribution(dict(reversed(gd.prob.items())))
@@ -458,7 +499,7 @@ def test_huge_exact_walks_are_refused_before_they_start():
     untouched = dict(side_effect=AssertionError)
     with mock.patch.object(enumeration, "_suffix_classes", **untouched), \
             mock.patch.object(enumeration, "increasing_suffix_length", **untouched), \
-            mock.patch.object(stochastic, "transfer", **untouched):
+            mock.patch.object(stochastic, "composer", **untouched):
         with pytest.raises(ValueError, match="more than 1000000 permutations"):
             exact_step_distribution(card_distribution(30), 5)
         with pytest.raises(ValueError, match="more than 1000000 permutations"):

@@ -339,9 +339,10 @@ def cmd_census(args, parser) -> int:
         for row in rows:
             write(row + "\n")
     else:
-        write("[" + (json.dumps(first) if first else ""))
+        quote = json.encoder.encode_basestring_ascii  # what json.dumps does for a str
+        write("[" + (quote(first) if first else ""))
         for row in rows:
-            write(", " + json.dumps(row))
+            write(", " + quote(row))
         write("]\n")
     return 0
 

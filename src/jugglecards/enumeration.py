@@ -8,12 +8,15 @@ those ids one card at a time.  Crossings are not part of a state: under
 a crossing filter each weight is a polynomial in the crossings, packed
 one coefficient to a fixed number of bits in one int, so a card is a
 shift and the budget one mask.  Collecting (:func:`census_rows`) walks
-the same table with (state id, crossings so far) keys, keeps only the
-moves into keys that can still reach an accepted row, and streams the
-rows in tree-walk order: a depth-first walk to a split depth, each
-prefix followed by the completions listed backwards from the accepted
-keys as the moves are pruned.  Memory holds the move graph, tails no
-larger than it as built, and one row.
+the same table with (state id, crossings so far) keys.  Two passes of
+small-int bitsets over the ids, forward from the start and backward from
+the accepted states, find the live keys, those some accepted row passes
+through, before any move is built; the move graph holds only the live
+keys and the moves between them.  The rows stream in tree-walk order: a
+depth-first walk to a split depth, each prefix followed by the
+completions listed backwards from the accepted keys.  Memory holds the
+move graph, tails no larger than the moves out of every reached key,
+and one row.
 The moves carry a label per card of the family, so a row is one tuple
 of labels: :func:`census_rows` labels with the family's cards and wraps
 each tuple as a :class:`CardSequence` without checking its cards again,
@@ -204,7 +207,8 @@ class _Census:
     any allowed card crosses.  Fewer than ``2**(width - 1)`` rows exist,
     so no coefficient carries into the next.  Without a crossing filter
     every card counts 0 crossings and the budget is 0.  Collecting walks
-    the same table with ``(id, crossings so far)`` keys.
+    the same table with ``(id, crossings so far)`` keys and builds moves
+    only between the live ones (:meth:`move_graph`).
     """
 
     def __init__(self, query: CensusQuery, track_thrown: bool = False):
@@ -284,62 +288,101 @@ class _Census:
         return (total >> self.width * (self.query.crossings or 0)) % ((1 << self.width) - 1)
 
     def move_graph(self, labels) -> tuple[list, int, dict]:
-        """``(graph, split, tails)``: per depth, each reached key's moves as
-        ``(label, child)`` pairs in family order, ``labels[i]`` standing for
-        the family's card ``i``, kept only into keys that can still reach
-        an accepted row, and every completion of each live key at depth
-        ``split`` (at least 1) as a tuple of labels, listed in the same
-        backward pass.  A key is ``(id, crossings so far)``, and a move
-        past the budget is never made.  A cell is one label in one listed
-        tail; listing stops before the level whose cells would take the
-        running total past the moves built, so the tails never outgrow
-        the graph (a bound on the tails alone would let one ball list
-        n²/2 cells).
+        """``(graph, split, tails)``: per depth, each live key's moves into
+        live keys as ``(label, child)`` pairs in family order,
+        ``labels[i]`` standing for the family's card ``i``, and every
+        completion of each live key at depth ``split`` (at least 1) as a
+        tuple of labels.  A key is ``(id, crossings so far)`` and is live
+        when some accepted row passes through it.
+
+        Two passes of small-int bitsets over the ids find the live keys
+        before any move is built.  Forward, bit ``c`` of ``reach[d][id]``
+        is set when ``d`` cards take the start to ``id`` with ``c``
+        crossings within the budget.  Backward over the ids each depth
+        reaches, bit ``c`` of ``ahead[d][id]`` is set when ``c`` more
+        crossings take ``id`` to an accepted state.  An edge pass then
+        walks from the root, through the keys whose ``ahead`` bits,
+        shifted by their crossings, meet the crossings wanted, and builds
+        the moves between them.  Each ``reach`` layer goes once the
+        backward pass has read it, and each ``ahead`` layer once the edge
+        pass has.
+
+        A cell is one label in one listed tail.  The room is the count of
+        moves within the budget over every reached key, live or not; the
+        tails are listed backwards from the accepted keys and stop before
+        the level whose cells would take the running total past the
+        room, so they never outgrow the moves a full build would make (a
+        bound on the tails alone would let one ball list n²/2 cells).
         """
         n, budget, crossings = self.query.n, self.budget, self.query.crossings
-        graph, frontier = [], {(0, 0)}
+        full = (1 << budget + 1) - 1
+        want = full if crossings is None else full & 1 << crossings  # none past the budget
+        deltas = [delta for _, _, delta, _, _ in self.steps]
+        # per card, the crossings so far it can add its own to within the budget
+        fits = [(1 << budget - delta + 1) - 1 if delta <= budget else 0 for delta in deltas]
+        reach, room = [{0: 1}], 0
         for depth in range(n):
-            edges = {(sid, cr): [(i, (kid, cr + delta)) for (i, _, delta, _, _), kid in zip(
-                self.steps, self.row(sid, depth)) if cr + delta <= budget] for sid, cr in frontier}
+            nxt: dict = {}
+            get = nxt.get
+            for sid, bits in reach[-1].items():
+                for kid, delta, fit in zip(self.row(sid, depth), deltas, fits):
+                    if fitting := bits & fit:
+                        room += fitting.bit_count()
+                        nxt[kid] = get(kid, 0) | fitting << delta
+            reach.append(nxt)
+        later = {sid: 1 for sid in reach.pop() if self.accepts(sid)}
+        ahead = [later]
+        for depth in reversed(range(n)):
+            layer = {}
+            for sid in reach.pop():
+                bits = 0
+                for kid, delta in zip(self.row(sid, depth), deltas):
+                    bits |= later.get(kid, 0) << delta
+                if bits := bits & full:
+                    layer[sid] = bits
+            ahead.append(layer)
+            later = layer
+        graph, frontier = [], [(0, 0)] if ahead.pop().get(0, 0) & want else []
+        for depth in range(n):
+            later = ahead.pop()
+            edges = {(sid, cr): [
+                (labels[i], (kid, cr + delta))
+                for (i, _, delta, _, _), kid in zip(self.steps, self.row(sid, depth))
+                if later.get(kid, 0) << cr + delta & want
+            ] for sid, cr in frontier}
             graph.append(edges)
             frontier = {c for kids in edges.values() for _, c in kids}
-        room = sum(len(kids) for edges in graph for kids in edges.values())
-        live = {(sid, cr) for sid, cr in frontier if self.accepts(sid) and crossings in (None, cr)}
-        split, tails = n, dict.fromkeys(live, ((),))
-        for depth in reversed(range(n)):
+        split, tails = n, dict.fromkeys(frontier, ((),))
+        for depth in reversed(range(1, n)):
             edges = graph[depth]
-            for state, kids in edges.items():
-                kids[:] = [(labels[i], c) for i, c in kids if c in live]
-            live = {s for s, kids in edges.items() if kids}
-            if split == depth + 1 and depth:
-                cells = (n - depth) * sum(
-                    len(tails[child]) for kids in edges.values() for _, child in kids
-                )
-                if cells <= room:
-                    room -= cells
-                    split = depth
-                    tails = {
-                        state: [(label,) + tail for label, child in kids for tail in tails[child]]
-                        for state, kids in edges.items()
-                        if kids
-                    }
+            cells = (n - depth) * sum(len(tails[c]) for kids in edges.values() for _, c in kids)
+            if cells > room:
+                break
+            room -= cells
+            split = depth
+            tails = {
+                state: [(label,) + tail for label, child in kids for tail in tails[child]]
+                for state, kids in edges.items()
+            }
         return graph, split, tails
 
     def rows(self, labels):
         """Accepted rows in tree-walk order, one tuple of labels at a time:
         ``labels[i]`` wherever a row holds the family's card ``i``.
 
-        Builds :meth:`move_graph`, which lists every completion of the
-        keys at a split depth.  A depth-first walk over the moves from
-        the root down to that depth, with a stack of iterators (no
-        recursion, so any ``n`` works) and one shared prefix, yields the
-        prefix followed by each tail of the key it reaches.  Memory
-        holds the move graph, tails no larger than it as built, and one
-        row.
+        Builds :meth:`move_graph`, which holds only live keys and lists
+        every completion of those at a split depth.  A depth-first walk
+        over the moves from the root down to that depth, with a stack of
+        iterators (no recursion, so any ``n`` works) and one shared
+        prefix, yields the prefix followed by each tail of the key it
+        reaches; every key it enters has a row, and with no accepted row
+        the graph holds no root and nothing is yielded.  Memory holds the
+        move graph, tails no larger than the moves out of every reached
+        key, and one row.
         """
         graph, split, tails = self.move_graph(labels)
         prefix = []
-        stack = [iter(graph[0][0, 0])]
+        stack = [iter(graph[0].get((0, 0), ()))]
         while stack:
             for label, child in stack[-1]:
                 prefix.append(label)
@@ -361,10 +404,12 @@ def census_rows(query: CensusQuery):
     """Yield the sequences matching ``query`` one at a time.
 
     Rows come in tree-walk order (cards in family order at each
-    position), the order of :func:`_census_from`.  The search runs
-    before the first row; after it, memory holds the move graph, tails
-    no larger than it as built, and one row, so listings far larger than
-    memory can be streamed.  The walk yields tuples of the family's cards,
+    position), the order of :func:`_census_from`.  The search, two
+    bitset passes that find the live keys and one that builds the moves
+    between them, runs before the first row; after it, memory holds the
+    move graph of live keys, tails no larger than the moves out of every
+    reached key, and one row, so listings far larger than memory can be
+    streamed.  The walk yields tuples of the family's cards,
     each wrapped without re-checking its cards' ``b``.
     """
     engine = _Census(query)
@@ -379,7 +424,8 @@ def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):
     crossing filter is set, whose budget is first cut to ``n`` times the
     most any allowed card crosses.  Collecting returns
     ``tuple(census_rows(query))``: the walk streams rows in tree-walk
-    order, holding the move graph, tails no larger than it as built, and
+    order over moves built only between live keys, holding that move
+    graph, tails no larger than the moves out of every reached key, and
     one row.  ``jobs`` is ignored (it must still be nonnegative); it
     stays only for the benchmark's ``jobs2_speedup`` probe and goes with
     it.

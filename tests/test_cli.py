@@ -389,6 +389,15 @@ def test_a_huge_census_row_is_refused_before_any_layer(argv):
     assert done.stderr == f"error: rows hold at most 1000000 cards, got n={argv[4]}\n"
 
 
+def test_a_long_collect_drops_each_search_layer_once_read():
+    # the search keeps one dict per depth in each of its passes; kept to
+    # the end, the layers of this one-ball row would pass the cap
+    argv = ["census", "--b", "1", "--n", "300000", "--collect"]
+    done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == '["' + " ".join(["C1"] * 300000) + '"]\n'
+
+
 @pytest.mark.parametrize("flag, expected", [("--max-crossings", "243"), ("--crossings", "0")])
 def test_a_huge_crossing_budget_is_cut_to_what_the_row_can_cross(flag, expected):
     # five cards on three balls cross at most 10 times; a polynomial sized

@@ -14,6 +14,7 @@ from jugglecards import enumeration
 from jugglecards.cards import (
     Card,
     CardSequence,
+    apply_card,
     card_permutation,
     cycle_count,
     identity_perm,
@@ -254,6 +255,9 @@ def completion_counts(graph, accepted):
         CensusQuery(b=4, n=6, m=2, ordered=False, thrown=3),
         CensusQuery(b=4, n=1),
         CensusQuery(b=2, n=3, perm=identity_perm(2), crossings=99),
+        # 547 keys are reached and 105 are live: the room still counts the
+        # moves out of all 547
+        CensusQuery(b=4, n=9, perm=identity_perm(4), crossings=12, uses_top=True),
     ],
 )
 def test_tails_never_outgrow_the_move_graph(query):
@@ -300,6 +304,57 @@ def test_census_rows_are_walked_prefixes_and_their_tails(query, whole):
     _, split, _ = _Census(query).move_graph(throw_cards(query.b, query.m, query.ordered))
     assert (split == 1) == whole
     assert tuple(census_rows(query)) == _census_from(query, True)
+
+
+def prefix_keys(query):
+    """Per depth, the distinct (state, crossings so far) pairs among the
+    prefixes of the accepted rows, each part kept only when a filter reads
+    it, as the census engine keys them."""
+    q = query
+    crossed = q.crossings is not None or q.max_crossings is not None
+    bottom, top = Card(q.b, (1,)), Card(q.b, (q.b,))
+    keys = [set() for _ in range(q.n + 1)]
+    for seq in _census_from(q, True):
+        arr, cr, thrown = identity_perm(q.b), 0, frozenset()
+        for depth in range(q.n + 1):
+            prefix = seq.cards[:depth]
+            keys[depth].add((
+                arr,
+                q.uses_top is not None and top in prefix,
+                q.primitive is not None and bottom in prefix,
+                thrown if q.thrown is not None else None,
+                cr if crossed else 0,
+            ))
+            if depth < q.n:
+                card = seq.cards[depth]
+                thrown = thrown.union(arr[: q.m])
+                arr = apply_card(arr, card)
+                cr += inversions(card_permutation(card))
+    return [len(level) for level in keys]
+
+
+def test_the_move_graph_holds_only_live_keys():
+    # a key is built only when some accepted row passes through it, so
+    # each depth holds one key per distinct prefix state of the rows, and
+    # each key has a move
+    rng = random.Random(3401)
+    filtered = set()
+    for _ in range(200):
+        b = rng.randint(1, 4)
+        m = rng.randint(1, min(2, b))
+        ordered = rng.random() < 0.5
+        family = len(throw_cards(b, m, ordered))
+        n = rng.randint(1, max(k for k in range(7) if family**k <= 2000))
+        values = filter_values(b, n, m, ordered)
+        filters = {name: rng.choice(values[name]) for name in sorted(values) if rng.random() < 0.5}
+        filtered.update(filters)
+        q = CensusQuery(b=b, n=n, m=m, ordered=ordered, **filters)
+        engine = _Census(q)
+        graph, _, _ = engine.move_graph(engine.cards)
+        last = {c for kids in graph[-1].values() for _, c in kids}
+        assert [len(edges) for edges in graph] + [len(last)] == prefix_keys(q), q
+        assert all(kids for edges in graph for kids in edges.values()), q
+    assert filtered == set(filter_values(1, 1, 1, True))
 
 
 def test_census_rows_match_the_tree_walk_on_seeded_queries():

@@ -58,9 +58,8 @@ def composer(p: tuple[int, ...]):
     >>> composer((2, 1, 3))((1, 3, 2))
     (3, 1, 2)
     """
-    if len(p) == 1:
-        (x,) = p
-        return lambda q: (q[x - 1],)
+    if len(p) < 2:  # itemgetter needs an index, and returns a lone item bare
+        return lambda q: tuple(q[x - 1] for x in p)
     return operator.itemgetter(*(x - 1 for x in p))
 
 

@@ -507,12 +507,12 @@ def _support_bound(b: int, n: int, m: int) -> int:
     those whose increasing suffix is at least ``b - nm`` long, capped
     once the count is sure to pass ``_MAX_SUPPORT``.
 
-    The count is ``(b)_k`` with ``k = min(b - 1, nm)``, and every one of
-    its factors is at least 2, so at most ``_MAX_SUPPORT.bit_length()``
-    of them are multiplied: the result is the full count up to
-    ``_MAX_SUPPORT`` and passes it whenever the full count does, at no
-    cost for any ``b``."""
-    return math.perm(b, min(b - 1, n * m, _MAX_SUPPORT.bit_length()))
+    The count is ``(b)_k`` with ``k = min(b - 1, nm)``, or 0 for no
+    points, and every one of its factors is at least 2, so at most
+    ``_MAX_SUPPORT.bit_length()`` of them are multiplied: the result is
+    the full count up to ``_MAX_SUPPORT`` and passes it whenever the full
+    count does, at no cost for any ``b``."""
+    return math.perm(b, max(0, min(b - 1, n * m, _MAX_SUPPORT.bit_length())))
 
 
 def _check_support(b: int, n: int, support: int) -> None:

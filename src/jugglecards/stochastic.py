@@ -139,9 +139,11 @@ def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistributio
     top-to-random lumping of Diaconis, Fill and Pitman (1992), so the
     walk computes ``b`` counts instead of pushing weights over up to
     ``b!`` states for every step.  Every other law (weighted, unordered,
-    any other support, or one with a zero mass) runs
-    :func:`_transfer_walk` over arrangements, on a loop of its own;
-    :func:`step_distribution`, the plain product, shares none of it.
+    any other support, one with a zero mass, or the law on no points)
+    runs :func:`_transfer_walk` over arrangement ids: each reached
+    arrangement's moves are built once, as a row of ids, and later steps
+    from it only look them up.  :func:`step_distribution`, the plain
+    product, shares none of its loop.
 
     Either way the result is exact.  A walk that would hold more than
     ``jugglecards.enumeration._MAX_SUPPORT`` permutations raises
@@ -186,31 +188,61 @@ def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
 
     Each level map ``g`` moves an arrangement by one fixed
     ``composer(inverse(g))``, the move of the census and the Monte Carlo
-    trials, and each final arrangement is inverted once.  Each step
-    visits the arrangements, and for each the level maps in the law's
-    order.  The walk runs on integer weights, the masses times the least
-    common multiple of their denominators, and divides once at the end;
-    a zero mass is weight 0, so the states only it reaches keep mass 0,
-    as under :func:`step_distribution`.  It stays inside the support of
-    the uniform walk on cards of :func:`_throws` throws.
+    trials.  An arrangement gets an id, and a row of the ids its moves
+    reach in the law's order, the first time a step leaves it, so steps
+    1 to ``n - 1`` key their layers by id and take each move as one list
+    lookup and one integer multiply-add, with no tuple built or hashed.
+    The last step builds no rows: it keys its layer by arrangement,
+    reading the children of an arrangement with a row and moving one
+    without.  Rows are kept only for the arrangements reached within
+    ``n - 2`` steps, and ids and rows are freed before each final
+    arrangement is inverted.  Each step visits the arrangements, and for
+    each the level maps in the law's order.  The walk runs on integer
+    weights, the masses times the least common multiple of their
+    denominators, and divides once at the end; a zero mass is weight 0,
+    so the states only it reaches keep mass 0, as under
+    :func:`step_distribution`.  It stays inside the support of the
+    uniform walk on cards of :func:`_throws` throws.
     """
     b, count = step.degree, len(step.prob)
     # for two or more permutations, count ** n passes _MAX_SUPPORT exactly
     # when count ** min(n, bit_length) does, and stays a small number
     reachable = count ** min(n, _MAX_SUPPORT.bit_length())
     _check_support(b, n, min(_support_bound(b, n, _throws(step)), reachable))
+    if n == 0:
+        return point_distribution(b)
     scale = math.lcm(*(p.denominator for p in step.prob.values()))
-    moves = [(composer(inverse(g)), int(p * scale)) for g, p in step.prob.items()]
-    layer = {identity_perm(b): 1}
-    for _ in range(n):
+    moves = [composer(inverse(g)) for g in step.prob]
+    weights = [int(p * scale) for p in step.prob.values()]
+    start = identity_perm(b)
+    arrangements, ids, rows = [start], {start: 0}, []
+    setdefault = ids.setdefault
+    layer = {0: 1}
+    for _ in range(n - 1):
+        for arrangement in arrangements[len(rows):]:  # first reached by the last step
+            rows.append([setdefault(move(arrangement), len(ids)) for move in moves])
+        arrangements += itertools.islice(ids, len(arrangements), None)  # ids in order
         last, layer = layer, {}
         get = layer.get
-        for arrangement, ways in last.items():
-            for move, w in moves:
+        for i, ways in last.items():
+            for j, w in zip(rows[i], weights):
+                layer[j] = get(j, 0) + ways * w
+    del ids
+    ends, rowed = {}, len(rows)
+    get = ends.get
+    for i, ways in layer.items():
+        if i < rowed:
+            for j, w in zip(rows[i], weights):
+                after = arrangements[j]
+                ends[after] = get(after, 0) + ways * w
+        else:
+            arrangement = arrangements[i]
+            for move, w in zip(moves, weights):
                 after = move(arrangement)
-                layer[after] = get(after, 0) + ways * w
+                ends[after] = get(after, 0) + ways * w
+    del arrangements, rows, layer
     total = scale ** n  # the masses sum to 1, so their integers to scale
-    return GroupDistribution({inverse(a): Fraction(ways, total) for a, ways in layer.items()})
+    return GroupDistribution({inverse(a): Fraction(ways, total) for a, ways in ends.items()})
 
 
 def cycle_count_distribution(d: GroupDistribution) -> dict[int, Fraction]:

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 import pathlib
 import re
+import subprocess
+import sys
 import typing
 
 import pytest
@@ -134,6 +136,26 @@ is no docstring"""
 '''
     # import, class, def, the two lines of the string and the two of the return
     assert tool.code_lines(source) == 7
+
+
+def test_peak_rss_reports_each_fresh_run_and_the_medians():
+    tool = pathlib.Path(__file__).resolve().parents[1] / "tools" / "peak_rss.py"
+
+    def report(*command):
+        done = subprocess.run(
+            [sys.executable, str(tool), "--runs", "2", "--", *command],
+            capture_output=True, text=True, timeout=60,
+        )
+        lines = done.stdout.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["run 1", "run 2", "median"], done
+        return done.returncode, [re.fullmatch(
+            r"[^:]+: (\d+\.\d{3}) s, (\d+\.\d) MB(, exit \d+)?", line).group(2) for line in lines]
+
+    code, idle = report(sys.executable, "-c", "pass")
+    assert code == 0 and all(0 < float(mb) < 40 for mb in idle)
+    # a child that writes 80 MB peaks past that, and a failing run is kept
+    code, busy = report(sys.executable, "-c", "b = b'x' * (80 << 20); raise SystemExit(3)")
+    assert code == 1 and all(float(mb) > 80 for mb in busy)
 
 
 def test_no_function_calls_itself():

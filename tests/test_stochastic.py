@@ -467,6 +467,44 @@ def test_both_walks_are_the_sum_over_every_row():
             assert _stepped(law, n).prob == tally, (law, n)
 
 
+def test_the_law_on_no_points_walks_to_itself():
+    nothing = GroupDistribution({(): Fraction(1)})
+    assert nothing == point_distribution(0) == uniform_distribution(0)
+    assert composer(())(()) == () and composer((1,))((7,)) == (7,)
+    for n in range(4):
+        assert exact_step_distribution(nothing, n) == _stepped(nothing, n) == nothing, n
+
+
+def test_a_layer_holds_exactly_the_states_reached_in_exactly_its_steps():
+    # ids are handed out to every state found within d steps, so a layer
+    # that kept an earlier layer's states would show on these supports
+    transpositions = [p for p in itertools.permutations(range(1, 5))
+                      if sum(x != i for i, x in enumerate(p, 1)) == 2]
+    laws = [
+        GroupDistribution({(2, 1, 3): Fraction(1)}),  # identity, then it, in turn
+        GroupDistribution({g: Fraction(w, 21) for w, g in enumerate(transpositions, 1)}),
+        *_ZERO_MASS_LAWS,
+    ]
+    with mock.patch.object(stochastic, "_lumped_table", side_effect=AssertionError):
+        for law in laws:
+            for n in range(11):
+                # equal laws have equal key sets, zero-mass keys included
+                walked = exact_step_distribution(law, n)
+                assert walked == _stepped(law, n), (law, n)
+                if n <= 5:
+                    assert walked.prob == _tallied(law, n), (law, n)
+    alternating = [exact_step_distribution(laws[0], n).prob for n in range(4)]
+    assert alternating == [{(1, 2, 3): 1}, {(2, 1, 3): 1}] * 2
+
+
+def test_long_walks_after_every_id_is_handed_out_are_the_stepped_walks():
+    for law, n in (
+        (card_distribution(4, weights=[3, 1, 4, 1]), 25),
+        (card_distribution(3, m=2, ordered=False), 30),
+    ):
+        assert exact_step_distribution(law, n) == _stepped(law, n), (law, n)
+
+
 def test_reordered_uniform_generators_still_lump():
     gd = card_distribution(4, m=2)
     shuffled = GroupDistribution(dict(reversed(gd.prob.items())))

@@ -98,10 +98,11 @@ def card_distribution(
 ) -> GroupDistribution:
     """The law of one card drawn from a family, on the cards' level maps.
 
-    ``weights`` (defaulting to uniform) are positive rationals in the
-    order of :func:`jugglecards.enumeration.throw_cards`.  A card's
-    level map is its targets followed by the other levels in ascending
-    order, so distinct cards have distinct level maps.
+    ``weights`` (defaulting to uniform) are positive ints or Fractions
+    in the order of :func:`jugglecards.enumeration.throw_cards`; a float
+    is refused, since ``0.1`` is a binary fraction near, not at, 1/10.
+    A card's level map is its targets followed by the other levels in
+    ascending order, so distinct cards have distinct level maps.
     """
     cards = throw_cards(b, m, ordered)
     ints = _integer_weights(cards, weights)
@@ -188,21 +189,20 @@ def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
 
     Each level map ``g`` moves an arrangement by one fixed
     ``composer(inverse(g))``, the move of the census and the Monte Carlo
-    trials.  An arrangement gets an id, and a row of the ids its moves
-    reach in the law's order, the first time a step leaves it, so steps
-    1 to ``n - 1`` key their layers by id and take each move as one list
-    lookup and one integer multiply-add, with no tuple built or hashed.
-    The last step builds no rows: it keys its layer by arrangement,
-    reading the children of an arrangement with a row and moving one
-    without.  Rows are kept only for the arrangements reached within
-    ``n - 2`` steps, and ids and rows are freed before each final
-    arrangement is inverted.  Each step visits the arrangements, and for
-    each the level maps in the law's order.  The walk runs on integer
-    weights, the masses times the least common multiple of their
-    denominators, and divides once at the end; a zero mass is weight 0,
-    so the states only it reaches keep mass 0, as under
-    :func:`step_distribution`.  It stays inside the support of the
-    uniform walk on cards of :func:`_throws` throws.
+    trials.  :func:`_arrangement_table` gives the arrangement ids and the
+    rows of the ids their moves reach, in the law's order, for the
+    arrangements reached within ``n - 2`` steps, so steps 1 to ``n - 1``
+    key their layers by id and take each move as one list lookup and one
+    integer multiply-add, with no tuple built or hashed.  The last step
+    builds no rows: it keys its layer by arrangement, reading the
+    children of an arrangement with a row and moving one without, and
+    rows are freed before each final arrangement is inverted.  Each step
+    visits the arrangements, and for each the level maps in the law's
+    order.  The walk runs on integer weights, the masses times the least
+    common multiple of their denominators, and divides once at the end;
+    a zero mass is weight 0, so the states only it reaches keep mass 0,
+    as under :func:`step_distribution`.  It stays inside the support of
+    the uniform walk on cards of :func:`_throws` throws.
     """
     b, count = step.degree, len(step.prob)
     # for two or more permutations, count ** n passes _MAX_SUPPORT exactly
@@ -214,20 +214,14 @@ def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:
     scale = math.lcm(*(p.denominator for p in step.prob.values()))
     moves = [composer(inverse(g)) for g in step.prob]
     weights = [int(p * scale) for p in step.prob.values()]
-    start = identity_perm(b)
-    arrangements, ids, rows = [start], {start: 0}, []
-    setdefault = ids.setdefault
+    arrangements, rows = _arrangement_table(moves, identity_perm(b), n - 1)
     layer = {0: 1}
     for _ in range(n - 1):
-        for arrangement in arrangements[len(rows):]:  # first reached by the last step
-            rows.append([setdefault(move(arrangement), len(ids)) for move in moves])
-        arrangements += itertools.islice(ids, len(arrangements), None)  # ids in order
         last, layer = layer, {}
         get = layer.get
         for i, ways in last.items():
             for j, w in zip(rows[i], weights):
                 layer[j] = get(j, 0) + ways * w
-    del ids
     ends, rowed = {}, len(rows)
     get = ends.get
     for i, ways in layer.items():
@@ -289,11 +283,13 @@ def _integer_weights(cards, weights):
         weights = [1] * len(cards)
     if len(weights) != len(cards):
         raise ValueError(f"need {len(cards)} weights, got {len(weights)}")
-    fracs = [Fraction(w) for w in weights]
-    if any(f <= 0 for f in fracs):
+    for w in weights:
+        if not isinstance(w, (int, Fraction)):
+            raise ValueError(f"weights must be exact rationals, got {w!r}")
+    if any(w <= 0 for w in weights):
         raise ValueError("weights must be positive")
-    scale = math.lcm(*(f.denominator for f in fracs))
-    return [int(f * scale) for f in fracs]
+    scale = math.lcm(*(w.denominator for w in weights))
+    return [int(w * scale) for w in weights]
 
 
 def _drawn_family(b: int, n: int, m: int, ordered: bool, weights):
@@ -322,8 +318,8 @@ def sample_sequence(
 ) -> CardSequence:
     """Draw ``n`` cards independently, with replacement.
 
-    ``weights`` (defaulting to uniform) follow the order of
-    :func:`jugglecards.enumeration.throw_cards`; the draw is exact, by
+    ``weights`` (defaulting to uniform) are positive ints or Fractions,
+    as for :func:`card_distribution`; the draw is exact, by
     integer cumulative sums, so equal seeds reproduce equal sequences.
     A row of more than ``jugglecards.cards._MAX_ROW`` cards is refused
     before any draw.
@@ -358,26 +354,21 @@ def _trial_draws(root: RandomStream, trials: range, bound: int, n: int):
 
 def _arrangement_table(moves, start, n: int):
     """The arrangements that at most ``n`` moves reach from ``start``, in
-    the order a breadth-first walk finds them, and the flat table of the
-    moves between them: ``table[k*i + c] == k*j`` when ``moves[c]`` takes
-    arrangement ``i`` to arrangement ``j``, ``k`` being ``len(moves)``.
-    Arrangements first reached by the ``n``-th move are listed without a
-    row, since no trial moves on from them."""
-    k = len(moves)
-    arrangements, ids, table = [start], {start: 0}, []
+    the order a breadth-first walk finds them, and the rows of the moves
+    between them: ``rows[i][c] == j`` when ``moves[c]`` takes arrangement
+    ``i`` to arrangement ``j``.  Only the arrangements reached within
+    ``n - 1`` moves get a row, since no walk moves on from the others,
+    and the build stops at the first pass that finds no new arrangement.
+    """
+    arrangements, ids, rows = [start], {start: 0}, []
+    setdefault = ids.setdefault
     for _ in range(n):
-        layer = arrangements[len(table) // k:]
-        if not layer:
+        for arrangement in arrangements[len(rows):]:  # first reached by the last pass
+            rows.append([setdefault(move(arrangement), len(ids)) for move in moves])
+        if len(ids) == len(arrangements):
             break
-        for current in layer:
-            for move in moves:
-                after = move(current)
-                j = ids.get(after)
-                if j is None:
-                    j = ids[after] = len(arrangements)
-                    arrangements.append(after)
-                table.append(k * j)
-    return arrangements, table
+        arrangements += itertools.islice(ids, len(arrangements), None)  # ids in order
+    return arrangements, rows
 
 
 def estimate_single_cycle_probability(
@@ -395,14 +386,15 @@ def estimate_single_cycle_probability(
     are reproducible and the first ``t`` trials do not depend on the
     total trial count.  A trial follows the arrangement, the inverse of
     the permutation, which has the same cycles.  Trials run in blocks of
-    about ``jugglecards.rng._BATCH`` draws.  When the table of
-    :func:`_arrangement_table` holds at most half as many entries as the
-    trials take card steps, and at most
-    ``jugglecards.enumeration._MAX_SUPPORT``, each card is one lookup in
-    it; otherwise each card acts on the arrangement as one
-    ``itemgetter``.  When the table's codes and the integer weight total
-    both fit in a byte and a block holds at least 32 trials, every trial
-    of the block takes each card step at once, in bytes
+    about ``jugglecards.rng._BATCH`` draws.  When the rows of
+    :func:`_arrangement_table`, one entry per card and arrangement, hold
+    at most half as many entries as the trials take card steps, and at
+    most ``jugglecards.enumeration._MAX_SUPPORT``, a trial follows the
+    arrangement's id and each card is one row lookup,
+    ``rows[state][card]``; otherwise each card acts on the arrangement as
+    one ``itemgetter``.  When cards times arrangements and the integer
+    weight total both fit in a byte and a block holds at least 32 trials,
+    every trial of the block takes each card step at once, in bytes
     (:func:`_byte_walk`).  Final arrangements are tallied over the whole
     estimate, and each distinct one is tested once.  A trial is a sampled
     row, so one of more than ``jugglecards.cards._MAX_ROW`` cards is
@@ -427,21 +419,21 @@ def estimate_single_cycle_probability(
             _trial_draws(root, block, cumulative[-1], n)))
 
     if 2 * entries <= trials * n and entries <= _MAX_SUPPORT:
-        arrangements, table = _arrangement_table(moves, start, n)
+        arrangements, rows = _arrangement_table(moves, start, n)
         # below about 32 trials a block, the list loop steps faster
         if k * len(arrangements) <= 256 and cumulative[-1] <= 256 and per_block >= 32:
-            codes = _byte_walk(root, blocks, n, cumulative, table)
+            tally = _byte_walk(root, blocks, n, cumulative, rows)
         else:
-            codes = Counter()
+            tally = Counter()
             for block in blocks:
                 picks, finals = picks_of(block), []
                 for _ in block:
                     state = 0
                     for c in itertools.islice(picks, n):
-                        state = table[state + c]
+                        state = rows[state][c]
                     finals.append(state)
-                codes.update(finals)
-        ends = {arrangements[code // k]: count for code, count in codes.items()}
+                tally.update(finals)
+        ends = {arrangements[i]: count for i, count in tally.items()}
     else:
         ends = Counter()
         for block in blocks:
@@ -456,27 +448,29 @@ def estimate_single_cycle_probability(
     return Fraction(_cycle_tally(ends).get(1, 0), trials)
 
 
-def _byte_walk(root: RandomStream, blocks, n: int, cumulative, table) -> Counter:
-    """How many trials of ``blocks`` end at each code, stepping all
-    trials of a block at once in bytes.
+def _byte_walk(root: RandomStream, blocks, n: int, cumulative, rows) -> Counter:
+    """How many trials of ``blocks`` end at each arrangement id, stepping
+    all trials of a block at once in bytes.
 
-    Needs ``n >= 1``, every code ``k*j`` of ``table`` and every
-    ``k*j + c`` below 256, and a weight total of at most 256.  A block's
-    draws are one ``bytes`` (``RandomStream._split_randrange_bytes``),
-    taken to card indices by one ``translate``, and its states one
-    ``bytes`` of codes.  Card step ``s`` adds the ``s``-th picks of every
-    trial to the states as two big-endian ints, which carry across no
-    byte, and one ``translate`` through the table takes each sum to the
-    next code."""
-    bound = cumulative[-1]
+    Needs ``n >= 1``, the rows of :func:`_arrangement_table` with every
+    code ``k*j + c`` below 256, ``k`` being the number of cards, and a
+    weight total of at most 256.  The rows flatten to a 256-byte step
+    table, ``step[k*i + c] == k*j`` when card ``c`` takes arrangement
+    ``i`` to ``j``.  A block's draws are one ``bytes``
+    (``RandomStream._split_randrange_bytes``), taken to card indices by
+    one ``translate``, and its states one ``bytes`` of codes.  Card step
+    ``s`` adds the ``s``-th picks of every trial to the states as two
+    big-endian ints, which carry across no byte, and one ``translate``
+    through the step table takes each sum to the next code."""
+    bound, k = cumulative[-1], len(rows[0])
     to_card = bytes(_picks(cumulative, range(bound))).ljust(256, b"\0")
-    step = bytes(table).ljust(256, b"\0")
-    ends = Counter()
+    step = bytes(k * j for row in rows for j in row).ljust(256, b"\0")
+    codes = Counter()
     for block in blocks:
         picks = root._split_randrange_bytes(block, bound, n).translate(to_card)
         states = picks[::n].translate(step)  # from code 0, the first step
         for s in range(1, n):
             states = (int.from_bytes(states, "big") + int.from_bytes(picks[s::n], "big")
                       ).to_bytes(len(block), "big").translate(step)
-        ends.update(states)
-    return ends
+        codes.update(states)
+    return Counter({code // k: count for code, count in codes.items()})

@@ -156,6 +156,11 @@ def test_peak_rss_reports_each_fresh_run_and_the_medians():
     # a child that writes 80 MB peaks past that, and a failing run is kept
     code, busy = report(sys.executable, "-c", "b = b'x' * (80 << 20); raise SystemExit(3)")
     assert code == 1 and all(float(mb) > 80 for mb in busy)
+    # a command that cannot start is one line on stderr, not a traceback
+    done = subprocess.run([sys.executable, str(tool), "--", "no-such-command"],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "cannot run no-such-command: No such file or directory\n"
 
 
 def test_no_function_calls_itself():

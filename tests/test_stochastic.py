@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -331,6 +332,20 @@ def test_card_distribution_weights():
         card_distribution(2, weights=(1,))
     with pytest.raises(ValueError):
         card_distribution(2, weights=(1, 0))
+    assert card_distribution(2, weights=[Fraction(1, 10), Fraction(9, 10)]).prob == {
+        (1, 2): Fraction(1, 10), (2, 1): Fraction(9, 10)}
+
+
+def test_float_card_weights_are_refused():
+    # 0.1 is the binary fraction 3602879701896397/36028797018963968, not 1/10
+    for draw in (card_distribution,
+                 lambda b, weights: sample_sequence(b, 3, weights=weights),
+                 lambda b, weights: estimate_single_cycle_probability(
+                     b, 3, weights=weights, trials=5)):
+        with pytest.raises(ValueError, match=r"^weights must be exact rationals, got 0\.1$"):
+            draw(2, weights=[0.1, 0.9])
+        with pytest.raises(ValueError, match="exact rationals, got 2.0"):
+            draw(2, weights=[1, 2.0])
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +518,30 @@ def test_long_walks_after_every_id_is_handed_out_are_the_stepped_walks():
         (card_distribution(3, m=2, ordered=False), 30),
     ):
         assert exact_step_distribution(law, n) == _stepped(law, n), (law, n)
+
+
+def test_the_walk_keeps_rows_only_within_n_minus_2_steps():
+    # the last step reads no row, so rows for the arrangements it reaches
+    # first would be held for nothing
+    laws = [
+        card_distribution(3, weights=[1, 2, 3]),
+        card_distribution(4, m=2, ordered=False),
+        *_ZERO_MASS_LAWS,
+    ]
+    built, build = [], stochastic._arrangement_table
+
+    def table(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    for law in laws:
+        for n in range(1, 7):
+            built.clear()
+            with mock.patch.object(stochastic, "_arrangement_table", side_effect=table):
+                assert stochastic._transfer_walk(law, n) == _stepped(law, n), (law, n)
+            ((_, rows),) = built
+            reached = set().union(*(_stepped(law, d).prob for d in range(n - 1)))
+            assert len(rows) == len(reached), (law, n)
 
 
 def test_reordered_uniform_generators_still_lump():
@@ -900,30 +939,65 @@ def _arrangement_moves(b):
 
 def test_the_arrangement_table_lists_every_reachable_arrangement():
     perms, moves = _arrangement_moves(4)
-    arrangements, table = stochastic._arrangement_table(moves, identity_perm(4), 100)
+    arrangements, rows = stochastic._arrangement_table(moves, identity_perm(4), 100)
     assert arrangements[0] == identity_perm(4)
     assert sorted(arrangements) == sorted(itertools.permutations(range(1, 5)))
-    assert len(table) == 4 * 24
+    assert len(rows) == 24 and all(len(row) == 4 for row in rows)
     for i, current in enumerate(arrangements):
         for c, perm in enumerate(perms):
-            assert table[4 * i + c] % 4 == 0
-            assert arrangements[table[4 * i + c] // 4] == compose(perm, current)
+            assert arrangements[rows[i][c]] == compose(perm, current)
 
 
 def test_the_arrangement_table_stops_at_n_cards():
     perms, moves = _arrangement_moves(8)
     start = identity_perm(8)
-    arrangements, table = stochastic._arrangement_table(moves, start, 2)
+    arrangements, rows = stochastic._arrangement_table(moves, start, 2)
     assert len(arrangements) == stochastic._support_bound(8, 2, 1) == 56
     two_cards = {compose(q, compose(p, start)) for p in perms for q in perms}
     assert set(arrangements) == two_cards
     # rows for the identity and the seven arrangements one card away
     one_card = {compose(p, start) for p in perms}
-    assert set(arrangements[:len(table) // 8]) == one_card and len(table) == 8 * 8
+    assert set(arrangements[:len(rows)]) == one_card and len(rows) == 8
     for i, current in enumerate(arrangements[:8]):
         for c, perm in enumerate(perms):
-            assert arrangements[table[8 * i + c] // 8] == compose(perm, current)
+            assert arrangements[rows[i][c]] == compose(perm, current)
     assert stochastic._arrangement_table(moves, start, 0) == ([start], [])
+
+
+def test_a_saturated_table_stops_building():
+    # b = 3 reaches its 3! arrangements within two moves; the passes after
+    # that would each slice every id again
+    _, moves = _arrangement_moves(3)
+    with mock.patch.object(itertools, "islice", wraps=itertools.islice) as islice:
+        arrangements, rows = stochastic._arrangement_table(moves, identity_perm(3), 10**5)
+    assert len(arrangements) == len(rows) == 6
+    assert islice.call_count <= math.factorial(3) + 1
+
+
+def test_the_byte_walk_tallies_the_ids_of_the_list_loop():
+    for b, n, m, ordered, weights in (
+        (4, 5, 1, True, None),  # 4 cards times 24 arrangements
+        (3, 3, 2, False, [1, 2, 6]),
+        (6, 1, 2, False, None),  # 15 cards times 15 arrangements
+        (4, 10, 1, True, [1, 2, 3, 250]),
+    ):
+        cards = throw_cards(b, m, ordered)
+        moves = [composer(inverse(card_permutation(c))) for c in cards]
+        arrangements, rows = stochastic._arrangement_table(moves, identity_perm(b), n)
+        assert len(cards) * len(arrangements) <= 256
+        cumulative = list(itertools.accumulate(weights or [1] * len(cards)))
+        blocks = [range(0, 40), range(40, 73), range(73, 150)]
+        root = RandomStream(2**61 + b)
+        tally = Counter()
+        for block in blocks:
+            draws = iter(root.split_randrange_many(block, cumulative[-1], n))
+            for _ in block:
+                state = 0
+                for c in stochastic._picks(cumulative, itertools.islice(draws, n)):
+                    state = rows[state][c]
+                tally[state] += 1
+        walked = stochastic._byte_walk(root, blocks, n, cumulative, rows)
+        assert walked == tally and sum(walked.values()) == 150, (b, n, m, ordered)
 
 
 def test_estimate_rejects_bad_families_and_negative_steps():

@@ -11,7 +11,8 @@ about 14 MB.  Prints each run's wall seconds and peak RSS
 
     python tools/peak_rss.py --runs 3 -- python -c "import jugglecards"
 
-Exits 1 if any run exits non-zero, after reporting every run.
+Exits 1 if any run exits non-zero, after reporting every run, and 2
+with one line on stderr if the command cannot be started.
 """
 
 import argparse
@@ -39,7 +40,11 @@ def main() -> int:
         parser.error("need --runs of at least 1 and a command after --")
     walls, peaks, failed = [], [], False
     for run in range(1, args.runs + 1):
-        wall, peak, code = measure(command)
+        try:
+            wall, peak, code = measure(command)
+        except OSError as error:
+            print(f"cannot run {command[0]}: {error.strerror}", file=sys.stderr)
+            return 2
         walls.append(wall)
         peaks.append(peak)
         failed |= code != 0

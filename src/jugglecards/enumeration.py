@@ -29,8 +29,18 @@ per-permutation and cycle tallies of those families, and the lumped
 exact walk in :mod:`jugglecards.stochastic`, read one table,
 :func:`_lumped_table`: each suffix class gets its counts from
 :func:`jugglecards.counting.gen_stirling`, and only the reachable
-permutations are listed.  Unordered multi-throw families tally the
-census engine's final layer, which stays the oracle for the table.
+permutations are listed.  Rows of uniform unordered ``m``-throw cards
+depend only on the descent set of the permutation they reach: undoing
+such a card is a stable sort by a 0/1 label, so undoing a row is a radix
+sort, the view of Bayer and Diaconis (1992), and the counts live in
+Solomon's descent algebra (1976).  :func:`_tie_table` walks the labels'
+columns over tie states, the sets of adjacent points whose label words
+still agree, at most ``2^(b-1)`` of them, and a permutation takes the
+rows of the states that cut every one of its descents.  The
+per-permutation tally of those families without thrown counts, the
+exact walk on them and a census whose only filter is ``perm`` read that
+table; the tally by thrown count still reads the census engine's final
+layer, which stays the oracle for both tables.
 
 :func:`_census_from` is the brute-force oracle the tests pin the
 engine to: it walks every row on an explicit stack, prunes nothing, and
@@ -426,14 +436,23 @@ def census(query: CensusQuery, collect: bool = False, jobs: int | None = None):
     ``tuple(census_rows(query))``: the walk streams rows in tree-walk
     order over moves built only between live keys, holding that move
     graph, tails no larger than the moves out of every reached key, and
-    one row.  ``jobs`` is ignored (it must still be nonnegative); it
-    stays only for the benchmark's ``jobs2_speedup`` probe and goes with
-    it.
+    one row.  A count of uniform unordered multi-throw rows whose only
+    filter is ``perm`` sums :func:`_tie_table` over the tie states that
+    cut every descent of ``perm``, so it holds at most ``2^(b-1)``
+    states, never the permutations.  ``jobs`` is ignored (it must still
+    be nonnegative); it stays only for the benchmark's ``jobs2_speedup``
+    probe and goes with it.
     """
     if jobs is not None and jobs < 0:
         raise ValueError(f"jobs must be nonnegative, got {jobs}")
     if collect:
         return tuple(census_rows(query))
+    q = query
+    if not q.ordered and q.m > 1 and q.perm is not None and (
+            q.crossings, q.max_crossings, q.primitive, q.uses_top, q.thrown) == (None,) * 5:
+        # the rows whose final cut set holds the descent set of perm
+        des = sum(1 << i for i in range(q.b - 1) if q.perm[i] > q.perm[i + 1])
+        return sum(rows for cuts, rows in _tie_table(q.b, q.n, q.m).items() if cuts & des == des)
     return _Census(query).count()
 
 
@@ -449,10 +468,13 @@ def count_by_permutation(
     ``by_thrown`` the keys are ``(perm, k)`` with ``k`` the number of
     distinct balls thrown, reached by ``gen_stirling(n, k, m)`` rows for
     each ``k`` from ``b - s`` (at least 1) to ``b``.  Unordered
-    multi-throw families run the census engine with no filters and read
-    each final arrangement as a permutation; tests pin the table to that
-    engine and to a tally over :func:`all_sequences`.  Either way a
-    table past ``_MAX_SUPPORT`` permutations raises ``ValueError``
+    multi-throw families read :func:`_descent_table`: a permutation is
+    reached by the rows of its descent class, so only the tie states of
+    :func:`_tie_table` are counted and the reachable permutations listed.
+    With ``by_thrown`` they run the census engine with no filters and
+    read each final arrangement as a permutation; tests pin both tables
+    to that engine and to a tally over :func:`all_sequences`.  Either way
+    a table past ``_MAX_SUPPORT`` permutations raises ``ValueError``
     before anything is counted.
 
     >>> table = count_by_permutation(3, 2)
@@ -463,6 +485,8 @@ def count_by_permutation(
     """
     query = CensusQuery(b=b, n=n, m=m, ordered=ordered)
     if not ordered and m > 1:
+        if not by_thrown:
+            return _descent_table(b, n, m, int)
         _check_support(b, n, _support_bound(b, n, m))
         return _census_by_permutation(query, by_thrown)
     if not by_thrown:
@@ -534,21 +558,134 @@ def _lumped_table(b: int, n: int, m: int, value) -> dict:
     class.  A permutation with suffix ``s`` needs ``b - s`` distinct
     balls thrown and ``n`` cards throw at most ``nm``, so the reachable
     ones end in an increasing tail of ``b - nm`` points (at least one)
-    after any order of the others: each tail from
-    ``itertools.combinations`` behind each ``itertools.permutations`` of
-    the head.  A support past ``_MAX_SUPPORT`` permutations raises
-    ``ValueError`` before anything is counted or listed.
+    after any order of the others: the :func:`_shuffles` of the cuts
+    after each of the first ``b - nm`` points.  A support past
+    ``_MAX_SUPPORT`` permutations raises ``ValueError`` before anything
+    is counted or listed.
     """
     _check_support(b, n, _support_bound(b, n, m))
     per_class = {s: value(ks) for s, ks in _suffix_classes(b, n, m).items()}
     least = max(1, b - n * m)
-    points = range(1, b + 1)
-    support = []
-    for tail in itertools.combinations(points, least):
-        head = [x for x in points if x not in tail]
-        support.extend(map(operator.add, itertools.permutations(head), itertools.repeat(tail)))
+    support = _shuffles(b, (1 << b - least) - 1)
     classes = map(increasing_suffix_length, support)
     return dict(zip(support, map(per_class.__getitem__, classes)))
+
+
+def _tie_moves(b: int, m: int, cuts: int) -> list[tuple[int, int]]:
+    """``(cuts after, columns)``: each tie state one uniform unordered
+    ``m``-throw card can leave from ``cuts``, and how many label columns
+    leave it.
+
+    Bit ``i`` of a cut set stands for the points ``i + 1`` and ``i + 2``
+    of ``1..b``, set once their label words differ.  A column puts ``j``
+    ones on the first ``j`` points of each tied block, ``m`` ones in all,
+    and a block of ``s`` points with ``0 < j < s`` is cut after its
+    ``j``-th point.  The blocks are taken in turn, each partial column
+    kept as (cuts so far, ones placed)."""
+    parts = {(cuts, 0): 1}
+    start = 0
+    for end in [i + 1 for i in range(b - 1) if cuts >> i & 1] + [b]:
+        size, nxt = end - start, {}
+        get = nxt.get
+        for (bits, used), ways in parts.items():
+            for j in range(min(size, m - used) + 1):
+                key = (bits | (1 << start + j - 1 if 0 < j < size else 0), used + j)
+                nxt[key] = get(key, 0) + ways
+        parts, start = nxt, end
+    return [(bits, ways) for (bits, used), ways in parts.items() if used == m]
+
+
+def _tie_table(b: int, n: int, m: int) -> dict[int, int]:
+    """``{cuts: rows}``: how many rows of ``n`` uniform unordered
+    ``m``-throw cards leave each tie state, a set of cut pairs as in
+    :func:`_tie_moves`.
+
+    Undoing an unordered card is a stable sort of the balls by a 0/1
+    label, its thrown balls first, so undoing a row is a radix sort by
+    the balls' label words, the first card most significant.  A row
+    reaches the permutation ``p`` exactly when the words are sorted along
+    the start order ``1..b`` and every tied pair ``i, i + 1`` keeps
+    ``p(i) < p(i + 1)``, so the rows reaching ``p`` are those whose final
+    cut set holds its descent set.  The columns are walked most
+    significant first from the state with every pair tied; each state's
+    moves are built once.  A layer past ``_MAX_SUPPORT`` states raises
+    ``ValueError`` before it grows further."""
+    layer: dict[int, int] = {0: 1}
+    moves: dict[int, list] = {}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for cuts, ways in layer.items():
+            if cuts not in moves:
+                moves[cuts] = _tie_moves(b, m, cuts)
+            for after, columns in moves[cuts]:
+                nxt[after] = get(after, 0) + ways * columns
+            if len(nxt) > _MAX_SUPPORT:
+                raise ValueError(
+                    f"a table of the tie states of {b} points after {n} cards "
+                    f"would hold more than {_MAX_SUPPORT} states"
+                )
+        layer = nxt
+    return layer
+
+
+def _descent_table(b: int, n: int, m: int, value) -> dict:
+    """``{perm: value(rows)}`` over the permutations of ``1..b`` that ``n``
+    uniform unordered ``m``-throw cards reach, ``rows`` being the count
+    of the permutation's descent class: the sum of :func:`_tie_table`
+    over the cut sets holding its descent set.
+
+    One subset-sum pass over the bits gives every class's count, and
+    ``value`` runs once per class some row reaches.  The reached
+    permutations are those whose descent set lies in some reached cut
+    set, so each cut set that no other reached one holds lists its
+    :func:`_shuffles`.  A support past ``_MAX_SUPPORT`` permutations
+    raises ``ValueError`` before anything is counted or listed.
+    """
+    _check_support(b, n, _support_bound(b, n, m))
+    table = _tie_table(b, n, m)
+    width = functools.reduce(operator.or_, table, 0).bit_length()
+    rows = [table.get(d, 0) for d in range(1 << width)]
+    classes = [()]  # classes[d]: the descent set d as one bool per pair
+    for i in range(width):  # rows[d] becomes the sum over the cut sets holding d
+        bit = 1 << i
+        rows = [ways if d & bit else ways + rows[d | bit] for d, ways in enumerate(rows)]
+        classes = [c + (False,) for c in classes] + [c + (True,) for c in classes]
+    per_class = {c: value(ways) for c, ways in zip(classes, rows) if ways}
+    out = {}
+    for cuts, ways in table.items():
+        if rows[cuts] == ways:  # no other reached cut set holds this one
+            for p in _shuffles(b, cuts):
+                out[p] = per_class[tuple(map(operator.gt, p, p[1:width + 1]))]
+    return out
+
+
+def _shuffles(b: int, cuts: int) -> list[tuple[int, ...]]:
+    """The permutations of ``1..b`` increasing between the cuts of
+    ``cuts``, so with every descent in it.
+
+    The runs are added in turn, each as an increasing tail: for each
+    choice of its values among those so far (``itertools.combinations``),
+    every permutation of the earlier runs is relabeled onto the values
+    left.  Runs of one point before the last run take every order at
+    once, from ``itertools.permutations`` of those values, so the
+    permutations with a long enough increasing suffix come tail by tail,
+    the order of :func:`_lumped_table`'s keys."""
+    ends = [i + 1 for i in range(b - 1) if cuts >> i & 1] + [b]
+    lead = next(k for k, end in enumerate(ends[:-1] + [0]) if end != k + 1)
+    perms = None  # while None, every order of the values so far
+    for start, end in zip([lead] + ends[lead:], ends[lead:]):
+        points = range(1, end + 1)
+        grown = []
+        for tail in itertools.combinations(points, end - start):
+            rest = [x for x in points if x not in tail]
+            if perms is None:
+                heads = itertools.permutations(rest)
+            else:  # the v-th value left stands for v
+                heads = map(tuple, map(functools.partial(map, [0, *rest].__getitem__), perms))
+            grown.extend(map(operator.add, heads, itertools.repeat(tail)))
+        perms = grown
+    return perms
 
 
 def brute_js(sigma: tuple[int, ...], n: int, b: int, m: int = 1) -> int:

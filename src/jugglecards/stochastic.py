@@ -34,6 +34,7 @@ from jugglecards.cards import (
 from jugglecards.enumeration import (
     _MAX_SUPPORT,
     _check_support,
+    _descent_table,
     _lumped_table,
     _support_bound,
     throw_cards,
@@ -139,14 +140,19 @@ def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistributio
     ``(b)_m ** n``, read from the same suffix-class table.  This is the
     top-to-random lumping of Diaconis, Fill and Pitman (1992), so the
     walk computes ``b`` counts instead of pushing weights over up to
-    ``b!`` states for every step.  Every other law (weighted, unordered,
-    any other support, one with a zero mass, or the law on no points)
-    runs :func:`_transfer_walk` over arrangement ids: each reached
+    ``b!`` states for every step.  A uniform draw from the unordered
+    ``m``-throw cards, ``m >= 2`` (found by :func:`_descent_throws`), takes
+    the descent-class walk: a permutation's mass depends only on its
+    descent set, and is the row count of
+    :func:`jugglecards.enumeration._descent_table` over ``C(b, m) ** n``,
+    which pushes counts over at most ``2^(b-1)`` tie states.  Every other
+    law (weighted, any other support, one with a zero mass, or the law on
+    no points) runs :func:`_transfer_walk` over arrangement ids: each reached
     arrangement's moves are built once, as a row of ids, and later steps
     from it only look them up.  :func:`step_distribution`, the plain
     product, shares none of its loop.
 
-    Either way the result is exact.  A walk that would hold more than
+    On every path the result is exact.  A walk that would hold more than
     ``jugglecards.enumeration._MAX_SUPPORT`` permutations raises
     ``ValueError`` before it starts.
     """
@@ -159,6 +165,10 @@ def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistributio
         return GroupDistribution(
             _lumped_table(b, n, m, lambda ks: Fraction(sum(ks.values()), math.perm(b, m) ** n))
         )
+    if n >= 1 and (m := _descent_throws(step)) is not None:
+        # each descent class's row count over the C(b, m) ** n rows
+        b, total = step.degree, math.comb(step.degree, m) ** n
+        return GroupDistribution(_descent_table(b, n, m, lambda rows: Fraction(rows, total)))
     return _transfer_walk(step, n)
 
 
@@ -181,6 +191,23 @@ def _lumped_throws(step: GroupDistribution) -> int | None:
         return None
     m = _throws(step)
     return m if len(step.prob) == math.perm(step.degree, m) else None
+
+
+def _descent_throws(step: GroupDistribution) -> int | None:
+    """The ``m >= 2`` whose unordered ``m``-throw cards are drawn
+    uniformly by ``step``; ``None`` if there is none.
+
+    Their level maps are the ``C(b, m)`` permutations with no descent but
+    at ``m``, so the step is theirs when its masses are equal, every
+    descent of its support is at the one position ``m``, and the support
+    has ``C(b, m)`` elements."""
+    if len(set(step.prob.values())) != 1:
+        return None
+    descents = {i for g in step.prob for i in range(1, len(g)) if g[i - 1] > g[i]}
+    if len(descents) != 1:
+        return None
+    (m,) = descents
+    return m if m >= 2 and len(step.prob) == math.comb(step.degree, m) else None
 
 
 def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from jugglecards import enumeration
 from jugglecards.bijections import dyck_to_minimal, minimal_to_dyck
 from jugglecards.cli import main
 from jugglecards.enumeration import CensusQuery, census
@@ -450,6 +453,44 @@ def test_a_run_out_of_memory_exits_2_with_one_line(argv):
     # about four times the cap: the render about 1 GB, the census more
     done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
     assert (done.returncode, done.stdout, done.stderr) == (2, "", "error: out of memory\n")
+
+
+def test_the_unordered_census_of_one_perm_answers_at_once(capsys):
+    # the census engine held all 8! arrangement states for seconds; the tie
+    # table holds at most 2**7 states
+    argv = ["census", "--b", "8", "--n", "12", "--m", "2", "--unordered", "--perm", "id"]
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (0, "5958009377752\n", "")
+    assert time.perf_counter() - start < 1
+
+
+def test_the_tie_state_bound_exits_2_with_one_line(capsys):
+    built, moves = [], enumeration._tie_moves
+
+    def spy(*args):
+        built.append(args)
+        return moves(*args)
+
+    argv = ["census", "--b", "8", "--n", "12", "--m", "2", "--unordered", "--perm", "id"]
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 3), \
+            mock.patch.object(enumeration, "_tie_moves", side_effect=spy):
+        assert run(capsys, *argv) == (2, "", (
+            "error: a table of the tie states of 8 points after 12 cards "
+            "would hold more than 3 states\n"))
+    # one state after the first card and three after the second: the third
+    # layer is refused while the second layer's moves are built
+    assert len(built) <= 5
+
+
+def test_the_unordered_walk_on_nine_balls_fits_under_the_cap():
+    code = (
+        "from jugglecards.stochastic import card_distribution, exact_step_distribution, "
+        "single_cycle_mass; "
+        "print(single_cycle_mass(exact_step_distribution("
+        "card_distribution(9, 2, ordered=False), 6)))"
+    )
+    done = fresh("-c", code, cap_mb=256)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1/9\n", "")
 
 
 def test_verify_siteswap(capsys):

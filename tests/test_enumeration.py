@@ -635,21 +635,77 @@ def test_the_unordered_tally_refuses_a_support_past_its_bound():
     with mock.patch.object(enumeration, "_MAX_SUPPORT", 12):
         assert len(count_by_permutation(4, 1, m=2, ordered=False)) == 6
     with mock.patch.object(enumeration, "_MAX_SUPPORT", 11), \
-            mock.patch.object(enumeration._Census, "final_layer", side_effect=AssertionError):
+            mock.patch.object(enumeration._Census, "final_layer", side_effect=AssertionError), \
+            mock.patch.object(enumeration, "_tie_table", side_effect=AssertionError):
         with pytest.raises(ValueError, match="more than 11"):
             count_by_permutation(4, 1, m=2, ordered=False)
 
     # eight such cards on b balls reach up to b! permutations: 10! is refused
-    # before the engine runs, 9! = 362,880 is not
+    # before the engine (by thrown count) or the tie table (without) runs,
+    # 9! = 362,880 is not
     class Ran(Exception):
         pass
 
-    with mock.patch.object(enumeration._Census, "final_layer", side_effect=Ran):
+    with mock.patch.object(enumeration._Census, "final_layer", side_effect=Ran), \
+            mock.patch.object(enumeration, "_tie_table", side_effect=Ran):
         for by_thrown in (False, True):
             with pytest.raises(ValueError, match="more than 1000000 permutations"):
                 count_by_permutation(10, 8, m=2, ordered=False, by_thrown=by_thrown)
             with pytest.raises(Ran):
                 count_by_permutation(9, 8, m=2, ordered=False, by_thrown=by_thrown)
+
+
+def test_the_descent_table_is_the_engine_tally():
+    # every unordered multi-throw family with b <= 6 and n <= 5, permutation
+    # by permutation, against the census engine's final layer
+    for b in range(2, 7):
+        for m in range(2, b + 1):
+            for n in range(1, 6):
+                with mock.patch.object(enumeration, "_Census", side_effect=AssertionError):
+                    table = count_by_permutation(b, n, m, ordered=False)
+                query = CensusQuery(b=b, n=n, m=m, ordered=False)
+                assert table == _census_by_permutation(query, False), (b, m, n)
+                assert sum(table.values()) == math.comb(b, m) ** n
+
+
+def test_a_census_by_perm_alone_reads_the_tie_table():
+    for b, m, n in ((2, 2, 3), (3, 2, 4), (4, 2, 5), (4, 3, 3), (5, 2, 3), (5, 4, 2)):
+        for perm in itertools.permutations(range(1, b + 1)):
+            query = CensusQuery(b=b, n=n, m=m, ordered=False, perm=perm)
+            with mock.patch.object(enumeration, "_Census", side_effect=AssertionError):
+                ways = census(query)
+            assert ways == _Census(query).count(), (b, m, n, perm)
+            if b <= 4 and n <= 3:
+                assert ways == _census_from(query, False), (b, m, n, perm)
+    # any other filter, an ordered or single-throw family, or no perm takes the engine
+    with mock.patch.object(enumeration, "_tie_table", side_effect=AssertionError):
+        for query in (
+            CensusQuery(b=4, n=3, m=2, ordered=False, perm=(2, 1, 4, 3), thrown=4),
+            CensusQuery(b=4, n=3, m=2, ordered=False, perm=(2, 1, 4, 3), max_crossings=6),
+            CensusQuery(b=4, n=3, m=2, ordered=False, perm=(2, 1, 4, 3), primitive=True),
+            CensusQuery(b=4, n=3, m=2, perm=(2, 1, 4, 3)),
+            CensusQuery(b=4, n=3, ordered=False, perm=(2, 1, 4, 3)),
+            CensusQuery(b=4, n=3, m=2, ordered=False),
+        ):
+            assert census(query) == _census_from(query, False), query
+
+
+def test_the_tie_table_refuses_a_layer_past_its_bound():
+    # twelve cards throwing 2 of 8 balls: one tie state after the first card,
+    # three after the second, more after the third
+    assert len(enumeration._tie_table(8, 2, 2)) == 3
+    built, moves = [], enumeration._tie_moves
+
+    def spy(*args):
+        built.append(args)
+        return moves(*args)
+
+    with mock.patch.object(enumeration, "_MAX_SUPPORT", 3), \
+            mock.patch.object(enumeration, "_tie_moves", side_effect=spy):
+        with pytest.raises(ValueError, match="more than 3 states"):
+            enumeration._tie_table(8, 12, 2)
+    # moves were built only from the start and the two layers within the bound
+    assert len(built) <= 5
 
 
 def test_the_support_check_multiplies_a_bounded_number_of_factors():

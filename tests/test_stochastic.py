@@ -439,15 +439,20 @@ def _stepped(gd, n):
 
 
 def test_families_that_do_not_lump_take_the_transfer_walk():
+    # uniform unordered multi-throw laws take the descent table, so the
+    # unordered laws here are weighted ones of the same shapes
     families = [
         card_distribution(3, weights=[1, 2, 3]),
         card_distribution(4, weights=[5, 1, 1, 1]),  # only C1, the identity, reweighted
-        card_distribution(4, m=2, ordered=False),
-        card_distribution(3, m=2, ordered=False),  # as many cards as single throws
+        card_distribution(4, m=2, ordered=False, weights=[1, 2, 1, 3, 1, 1]),
+        # as many cards as single throws
+        card_distribution(3, m=2, ordered=False, weights=[2, 1, 1]),
     ]
+    untouched = dict(side_effect=AssertionError)
     for gd in families:
         for n in (1, 2, 5):
-            with mock.patch.object(stochastic, "_lumped_table", side_effect=AssertionError):
+            with mock.patch.object(stochastic, "_lumped_table", **untouched), \
+                    mock.patch.object(stochastic, "_descent_table", **untouched):
                 assert exact_step_distribution(gd, n) == _stepped(gd, n), (gd, n)
 
 
@@ -570,6 +575,63 @@ def test_the_lumped_family_is_read_from_the_law_alone():
             m = stochastic._lumped_throws(law)
             same = {k for k, maps in families.items() if set(law.prob) == maps}
             assert (m is None) == (not same) and (m is None or m in same), law
+
+
+def test_the_unordered_family_is_read_from_the_law_alone():
+    # a uniform law takes the descent table exactly when its support is the
+    # level maps of one unordered m-throw family with 2 <= m < b; m = b
+    # throws give the identity alone
+    for b, sizes in ((2, (1, 2)), (3, range(1, 7)), (4, (4,))):
+        families = {
+            m: {card_permutation(c) for c in throw_cards(b, m, ordered=False)}
+            for m in range(2, b)
+        }
+        for law in _uniform_laws(b, sizes):
+            m = stochastic._descent_throws(law)
+            same = {k for k, maps in families.items() if set(law.prob) == maps}
+            assert (m is None) == (not same) and (m is None or m in same), law
+
+
+def test_the_descent_walk_is_the_sum_over_every_row():
+    for b in (3, 4):
+        for m in range(2, b):
+            law = card_distribution(b, m, ordered=False)
+            for n in range(1, 5):
+                with mock.patch.object(stochastic, "_transfer_walk", side_effect=AssertionError):
+                    walked = exact_step_distribution(law, n)
+                assert walked.prob == _tallied(law, n), (b, m, n)
+
+
+@pytest.mark.parametrize("b", [5, 6])
+def test_the_descent_walk_is_the_transfer_walk(b):
+    for m in range(2, b):
+        law = card_distribution(b, m, ordered=False)
+        for n in range(1, 14):
+            walked = exact_step_distribution(law, n)
+            assert walked.prob == stochastic._transfer_walk(law, n).prob, (b, m, n)
+
+
+def test_laws_near_the_unordered_family_take_their_old_routes():
+    law = card_distribution(4, m=2, ordered=False)
+    maps = list(law.prob)
+    near = [
+        card_distribution(4, m=2, ordered=False, weights=[1, 2, 3, 4, 5, 6]),
+        GroupDistribution(dict.fromkeys(maps[:-1], Fraction(1, 5))),  # one card dropped
+        GroupDistribution({g: Fraction(0 if g == maps[-1] else 1, 5) for g in maps}),
+    ]
+    for gd in near:
+        assert stochastic._descent_throws(gd) is None, gd
+        for n in range(1, 5):
+            with mock.patch.object(stochastic, "_descent_table", side_effect=AssertionError):
+                assert exact_step_distribution(gd, n) == _stepped(gd, n), (gd, n)
+    # single throws, the same family ordered or not, keep the lumped walk
+    single = card_distribution(4, ordered=False)
+    assert single == card_distribution(4) and stochastic._descent_throws(single) is None
+    untouched = dict(side_effect=AssertionError)
+    for n in range(1, 5):
+        with mock.patch.object(stochastic, "_descent_table", **untouched), \
+                mock.patch.object(stochastic, "_transfer_walk", **untouched):
+            assert exact_step_distribution(single, n) == _stepped(single, n), n
 
 
 def test_huge_exact_walks_are_refused_before_they_start():

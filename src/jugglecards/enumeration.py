@@ -23,23 +23,24 @@ each tuple as a :class:`CardSequence` without checking its cards again,
 and the command line labels with the cards' names and writes each row
 by joining them.
 
-Rows of uniform ordered ``m``-throw cards that reach a permutation
-depend only on the length of its increasing suffix, so the
-per-permutation and cycle tallies of those families, and the lumped
-exact walk in :mod:`jugglecards.stochastic`, read one table,
-:func:`_lumped_table`: each suffix class gets its counts from
-:func:`jugglecards.counting.gen_stirling`, and only the reachable
-permutations are listed.  Rows of uniform unordered ``m``-throw cards
-depend only on the descent set of the permutation they reach: undoing
-such a card is a stable sort by a 0/1 label, so undoing a row is a radix
-sort, the view of Bayer and Diaconis (1992), and the counts live in
-Solomon's descent algebra (1976).  :func:`_tie_table` walks the labels'
-columns over tie states, the sets of adjacent points whose label words
-still agree, at most ``2^(b-1)`` of them, and a permutation takes the
-rows of the states that cut every one of its descents.  The
-per-permutation tally of those families without thrown counts, the
-exact walk on them and a census whose only filter is ``perm`` read that
-table; the tally by thrown count still reads the census engine's final
+The rows of a uniform ``m``-throw family that reach a permutation depend
+only on the permutation's class, so the per-permutation and cycle
+tallies of those families and the class walk in
+:mod:`jugglecards.stochastic` read one class table, picked by one entry,
+:func:`_class_table`; only the reachable permutations are listed.  For
+ordered cards, and single throws, the class is the length ``s`` of the
+increasing suffix: :func:`_lumped_table` counts each class once, by
+:func:`jugglecards.counting.js_count`, or by
+:func:`jugglecards.counting.gen_stirling` for each thrown count.  For
+unordered multi-throw cards the class is the descent set: undoing such a
+card is a stable sort by a 0/1 label, so undoing a row is a radix sort,
+the view of Bayer and Diaconis (1992), and the counts live in Solomon's
+descent algebra (1976).  :func:`_tie_table` walks the labels' columns
+over tie states, the sets of adjacent points whose label words still
+agree, at most ``2^(b-1)`` of them, and a permutation takes the rows of
+the states that cut every one of its descents (:func:`_descent_table`).
+A census whose only filter is ``perm`` reads the tie table too; the
+unordered tally by thrown count still reads the census engine's final
 layer, which stays the oracle for both tables.
 
 :func:`_census_from` is the brute-force oracle the tests pin the
@@ -461,20 +462,21 @@ def count_by_permutation(
 ) -> dict:
     """Sequence counts keyed by realized permutation.
 
-    Ordered families, and single throws either way, read
-    :func:`_lumped_table`: a permutation with increasing suffix ``s`` is
-    reached by ``js_count(s, n, b, m)`` rows, so only the ``b`` suffix
-    classes are counted and the reachable permutations listed.  With
-    ``by_thrown`` the keys are ``(perm, k)`` with ``k`` the number of
-    distinct balls thrown, reached by ``gen_stirling(n, k, m)`` rows for
-    each ``k`` from ``b - s`` (at least 1) to ``b``.  Unordered
-    multi-throw families read :func:`_descent_table`: a permutation is
-    reached by the rows of its descent class, so only the tie states of
-    :func:`_tie_table` are counted and the reachable permutations listed.
-    With ``by_thrown`` they run the census engine with no filters and
-    read each final arrangement as a permutation; tests pin both tables
-    to that engine and to a tally over :func:`all_sequences`.  Either way
-    a table past ``_MAX_SUPPORT`` permutations raises ``ValueError``
+    The family is checked as a :class:`CensusQuery` first, on every
+    route.  Without ``by_thrown`` the table is :func:`_class_table`'s:
+    only the classes of permutations that share their row count are
+    counted (suffix classes for ordered families and single throws,
+    descent classes for unordered multi-throw ones) and the reachable
+    permutations listed.  With ``by_thrown`` the keys are ``(perm, k)``
+    with ``k`` the number of distinct balls thrown.  Ordered families and
+    single throws read :func:`_lumped_table`: a permutation with
+    increasing suffix ``s`` is reached by ``gen_stirling(n, k, m)`` rows
+    for each ``k`` from ``b - s`` to ``b`` that ``n`` cards can throw,
+    ``m <= k <= nm``.  Unordered
+    multi-throw families run the census engine with no filters and read
+    each final arrangement as a permutation; tests pin both tables to
+    that engine and to a tally over :func:`all_sequences`.  Either way a
+    table past ``_MAX_SUPPORT`` permutations raises ``ValueError``
     before anything is counted.
 
     >>> table = count_by_permutation(3, 2)
@@ -484,15 +486,16 @@ def count_by_permutation(
     1
     """
     query = CensusQuery(b=b, n=n, m=m, ordered=ordered)
+    if not by_thrown:
+        return _class_table(b, n, m, ordered, int)
     if not ordered and m > 1:
-        if not by_thrown:
-            return _descent_table(b, n, m, int)
         _check_support(b, n, _support_bound(b, n, m))
         return _census_by_permutation(query, by_thrown)
-    if not by_thrown:
-        return _lumped_table(b, n, m, lambda ks: sum(ks.values()))
-    table = _lumped_table(b, n, m, dict)
-    return {(perm, k): ways for perm, ks in table.items() for k, ways in ks.items()}
+    from jugglecards.counting import gen_stirling
+
+    table = _lumped_table(b, n, m, lambda s: [
+        (k, gen_stirling(n, k, m)) for k in range(max(b - s, m), min(b, n * m) + 1)])
+    return {(perm, k): ways for perm, ks in table.items() for k, ways in ks}
 
 
 def _census_by_permutation(query: CensusQuery, by_thrown: bool) -> dict:
@@ -504,26 +507,6 @@ def _census_by_permutation(query: CensusQuery, by_thrown: bool) -> dict:
         key = (inverse(arr), mask.bit_count()) if by_thrown else inverse(arr)
         out[key] = out.get(key, 0) + ways
     return out
-
-
-def _suffix_classes(b: int, n: int, m: int) -> dict[int, dict[int, int]]:
-    """``{s: {k: rows}}``: the rows of ``n`` uniform ordered ``m``-throw
-    cards landing on one permutation with increasing suffix ``s``, by
-    the number ``k`` of distinct balls they throw.
-
-    The permutation needs its ``b - s`` head balls thrown, and the rows
-    throwing exactly ``k`` balls number ``gen_stirling(n, k, m)`` for
-    every ``k`` from ``b - s`` (at least 1) to ``b``, so the sum over
-    ``k`` is ``js_count(s, n, b, m)``.  Only the classes some row
-    reaches, ``s >= b - nm``, are keyed.
-    """
-    from jugglecards.counting import gen_stirling
-
-    rows = {k: ways for k in range(1, b + 1) if (ways := gen_stirling(n, k, m))}
-    return {
-        s: {k: ways for k, ways in rows.items() if k >= b - s}
-        for s in range(max(1, b - n * m), b + 1)
-    }
 
 
 def _support_bound(b: int, n: int, m: int) -> int:
@@ -548,11 +531,30 @@ def _check_support(b: int, n: int, support: int) -> None:
         )
 
 
-def _lumped_table(b: int, n: int, m: int, value) -> dict:
+def _class_table(b: int, n: int, m: int, ordered: bool, value) -> dict:
     """``{perm: value(rows)}`` over the permutations of ``1..b`` that ``n``
-    uniform ordered ``m``-throw cards reach, ``rows`` being the
-    ``{k: rows}`` of the permutation's suffix class from
-    :func:`_suffix_classes`.
+    uniform ``m``-throw cards reach, ``rows`` being how many rows reach
+    the permutation, with ``value`` run once per class of permutations
+    that share that count.
+
+    Ordered families and single throws read :func:`_lumped_table`, whose
+    classes are the increasing suffix lengths ``s``, reached by
+    ``js_count(s, n, b, m)`` rows each; unordered multi-throw families
+    read :func:`_descent_table`, whose classes are the descent sets.  A
+    support past ``_MAX_SUPPORT`` permutations raises ``ValueError``
+    before anything is counted or listed.
+    """
+    if ordered or m == 1:
+        from jugglecards.counting import js_count
+
+        return _lumped_table(b, n, m, lambda s: value(js_count(s, n, b, m)))
+    return _descent_table(b, n, m, value)
+
+
+def _lumped_table(b: int, n: int, m: int, value) -> dict:
+    """``{perm: value(s)}`` over the permutations of ``1..b`` that ``n``
+    uniform ordered ``m``-throw cards reach, ``s`` being the length of
+    the permutation's increasing suffix, its class.
 
     ``value`` runs once per class and its result is shared by the
     class.  A permutation with suffix ``s`` needs ``b - s`` distinct
@@ -564,8 +566,8 @@ def _lumped_table(b: int, n: int, m: int, value) -> dict:
     is counted or listed.
     """
     _check_support(b, n, _support_bound(b, n, m))
-    per_class = {s: value(ks) for s, ks in _suffix_classes(b, n, m).items()}
     least = max(1, b - n * m)
+    per_class = {s: value(s) for s in range(least, b + 1)}
     support = _shuffles(b, (1 << b - least) - 1)
     classes = map(increasing_suffix_length, support)
     return dict(zip(support, map(per_class.__getitem__, classes)))

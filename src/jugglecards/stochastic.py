@@ -34,8 +34,7 @@ from jugglecards.cards import (
 from jugglecards.enumeration import (
     _MAX_SUPPORT,
     _check_support,
-    _descent_table,
-    _lumped_table,
+    _class_table,
     _support_bound,
     throw_cards,
 )
@@ -132,43 +131,39 @@ def step_distribution(d: GroupDistribution, step: GroupDistribution) -> GroupDis
 def exact_step_distribution(step: GroupDistribution, n: int) -> GroupDistribution:
     """Law of the walk after ``n`` steps of ``step`` from the identity.
 
-    A uniform draw from the ordered ``m``-throw cards (the law of
-    ``card_distribution(b, m)``, however it was built) takes the lumped
-    walk: after ``n ≥ 1`` steps a permutation's mass depends only on the
-    length of its increasing suffix, and is the row count of
-    :func:`jugglecards.enumeration.count_by_permutation` over
-    ``(b)_m ** n``, read from the same suffix-class table.  This is the
-    top-to-random lumping of Diaconis, Fill and Pitman (1992), so the
-    walk computes ``b`` counts instead of pushing weights over up to
-    ``b!`` states for every step.  A uniform draw from the unordered
-    ``m``-throw cards, ``m >= 2`` (found by :func:`_descent_throws`), takes
-    the descent-class walk: a permutation's mass depends only on its
-    descent set, and is the row count of
-    :func:`jugglecards.enumeration._descent_table` over ``C(b, m) ** n``,
-    which pushes counts over at most ``2^(b-1)`` tie states.  Every other
-    law (weighted, any other support, one with a zero mass, or the law on
-    no points) runs :func:`_transfer_walk` over arrangement ids: each reached
-    arrangement's moves are built once, as a row of ids, and later steps
-    from it only look them up.  :func:`step_distribution`, the plain
-    product, shares none of its loop.
+    A uniform draw from one ``m``-throw card family (the law of
+    ``card_distribution(b, m, ordered)``, however it was built, found by
+    :func:`_uniform_family`) takes the class walk: after ``n ≥ 1`` steps
+    a permutation's mass is the row count of
+    :func:`jugglecards.enumeration.count_by_permutation` over the
+    ``|family| ** n`` rows, read from the same table,
+    :func:`jugglecards.enumeration._class_table`.  For ordered families
+    and single throws the mass depends only on the length of the
+    permutation's increasing suffix, the top-to-random lumping of
+    Diaconis, Fill and Pitman (1992), so the walk computes ``b`` counts
+    instead of pushing weights over up to ``b!`` states for every step;
+    for unordered multi-throw families it depends only on the descent
+    set, and the counts are pushed over at most ``2^(b-1)`` tie states.
+    Every other law (weighted, any other support, one with a zero mass,
+    or the law on no points) runs :func:`_transfer_walk` over arrangement
+    ids: each reached arrangement's moves are built once, as a row of
+    ids, and later steps from it only look them up.
+    :func:`step_distribution`, the plain product, shares none of its
+    loop.
 
     On every path the result is exact.  A walk that would hold more than
     ``jugglecards.enumeration._MAX_SUPPORT`` permutations raises
-    ``ValueError`` before it starts.
+    ``ValueError`` before it starts, and before ``|family| ** n`` is
+    taken.
     """
     if n < 0:
         raise ValueError(f"step count must be nonnegative, got {n}")
-    if n >= 1 and (m := _lumped_throws(step)) is not None:
-        # each suffix class's row count over the (b)_m ** n rows, one Fraction
-        # per class, computed only once the table has passed its bound
-        b = step.degree
-        return GroupDistribution(
-            _lumped_table(b, n, m, lambda ks: Fraction(sum(ks.values()), math.perm(b, m) ** n))
-        )
-    if n >= 1 and (m := _descent_throws(step)) is not None:
-        # each descent class's row count over the C(b, m) ** n rows
-        b, total = step.degree, math.comb(step.degree, m) ** n
-        return GroupDistribution(_descent_table(b, n, m, lambda rows: Fraction(rows, total)))
+    if n >= 1 and (family := _uniform_family(step)) is not None:
+        (m, ordered), b = family, step.degree
+        _check_support(b, n, _support_bound(b, n, m))
+        # one Fraction per class, shared by the class's permutations
+        total = (math.perm if ordered else math.comb)(b, m) ** n
+        return GroupDistribution(_class_table(b, n, m, ordered, lambda rows: Fraction(rows, total)))
     return _transfer_walk(step, n)
 
 
@@ -179,35 +174,25 @@ def _throws(step: GroupDistribution) -> int:
     return max(1, step.degree - min(map(increasing_suffix_length, step.prob)))
 
 
-def _lumped_throws(step: GroupDistribution) -> int | None:
-    """The ``m`` whose ordered ``m``-throw cards are drawn uniformly by
-    ``step``; ``None`` if there is none.
+def _uniform_family(step: GroupDistribution) -> tuple[int, bool] | None:
+    """``(m, ordered)`` for the ``m``-throw card family that ``step``
+    draws uniformly; ``None`` if there is none.
 
-    Their level maps are the ``(b)_m`` permutations whose increasing
-    suffix is at least ``b - m``, and ``m = _throws(step)`` is the least
-    ``m`` whose family holds the support, so the step lumps when its
-    masses are equal and its support has ``(b)_m`` elements."""
+    ``m = _throws(step)`` is the least ``m`` whose family holds the
+    support.  The ordered family's level maps are the ``(b)_m``
+    permutations whose increasing suffix is at least ``b - m``; the
+    unordered family's are the ``C(b, m)`` permutations with no descent
+    but at ``m``.  So the step is a family's when its masses are equal
+    and its support has ``(b)_m`` elements, or ``C(b, m)`` elements that
+    all descend at ``m`` and nowhere else.  Single throws, the same
+    family ordered or not, count as ordered."""
     if len(set(step.prob.values())) != 1:
         return None
-    m = _throws(step)
-    return m if len(step.prob) == math.perm(step.degree, m) else None
-
-
-def _descent_throws(step: GroupDistribution) -> int | None:
-    """The ``m >= 2`` whose unordered ``m``-throw cards are drawn
-    uniformly by ``step``; ``None`` if there is none.
-
-    Their level maps are the ``C(b, m)`` permutations with no descent but
-    at ``m``, so the step is theirs when its masses are equal, every
-    descent of its support is at the one position ``m``, and the support
-    has ``C(b, m)`` elements."""
-    if len(set(step.prob.values())) != 1:
-        return None
-    descents = {i for g in step.prob for i in range(1, len(g)) if g[i - 1] > g[i]}
-    if len(descents) != 1:
-        return None
-    (m,) = descents
-    return m if m >= 2 and len(step.prob) == math.comb(step.degree, m) else None
+    b, m, size = step.degree, _throws(step), len(step.prob)
+    if size == math.perm(b, m):
+        return m, True
+    descents = {i for g in step.prob for i in range(1, b) if g[i - 1] > g[i]}
+    return (m, False) if descents == {m} and size == math.comb(b, m) else None
 
 
 def _transfer_walk(step: GroupDistribution, n: int) -> GroupDistribution:

@@ -425,6 +425,17 @@ def test_a_huge_monte_carlo_trial_is_refused_before_any_draw():
     assert done.stderr == "error: sampled rows hold at most 1000000 cards, got n=100000000\n"
 
 
+def test_a_huge_unordered_walk_is_refused_before_its_row_total():
+    # C(20, 2) ** 10**9, the walk's row total, would run for minutes and
+    # end in a MemoryError under the cap
+    argv = ["walk", "--b", "20", "--m", "2", "--unordered", "--steps", str(10**9)]
+    done = fresh("-m", "jugglecards.cli", *argv, cap_mb=256)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (
+        "error: a table of the permutations of 20 points reached in 1000000000 steps "
+        "would hold more than 1000000 permutations\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -10,7 +10,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jugglecards import enumeration
+from jugglecards import counting, enumeration
 from jugglecards.cards import (
     Card,
     CardSequence,
@@ -622,12 +622,36 @@ def test_the_lumped_table_refuses_a_support_past_its_bound():
         assert len(count_by_permutation(4, 3)) == 24
     untouched = dict(side_effect=AssertionError)
     with mock.patch.object(enumeration, "_MAX_SUPPORT", 23), \
-            mock.patch.object(enumeration, "_suffix_classes", **untouched), \
+            mock.patch.object(counting, "js_count", **untouched), \
+            mock.patch.object(counting, "gen_stirling", **untouched), \
             mock.patch.object(enumeration, "increasing_suffix_length", **untouched):
         with pytest.raises(ValueError, match="more than 23"):
             count_by_permutation(4, 3)
         with pytest.raises(ValueError, match="more than 23"):
             count_by_permutation(4, 3, by_thrown=True)
+
+
+@pytest.mark.parametrize("ordered", [True, False])
+@pytest.mark.parametrize("by_thrown", [False, True])
+def test_count_by_permutation_checks_its_arguments_on_every_route(ordered, by_thrown):
+    # for m >= 2 each (ordered, by_thrown) pair takes its own route; nothing
+    # is counted before the family and the row length are checked
+    refusals = [
+        ((3, 0, 1), "need at least one card, got n=0"),
+        ((3, 0, 2), "need at least one card, got n=0"),
+        ((3, 2, 0), "cards throw m=0 balls, must be between 1 and b=3"),
+        ((3, 2, 4), "cards throw m=4 balls, must be between 1 and b=3"),
+        ((0, 2, 1), "need at least one ball, got b=0"),
+        ((0, 2, 2), "need at least one ball, got b=0"),
+    ]
+    untouched = dict(side_effect=AssertionError)
+    with mock.patch.object(enumeration, "_lumped_table", **untouched), \
+            mock.patch.object(enumeration, "_descent_table", **untouched), \
+            mock.patch.object(enumeration, "_Census", **untouched):
+        for (b, n, m), refusal in refusals:
+            with pytest.raises(ValueError) as refused:
+                count_by_permutation(b, n, m, ordered, by_thrown)
+            assert str(refused.value) == refusal, (b, n, m)
 
 
 def test_the_unordered_tally_refuses_a_support_past_its_bound():

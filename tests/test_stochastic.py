@@ -8,7 +8,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jugglecards import enumeration, rng, stochastic
+from jugglecards import counting, enumeration, rng, stochastic
 from jugglecards.cards import (
     CardSequence,
     card_permutation,
@@ -451,8 +451,7 @@ def test_families_that_do_not_lump_take_the_transfer_walk():
     untouched = dict(side_effect=AssertionError)
     for gd in families:
         for n in (1, 2, 5):
-            with mock.patch.object(stochastic, "_lumped_table", **untouched), \
-                    mock.patch.object(stochastic, "_descent_table", **untouched):
+            with mock.patch.object(stochastic, "_class_table", **untouched):
                 assert exact_step_distribution(gd, n) == _stepped(gd, n), (gd, n)
 
 
@@ -505,7 +504,7 @@ def test_a_layer_holds_exactly_the_states_reached_in_exactly_its_steps():
         GroupDistribution({g: Fraction(w, 21) for w, g in enumerate(transpositions, 1)}),
         *_ZERO_MASS_LAWS,
     ]
-    with mock.patch.object(stochastic, "_lumped_table", side_effect=AssertionError):
+    with mock.patch.object(stochastic, "_class_table", side_effect=AssertionError):
         for law in laws:
             for n in range(11):
                 # equal laws have equal key sets, zero-mass keys included
@@ -564,32 +563,23 @@ def _uniform_laws(b, sizes):
             yield GroupDistribution(dict.fromkeys(support, Fraction(1, size)))
 
 
-def test_the_lumped_family_is_read_from_the_law_alone():
-    # a uniform law lumps exactly when its support is the level maps of
-    # one ordered card family; (b-1)- and b-throw cards give the same maps
+def test_the_card_family_is_read_from_the_law_alone():
+    # a uniform law takes a class table exactly when its support is the
+    # level maps of one card family: an ordered one, where (b-1)- and
+    # b-throw cards give the same maps, or an unordered one with
+    # 2 <= m < b (single throws are ordered, and m = b unordered throws
+    # give the identity alone)
     for b, sizes in ((1, (1,)), (2, (1, 2)), (3, range(1, 7)), (4, (4,))):
         families = {
-            m: {card_permutation(c) for c in throw_cards(b, m)} for m in range(1, b + 1)
+            (m, ordered): {card_permutation(c) for c in throw_cards(b, m, ordered)}
+            for m in range(1, b + 1) for ordered in (True, False)
+            if ordered or 2 <= m < b
         }
         for law in _uniform_laws(b, sizes):
-            m = stochastic._lumped_throws(law)
+            family = stochastic._uniform_family(law)
             same = {k for k, maps in families.items() if set(law.prob) == maps}
-            assert (m is None) == (not same) and (m is None or m in same), law
-
-
-def test_the_unordered_family_is_read_from_the_law_alone():
-    # a uniform law takes the descent table exactly when its support is the
-    # level maps of one unordered m-throw family with 2 <= m < b; m = b
-    # throws give the identity alone
-    for b, sizes in ((2, (1, 2)), (3, range(1, 7)), (4, (4,))):
-        families = {
-            m: {card_permutation(c) for c in throw_cards(b, m, ordered=False)}
-            for m in range(2, b)
-        }
-        for law in _uniform_laws(b, sizes):
-            m = stochastic._descent_throws(law)
-            same = {k for k, maps in families.items() if set(law.prob) == maps}
-            assert (m is None) == (not same) and (m is None or m in same), law
+            assert (family is None) == (not same), law
+            assert family is None or family in same, law
 
 
 def test_the_descent_walk_is_the_sum_over_every_row():
@@ -620,27 +610,32 @@ def test_laws_near_the_unordered_family_take_their_old_routes():
         GroupDistribution({g: Fraction(0 if g == maps[-1] else 1, 5) for g in maps}),
     ]
     for gd in near:
-        assert stochastic._descent_throws(gd) is None, gd
+        assert stochastic._uniform_family(gd) is None, gd
         for n in range(1, 5):
-            with mock.patch.object(stochastic, "_descent_table", side_effect=AssertionError):
+            with mock.patch.object(enumeration, "_descent_table", side_effect=AssertionError):
                 assert exact_step_distribution(gd, n) == _stepped(gd, n), (gd, n)
     # single throws, the same family ordered or not, keep the lumped walk
     single = card_distribution(4, ordered=False)
-    assert single == card_distribution(4) and stochastic._descent_throws(single) is None
+    assert single == card_distribution(4) and stochastic._uniform_family(single) == (1, True)
     untouched = dict(side_effect=AssertionError)
     for n in range(1, 5):
-        with mock.patch.object(stochastic, "_descent_table", **untouched), \
+        with mock.patch.object(enumeration, "_descent_table", **untouched), \
                 mock.patch.object(stochastic, "_transfer_walk", **untouched):
             assert exact_step_distribution(single, n) == _stepped(single, n), n
 
 
 def test_huge_exact_walks_are_refused_before_they_start():
     untouched = dict(side_effect=AssertionError)
-    with mock.patch.object(enumeration, "_suffix_classes", **untouched), \
+    with mock.patch.object(counting, "js_count", **untouched), \
             mock.patch.object(enumeration, "increasing_suffix_length", **untouched), \
+            mock.patch.object(enumeration, "_tie_table", **untouched), \
             mock.patch.object(stochastic, "composer", **untouched):
         with pytest.raises(ValueError, match="more than 1000000 permutations"):
             exact_step_distribution(card_distribution(30), 5)
+        # C(20, 2) ** 10**9 rows, the unordered walk's total, is never taken
+        for n in (5, 10**9):
+            with pytest.raises(ValueError, match="more than 1000000 permutations"):
+                exact_step_distribution(card_distribution(20, 2, ordered=False), n)
         with pytest.raises(ValueError, match="more than 1000000 permutations"):
             exact_step_distribution(card_distribution(30, weights=range(1, 31)), 5)
         with pytest.raises(ValueError, match="more than 1000000 permutations"):

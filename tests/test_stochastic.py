@@ -563,23 +563,41 @@ def _uniform_laws(b, sizes):
             yield GroupDistribution(dict.fromkeys(support, Fraction(1, size)))
 
 
-def test_the_card_family_is_read_from_the_law_alone():
-    # a uniform law takes a class table exactly when its support is the
-    # level maps of one card family: an ordered one, where (b-1)- and
-    # b-throw cards give the same maps, or an unordered one with
-    # 2 <= m < b (single throws are ordered, and m = b unordered throws
-    # give the identity alone)
+def test_the_lumped_family_is_read_from_the_law_alone():
+    # a uniform law is read as ordered exactly when its support is the
+    # level maps of one ordered card family; (b-1)- and b-throw cards give
+    # the same maps, and single throws, the same family ordered or not,
+    # count as ordered
     for b, sizes in ((1, (1,)), (2, (1, 2)), (3, range(1, 7)), (4, (4,))):
         families = {
-            (m, ordered): {card_permutation(c) for c in throw_cards(b, m, ordered)}
-            for m in range(1, b + 1) for ordered in (True, False)
-            if ordered or 2 <= m < b
+            m: {card_permutation(c) for c in throw_cards(b, m)} for m in range(1, b + 1)
         }
         for law in _uniform_laws(b, sizes):
             family = stochastic._uniform_family(law)
             same = {k for k, maps in families.items() if set(law.prob) == maps}
-            assert (family is None) == (not same), law
-            assert family is None or family in same, law
+            if same:
+                assert family in {(m, True) for m in same}, law
+            else:
+                assert family is None or family[1] is False, law
+
+
+def test_the_unordered_family_is_read_from_the_law_alone():
+    # a uniform law is read as unordered exactly when its support is the
+    # level maps of one unordered m-throw family with 2 <= m < b; m = b
+    # throws give the identity alone; with the test above, a law that is
+    # no family's is read as none
+    for b, sizes in ((2, (1, 2)), (3, range(1, 7)), (4, (4,))):
+        families = {
+            m: {card_permutation(c) for c in throw_cards(b, m, ordered=False)}
+            for m in range(2, b)
+        }
+        for law in _uniform_laws(b, sizes):
+            family = stochastic._uniform_family(law)
+            same = {k for k, maps in families.items() if set(law.prob) == maps}
+            if same:
+                assert family in {(m, False) for m in same}, law
+            else:
+                assert family is None or family[1] is True, law
 
 
 def test_the_descent_walk_is_the_sum_over_every_row():
